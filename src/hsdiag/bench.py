@@ -31,11 +31,6 @@ from .dpifile import load_dpi_file
 from .search import HSTREE, RBFHS, rbf_hs
 from .sequential import SessionTrace, run_session
 
-CSV_HEADER = (
-    "dpi,algo,ld,session,runtime_ms,peak_live_nodes,nodes_generated,"
-    "label_calls,conflict_computations,conflict_reuses,diagnoses_found"
-)
-
 SUMMARY_HEADER = "dpi,ld,memory_factor,time_factor"
 
 DEFAULT_LD = (2, 6, 10, 20)
@@ -71,40 +66,21 @@ class BenchRow:
 
     def to_csv(self) -> str:
         return ",".join(
-            [
-                self.dpi,
-                self.algo,
-                str(self.ld),
-                str(self.session),
-                repr(self.runtime_ms),
-                str(self.peak_live_nodes),
-                str(self.nodes_generated),
-                str(self.label_calls),
-                str(self.conflict_computations),
-                str(self.conflict_reuses),
-                str(self.diagnoses_found),
-            ]
+            (repr if f.type == "float" else str)(getattr(self, f.name)) for f in fields(self)
         )
 
     @classmethod
     def from_csv(cls, line: str) -> "BenchRow":
         parts = next(csv.reader(io.StringIO(line)))
-        names = [f.name for f in fields(cls)]
-        if len(parts) != len(names):
-            raise ValueError(f"expected {len(names)} columns, got {len(parts)}")
-        return cls(
-            dpi=parts[0],
-            algo=parts[1],
-            ld=int(parts[2]),
-            session=int(parts[3]),
-            runtime_ms=float(parts[4]),
-            peak_live_nodes=int(parts[5]),
-            nodes_generated=int(parts[6]),
-            label_calls=int(parts[7]),
-            conflict_computations=int(parts[8]),
-            conflict_reuses=int(parts[9]),
-            diagnoses_found=int(parts[10]),
-        )
+        columns = fields(cls)
+        if len(parts) != len(columns):
+            raise ValueError(f"expected {len(columns)} columns, got {len(parts)}")
+        return cls(**{f.name: _PARSE[f.type](part) for f, part in zip(columns, parts)})
+
+
+# Field annotations are strings under ``from __future__ import annotations``.
+_PARSE = {"str": str, "int": int, "float": float}
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def write_rows(rows: Iterable[BenchRow]) -> str:

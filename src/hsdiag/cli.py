@@ -81,6 +81,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input is nested too deeply (Python recursion limit reached)", file=sys.stderr)
+        return 1
 
 
 def _load(args) -> tuple[Dpi, object]:

@@ -14,10 +14,19 @@ a pure sentinel (discarded subtree / exhausted node) and is never produced
 by cost arithmetic. Child costs derive incrementally from the parent, so
 nodes with equal probability compare exactly equal and the deterministic
 tie-break (smaller cardinality, then smaller id sequence) decides.
+
+Node, conflict and diagnosis sets are int masks: axiom i of K sits at bit
+n-1-i, so the first axiom in K order is the highest bit. Between two sets
+of equal cardinality the larger mask is the one whose K-ordered id sequence
+is smaller, which makes ``(-F, cardinality, -mask)`` the full sort key.
+Subset and disjointness tests are one ``&`` each; id tuples are built only
+for conflict extraction, recorded diagnoses and trace events, and trace
+text only when a trace list is passed.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from bisect import insort
@@ -66,17 +75,19 @@ class SearchResult:
         return [d.id_set for d in self.diagnoses]
 
 
-@dataclass
 class _Node:
-    ids: frozenset[str]
-    key: tuple[int, ...]  # K-order index tuple; the sort tie-break
-    f: float  # static log cost, immutable
-    F: float  # backed-up log cost, only ever decreases
-    dummy: bool = False
+    __slots__ = ("mask", "card", "f", "F", "dummy")
+
+    def __init__(self, mask: int, card: int, f: float, F: float, dummy: bool = False):
+        self.mask = mask  # node set, axiom i of K at bit n-1-i
+        self.card = card  # number of set bits
+        self.f = f  # static log cost, immutable
+        self.F = F  # backed-up log cost, only ever decreases
+        self.dummy = dummy
 
 
-def _order_key(node: _Node) -> tuple[float, int, tuple[int, ...]]:
-    return (-node.F, len(node.key), node.key)
+def _order_key(node: _Node) -> tuple[float, int, int]:
+    return (-node.F, node.card, -node.mask)
 
 
 class _SearchCore:
@@ -103,14 +114,17 @@ class _SearchCore:
         self.checker = ValidityChecker(dpi)
         self.stats = SearchStats()
         self.diagnoses: list[Diagnosis] = []
+        self.diag_masks: list[int] = []  # parallel to diagnoses
         self.conflict_list: list[tuple[str, ...]] = []
-        self.conflict_sets: list[frozenset[str]] = []
+        self.conflict_masks: list[int] = []  # parallel to conflict_list
         self.aborted = False
         self._live = 0
         # RBF-HS never holds two set-equal nodes at once; HS-Tree may create
         # a duplicate child briefly before its queue check discards it.
         self.unique_live = True
-        self._live_keys: set[tuple[int, ...]] = set()
+        self._live_masks: set[int] = set()
+        n = len(dpi.k_ids)
+        self._bit = {a: 1 << (n - 1 - i) for i, a in enumerate(dpi.k_ids)}
         # Per-axiom log terms; child costs extend the parent sum by one delta,
         # which keeps equal-probability nodes bitwise equal.
         self._delta = {a: math.log(pr[a]) - math.log(1.0 - pr[a]) for a in dpi.k_ids}
@@ -121,38 +135,34 @@ class _SearchCore:
     # -- instrumentation ---------------------------------------------------
 
     def make_node(self, parent: _Node, axiom: str) -> _Node:
-        idx = self.dpi.index_of(axiom)
-        pos = 0
-        while pos < len(parent.key) and parent.key[pos] < idx:
-            pos += 1
-        key = parent.key[:pos] + (idx,) + parent.key[pos:]
-        node = _Node(parent.ids | {axiom}, key, parent.f + self._delta[axiom], NEG_INF)
-        node.F = node.f
+        f = parent.f + self._delta[axiom]
+        node = _Node(parent.mask | self._bit[axiom], parent.card + 1, f, f)
         self._created(node)
         return node
 
     def make_root(self) -> _Node:
-        node = _Node(frozenset(), (), self.f_empty, self.f_empty)
+        node = _Node(0, 0, self.f_empty, self.f_empty)
         self._created(node)
         return node
 
     def make_dummy(self) -> _Node:
-        node = _Node(frozenset(), (), NEG_INF, NEG_INF, dummy=True)
+        node = _Node(0, 0, NEG_INF, NEG_INF, dummy=True)
         self._created(node)
         return node
 
     def _created(self, node: _Node) -> None:
         self.stats.nodes_generated += 1
         self._live += 1
-        self.stats.peak_live_nodes = max(self.stats.peak_live_nodes, self._live)
+        if self._live > self.stats.peak_live_nodes:
+            self.stats.peak_live_nodes = self._live
         if self.debug and self.unique_live and not node.dummy:
-            assert node.key not in self._live_keys, f"duplicate live node {node.ids}"
-            self._live_keys.add(node.key)
+            assert node.mask not in self._live_masks, f"duplicate live node {self.node_ids(node)}"
+            self._live_masks.add(node.mask)
 
     def discard(self, node: _Node) -> None:
         self._live -= 1
         if self.debug and self.unique_live and not node.dummy:
-            self._live_keys.discard(node.key)
+            self._live_masks.discard(node.mask)
 
     def assert_drained(self) -> None:
         if self.debug:
@@ -162,17 +172,24 @@ class _SearchCore:
         return 0.0 if log_cost == NEG_INF else math.exp(log_cost)
 
     def emit(self, kind: str, ids: tuple[str, ...], detail: str = "") -> None:
-        if self.trace is not None:
-            self.trace.append(TraceEvent(kind, ids, detail))
+        """Append a trace event; callers check ``self.trace is not None``
+        first so no detail text is formatted when tracing is off."""
+        self.trace.append(TraceEvent(kind, ids, detail))
 
     def node_ids(self, node: _Node) -> tuple[str, ...]:
-        return tuple(self.dpi.k_ids[i] for i in node.key)
+        k_ids, top = self.dpi.k_ids, len(self.dpi.k_ids) - 1
+        ids, mask = [], node.mask
+        while mask:
+            high = mask.bit_length() - 1
+            ids.append(k_ids[top - high])
+            mask ^= 1 << high
+        return tuple(ids)
 
     # -- shared Reiter-style labeling ---------------------------------------
 
     def add_conflict(self, ids: tuple[str, ...]) -> None:
         self.conflict_list.append(ids)
-        self.conflict_sets.append(frozenset(ids))
+        self.conflict_masks.append(sum(self._bit[a] for a in ids))
 
     def label(self, node: _Node):
         """Classify a node: closed, valid, or a minimal conflict to expand.
@@ -182,40 +199,50 @@ class _SearchCore:
         computation on the instance without the node's axioms.
         """
         self.stats.label_calls += 1
-        ids = self.node_ids(node)
-        cost = f"f={self.linear(node.f):.9g}"
-        for d in self.diagnoses:
-            if d.id_set <= node.ids:
-                self.emit("LABEL", ids, f"closed superset-of={{{','.join(d.ids)}}} {cost}")
+        mask = node.mask
+        for i, d in enumerate(self.diag_masks):
+            if d & mask == d:
+                if self.trace is not None:
+                    closer = ",".join(self.diagnoses[i].ids)
+                    self._emit_label(node, f"closed superset-of={{{closer}}}")
                 return _CLOSED
-        for stored_set, stored in zip(self.conflict_sets, self.conflict_list):
-            if not stored_set & node.ids:
+        for c, stored in zip(self.conflict_masks, self.conflict_list):
+            if not c & mask:
                 self.stats.conflict_reuses += 1
-                self.emit("LABEL", ids, f"conflict-reuse {{{','.join(stored)}}} {cost}")
+                if self.trace is not None:
+                    self._emit_label(node, f"conflict-reuse {{{','.join(stored)}}}")
                 return stored
-        outcome = find_min_conflict(self.dpi, exclude=node.ids, checker=self.checker)
+        outcome = find_min_conflict(self.dpi, exclude=self.node_ids(node), checker=self.checker)
         self.stats.conflict_computations += 1
         if isinstance(outcome, NoConflict):
-            self.emit("LABEL", ids, f"valid {cost}")
+            if self.trace is not None:
+                self._emit_label(node, "valid")
             return _VALID
         if isinstance(outcome, MinimalConflict):
             self.add_conflict(outcome.ids)
-            self.emit("LABEL", ids, f"conflict-new {{{','.join(outcome.ids)}}} {cost}")
+            if self.trace is not None:
+                self._emit_label(node, f"conflict-new {{{','.join(outcome.ids)}}}")
             return outcome.ids
         raise RuntimeError("empty conflict inside the search tree")  # handled up front
+
+    def _emit_label(self, node: _Node, verdict: str) -> None:
+        self.emit("LABEL", self.node_ids(node), f"{verdict} f={self.linear(node.f):.9g}")
 
     def expand(self, node: _Node, conflict: tuple[str, ...]) -> list[_Node]:
         """One child per conflict element, in the conflict's stored order."""
         children = [self.make_node(node, e) for e in conflict]
-        costs = ",".join(f"{self.linear(c.f):.9g}" for c in children)
-        self.emit("EXPAND", self.node_ids(node), f"conflict={{{','.join(conflict)}}} f=[{costs}]")
+        if self.trace is not None:
+            costs = ",".join(f"{self.linear(c.f):.9g}" for c in children)
+            detail = f"conflict={{{','.join(conflict)}}} f=[{costs}]"
+            self.emit("EXPAND", self.node_ids(node), detail)
         return children
 
     def record_diagnosis(self, node: _Node) -> None:
         ids = self.node_ids(node)
-        diag = Diagnosis(ids, self.linear(node.f))
-        self.diagnoses.append(diag)
-        self.emit("DIAG", ids, f"pr={self.linear(node.f):.9g}")
+        self.diagnoses.append(Diagnosis(ids, self.linear(node.f)))
+        self.diag_masks.append(node.mask)
+        if self.trace is not None:
+            self.emit("DIAG", ids, f"pr={self.linear(node.f):.9g}")
         if self.ld is not None and len(self.diagnoses) >= self.ld:
             self.aborted = True  # exit procedure: unwind without further work
 
@@ -232,6 +259,7 @@ def _start(core: _SearchCore):
         return None
     if isinstance(outcome, NoConflict):
         core.diagnoses.append(Diagnosis((), core.linear(core.f_empty)))
+        core.diag_masks.append(0)
         return None
     core.add_conflict(outcome.ids)
     return outcome.ids
@@ -274,7 +302,8 @@ def _rbf_rec(core: _SearchCore, node: _Node, f_backed: float, bound: float, dept
         for child in children:
             if child.f > f_backed:
                 child.F = f_backed
-                core.emit("INHERIT", core.node_ids(child), f"F={core.linear(child.F):.9g}")
+                if core.trace is not None:
+                    core.emit("INHERIT", core.node_ids(child), f"F={core.linear(child.F):.9g}")
     if len(children) == 1:
         children.append(core.make_dummy())
     children.sort(key=_order_key)
@@ -295,7 +324,7 @@ def _rbf_rec(core: _SearchCore, node: _Node, f_backed: float, bound: float, dept
     core.discard(best)
     for child in children:
         core.discard(child)
-    if depth > 0:
+    if depth > 0 and core.trace is not None:
         core.emit(
             "BACKTRACK",
             core.node_ids(node),
@@ -314,7 +343,7 @@ def hs_tree(
 ) -> SearchResult:
     """Reiter-style best-first hitting-set tree.
 
-    Open nodes sit in a priority queue ordered like the RBF-HS sort; labeling
+    Open nodes sit in a binary heap ordered like the RBF-HS sort; labeling
     and the conflict store are shared with rbf_hs, the only additions being
     the duplicate check against queued nodes and full tree retention
     (expanded inner nodes stay in memory until the search ends, which is what
@@ -324,12 +353,15 @@ def hs_tree(
     core.unique_live = False
     started = time.perf_counter()
     if _start(core) is not None:
-        queue: list[_Node] = [core.make_root()]
-        queued_ids = {queue[0].ids}
+        root = core.make_root()
+        # Queued masks are unique (set-equal children are dropped below), so
+        # heap keys never tie and pops follow the full sort order.
+        queue: list[tuple[tuple[float, int, int], _Node]] = [(_order_key(root), root)]
+        queued_masks = {root.mask}
         retained: list[_Node] = []
         while queue:
-            node = queue.pop(0)
-            queued_ids.discard(node.ids)
+            node = heapq.heappop(queue)[1]
+            queued_masks.discard(node.mask)
             label = core.label(node)
             if label is _CLOSED:
                 core.discard(node)
@@ -343,12 +375,12 @@ def hs_tree(
             children = core.expand(node, label)
             retained.append(node)
             for child in children:
-                if child.ids in queued_ids:
+                if child.mask in queued_masks:
                     core.discard(child)  # duplicate of a queued node
                     continue
-                insort(queue, child, key=_order_key)
-                queued_ids.add(child.ids)
-        for node in queue:
+                heapq.heappush(queue, (_order_key(child), child))
+                queued_masks.add(child.mask)
+        for _, node in queue:
             core.discard(node)
         for node in retained:
             core.discard(node)

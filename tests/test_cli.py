@@ -158,6 +158,17 @@ def test_diag_missing_file_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_diag_deep_formula_fails_without_traceback(tmp_path, capsys):
+    # a 3,000-conjunct formula nests deeper than Python's recursion limit
+    path = tmp_path / "deep.dpi"
+    conjuncts = " & ".join(f"x{i}" for i in range(3000))
+    path.write_text(f"[K]\nax1: {conjuncts}\nax2: !x0\n[N]\ny\n")
+    assert main(["diag", "--dpi", str(path), "--ld", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_diag_prob_mode_requires_pr(tmp_path, capsys):
     path = tmp_path / "nopr.dpi"
     path.write_text("[K]\nax1: A\nax2: !A\n")
