@@ -36,6 +36,7 @@ from .logic import (
     parse_formula,
     to_clause_set,
 )
+from .reasoner import Reasoner
 from .search import (
     HSTREE,
     RBFHS,

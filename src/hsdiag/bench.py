@@ -65,9 +65,11 @@ class BenchRow:
                 raise ValueError(f"{name} must be non-negative")
 
     def to_csv(self) -> str:
-        return ",".join(
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(
             (repr if f.type == "float" else str)(getattr(self, f.name)) for f in fields(self)
         )
+        return out.getvalue()
 
     @classmethod
     def from_csv(cls, line: str) -> "BenchRow":

@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .logic import Formula, entails, is_consistent
+from .logic import Formula
+from .reasoner import Reasoner
 
 REASONER = "reasoner"
 ABSTRACT = "abstract"
@@ -229,9 +230,6 @@ class Dpi:
             raise ValueError("abstract DPI axioms carry no formulas")
         return self.formulas[self.index_of(axiom)]
 
-    def sentences(self, ids: Iterable[str]) -> list[Formula]:
-        return [self.formula_of(a) for a in ids]
-
     def family_sets(self) -> tuple[frozenset[str], ...]:
         if self.kind != ABSTRACT:
             raise ValueError("only abstract DPIs carry a conflict family")
@@ -253,26 +251,29 @@ def _check_subset(dpi: Dpi, ids: Iterable[str]) -> frozenset[str]:
     return s
 
 
-def is_valid_set(dpi: Dpi, ids: Iterable[str]) -> bool:
+def reasoner_for(dpi: Dpi) -> Reasoner | None:
+    """The DPI encoded once for many checks; None on the abstract backend."""
+    return Reasoner(dpi) if dpi.kind == REASONER else None
+
+
+def is_valid_set(dpi: Dpi, ids: Iterable[str], reasoner: Reasoner | None = None) -> bool:
     """True iff assuming exactly the axioms in ids raises no conflict.
 
     Reasoner backend: the sentences plus B and P are consistent and entail
-    no negative measurement. Abstract backend: no attached conflict member
-    is contained in the set.
+    no negative measurement; pass the DPI's reasoner to reuse its encoding
+    across calls. Abstract backend: no attached conflict member is
+    contained in the set.
     """
     s = _check_subset(dpi, ids)
     if dpi.kind == ABSTRACT:
         return not any(member <= s for member in dpi.family_sets())
-    base = dpi.sentences(s) + list(dpi.background) + list(dpi.positive)
-    if not is_consistent(base):
-        return False
-    return not any(entails(base, n) for n in dpi.negative)
+    return (reasoner or Reasoner(dpi)).is_valid(s)
 
 
-def is_diagnosis(dpi: Dpi, ids: Iterable[str]) -> bool:
+def is_diagnosis(dpi: Dpi, ids: Iterable[str], reasoner: Reasoner | None = None) -> bool:
     """Duality: D is a diagnosis iff K minus D is a valid assumption set."""
     s = _check_subset(dpi, ids)
-    return is_valid_set(dpi, [a for a in dpi.k_ids if a not in s])
+    return is_valid_set(dpi, [a for a in dpi.k_ids if a not in s], reasoner)
 
 
 def is_minimal_diagnosis(dpi: Dpi, ids: Iterable[str]) -> bool:
@@ -282,9 +283,10 @@ def is_minimal_diagnosis(dpi: Dpi, ids: Iterable[str]) -> bool:
     diagnosis-hood is monotone over supersets.
     """
     s = _check_subset(dpi, ids)
-    if not is_diagnosis(dpi, s):
+    reasoner = reasoner_for(dpi)
+    if not is_diagnosis(dpi, s, reasoner):
         return False
-    return all(not is_diagnosis(dpi, s - {a}) for a in s)
+    return all(not is_diagnosis(dpi, s - {a}, reasoner) for a in s)
 
 
 class ValidityChecker:
@@ -292,19 +294,24 @@ class ValidityChecker:
 
     One instance per search/extraction run; the call counter backs the
     QuickXplain complexity assertions and the cache removes repeated
-    reasoner work on identical assumption sets.
+    reasoner work on identical assumption sets. On the reasoner backend the
+    first miss encodes the DPI once; the encoding lives as long as the
+    checker, never on the DPI.
     """
 
     def __init__(self, dpi: Dpi):
         self.dpi = dpi
         self.calls = 0
         self._cache: dict[frozenset[str], bool] = {}
+        self._reasoner: Reasoner | None = None
 
     def is_valid(self, ids: frozenset[str]) -> bool:
         self.calls += 1
         cached = self._cache.get(ids)
         if cached is None:
-            cached = is_valid_set(self.dpi, ids)
+            if self._reasoner is None and self.dpi.kind == REASONER:
+                self._reasoner = Reasoner(self.dpi)
+            cached = is_valid_set(self.dpi, ids, self._reasoner)
             self._cache[ids] = cached
         return cached
 
@@ -318,23 +325,25 @@ def _guard(dpi: Dpi) -> None:
         raise ValueError(f"brute force limited to |K| <= {BRUTE_FORCE_LIMIT}")
 
 
-def _diagnosis_mask_test(dpi: Dpi):
-    n = len(dpi.k_ids)
-    if dpi.kind == ABSTRACT:
-        member_masks = [
-            sum(1 << dpi.index_of(a) for a in member) for member in dpi.conflict_family
-        ]
+def _minimal_sets(n: int, holds) -> list[tuple[int, ...]]:
+    """Subset-minimal index sets of range(n) on which a superset-monotone
+    predicate of the bitmask (bit i = index i) holds, in ascending
+    cardinality then lexicographic order."""
+    found_masks: list[int] = []
+    found: list[tuple[int, ...]] = []
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            mask = sum(1 << i for i in combo)
+            if any(prev & mask == prev for prev in found_masks):
+                continue
+            if holds(mask):
+                found_masks.append(mask)
+                found.append(combo)
+    return found
 
-        def test(mask: int) -> bool:
-            return all(m & mask for m in member_masks)
 
-        return test
-
-    def test(mask: int) -> bool:
-        rest = [dpi.k_ids[i] for i in range(n) if not mask >> i & 1]
-        return is_valid_set(dpi, rest)
-
-    return test
+def _member_masks(dpi: Dpi) -> list[int]:
+    return [sum(1 << dpi.index_of(a) for a in member) for member in dpi.conflict_family]
 
 
 def brute_force_min_diagnoses(dpi: Dpi) -> list[Diagnosis]:
@@ -343,22 +352,24 @@ def brute_force_min_diagnoses(dpi: Dpi) -> list[Diagnosis]:
     when no probabilities are attached)."""
     _guard(dpi)
     n = len(dpi.k_ids)
-    is_diag = _diagnosis_mask_test(dpi)
-    found_masks: list[int] = []
-    found: list[tuple[str, ...]] = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = sum(1 << i for i in combo)
-            if any(prev & mask == prev for prev in found_masks):
-                continue
-            if is_diag(mask):
-                found_masks.append(mask)
-                found.append(tuple(dpi.k_ids[i] for i in combo))
+    if dpi.kind == ABSTRACT:
+        member_masks = _member_masks(dpi)
+
+        def is_diag(mask: int) -> bool:
+            return all(m & mask for m in member_masks)
+
+    else:
+        reasoner = Reasoner(dpi)
+
+        def is_diag(mask: int) -> bool:
+            rest = [dpi.k_ids[i] for i in range(n) if not mask >> i & 1]
+            return is_valid_set(dpi, rest, reasoner)
+
+    found = [tuple(dpi.k_ids[i] for i in combo) for combo in _minimal_sets(n, is_diag)]
     if dpi.pr is None:
-        ordered = sorted(found, key=lambda t: (len(t), tuple(dpi.index_of(a) for a in t)))
-        return [Diagnosis(t) for t in ordered]
+        return [Diagnosis(t) for t in found]
     scored = [(pr_of(dpi.pr, dpi.k_ids, t), t) for t in found]
-    scored.sort(key=lambda st: (-st[0], len(st[1]), tuple(dpi.index_of(a) for a in st[1])))
+    scored.sort(key=lambda st: -st[0])  # stable: ties stay in size then K order
     return [Diagnosis(t, p) for p, t in scored]
 
 
@@ -367,52 +378,30 @@ def brute_force_min_conflicts(dpi: Dpi) -> list[tuple[str, ...]]:
     _guard(dpi)
     n = len(dpi.k_ids)
     if dpi.kind == ABSTRACT:
-        member_masks = [
-            sum(1 << dpi.index_of(a) for a in member) for member in dpi.conflict_family
-        ]
+        member_masks = _member_masks(dpi)
 
         def invalid(mask: int) -> bool:
             return any(m & mask == m for m in member_masks)
 
     else:
+        reasoner = Reasoner(dpi)
 
         def invalid(mask: int) -> bool:
             subset = [dpi.k_ids[i] for i in range(n) if mask >> i & 1]
-            return not is_valid_set(dpi, subset)
+            return not is_valid_set(dpi, subset, reasoner)
 
-    found_masks: list[int] = []
-    found: list[tuple[str, ...]] = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = sum(1 << i for i in combo)
-            if any(prev & mask == prev for prev in found_masks):
-                continue
-            if invalid(mask):
-                found_masks.append(mask)
-                found.append(tuple(dpi.k_ids[i] for i in combo))
-    found.sort(key=lambda t: (len(t), tuple(dpi.index_of(a) for a in t)))
-    return found
+    return [tuple(dpi.k_ids[i] for i in combo) for combo in _minimal_sets(n, invalid)]
 
 
 def brute_force_min_hitting_sets(
     family: Sequence[Iterable[str]], universe: Sequence[str]
 ) -> list[tuple[str, ...]]:
-    """Exhaustive minimal hitting sets of a set family (oracle for the
-    hitting-set property)."""
-    members = [frozenset(m) for m in family]
-    order = {a: i for i, a in enumerate(universe)}
-    found: list[frozenset[str]] = []
-    out: list[tuple[str, ...]] = []
-    for size in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            s = frozenset(combo)
-            if any(prev <= s for prev in found):
-                continue
-            if all(s & m for m in members):
-                found.append(s)
-                out.append(combo)
-    out.sort(key=lambda t: (len(t), tuple(order[a] for a in t)))
-    return out
+    """Exhaustive minimal hitting sets of a set family over distinct
+    universe elements (oracle for the hitting-set property)."""
+    bit = {a: 1 << i for i, a in enumerate(universe)}
+    member_masks = [sum(bit.get(a, 0) for a in set(m)) for m in family]
+    found = _minimal_sets(len(universe), lambda mask: all(m & mask for m in member_masks))
+    return [tuple(universe[i] for i in combo) for combo in found]
 
 
 def gen_random_dpi(components: int, conflicts: int, max_size: int, seed: int) -> Dpi:

@@ -1,5 +1,6 @@
 """Propositional logic core: formula ASTs, parsing, CNF conversion, and a
-complete DPLL satisfiability procedure.
+complete iterative DPLL satisfiability procedure that decides under
+assumptions.
 
 This is the theorem prover behind conflict detection. It is deliberately
 small and deterministic: atom numbering, clause emission order and the DPLL
@@ -362,45 +363,137 @@ def to_clause_set(formulas: Iterable[Formula]) -> ClauseSet:
 
 
 # ---------------------------------------------------------------------------
-# Satisfiability (DPLL: unit propagation + chronological backtracking)
+# Satisfiability (iterative DPLL: watched literals + chronological backtracking)
 
 
-def _propagate(clauses: list[frozenset[int]]) -> list[frozenset[int]] | None:
-    """Exhaustive unit propagation. None signals a derived empty clause."""
-    current = clauses
-    while True:
-        unit = None
-        for c in current:
-            if not c:
-                return None
-            if len(c) == 1 and unit is None:
-                unit = next(iter(c))
-        if unit is None:
-            return current
-        reduced = []
-        for c in current:
-            if unit in c:
-                continue
-            if -unit in c:
-                c = c - {-unit}
-            reduced.append(c)
-        current = reduced
+class Solver:
+    """DPLL over a fixed clause set, deciding satisfiability under assumptions.
 
+    Iterative: unit propagation with two watched literals per clause,
+    chronological backtracking, no clause learning. Branching takes the lowest
+    unassigned variable, false first, so identical inputs take identical
+    decision paths. Assumption literals (the MiniSat interface, Eén &
+    Sörensson, SAT 2003) let one encoding answer many checks: each ``solve``
+    assumes them on top of the fixed clauses and undoes everything afterwards.
 
-def _dpll(clauses: list[frozenset[int]]) -> bool:
-    simplified = _propagate(clauses)
-    if simplified is None:
-        return False
-    if not simplified:
+    Internally literal +v is code 2v and -v is code 2v+1, so negation is
+    ``code ^ 1``; ``value`` maps a code to 1 (true), -1 (false) or 0.
+    """
+
+    def __init__(self, clauses: Iterable[frozenset[int]], var_count: int):
+        self.var_count = var_count
+        self.value = [0] * (2 * var_count + 2)
+        self.watches: list[list[list[int]]] = [[] for _ in self.value]
+        self.trail: list[int] = []
+        self.head = 0  # trail[:head] has been propagated
+        self.conflict = False  # the clauses alone are unsatisfiable
+        units = []
+        for clause in clauses:
+            codes = _codes(clause)
+            if len(codes) > 1:
+                self.watches[codes[0]].append(codes)
+                self.watches[codes[1]].append(codes)
+            elif codes:
+                units.append(codes[0])
+            else:
+                self.conflict = True
+        if not self.conflict:
+            self.conflict = not self._assume(units) or not self._propagate()
+
+    def _assume(self, codes: Iterable[int]) -> bool:
+        value, trail = self.value, self.trail
+        for code in codes:
+            if value[code] == -1:
+                return False
+            if not value[code]:
+                value[code] = 1
+                value[code ^ 1] = -1
+                trail.append(code)
         return True
-    # Deterministic branching: lowest remaining variable, false first.
-    var = min(min(abs(l) for l in c) for c in simplified)
-    return _dpll(simplified + [frozenset((-var,))]) or _dpll(simplified + [frozenset((var,))])
+
+    def _propagate(self) -> bool:
+        """Unit propagation of the unpropagated trail; False on a conflict."""
+        value, watches, trail = self.value, self.watches, self.trail
+        head = self.head
+        while head < len(trail):
+            false_code = trail[head] ^ 1
+            head += 1
+            watching = watches[false_code]
+            kept = []
+            for pos, clause in enumerate(watching):
+                # The watched pair is clause[:2]; keep the false one at index 1.
+                if clause[0] == false_code:
+                    clause[0] = clause[1]
+                    clause[1] = false_code
+                other = clause[0]
+                if value[other] == 1:
+                    kept.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    code = clause[k]
+                    if value[code] != -1:
+                        clause[1] = code
+                        clause[k] = false_code
+                        watches[code].append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if value[other] == -1:
+                        kept.extend(watching[pos + 1:])
+                        watches[false_code] = kept
+                        return False
+                    value[other] = 1
+                    value[other ^ 1] = -1
+                    trail.append(other)
+            watches[false_code] = kept
+        self.head = head
+        return True
+
+    def _undo(self, size: int) -> None:
+        value, trail = self.value, self.trail
+        for code in trail[size:]:
+            value[code] = value[code ^ 1] = 0
+        del trail[size:]
+        self.head = size
+
+    def solve(self, assumptions: Iterable[int] = ()) -> bool:
+        """True iff the clauses and the assumption literals are satisfiable."""
+        if self.conflict:
+            return False
+        value, trail = self.value, self.trail
+        root = len(trail)
+        try:
+            if not self._assume(_codes(assumptions)) or not self._propagate():
+                return False
+            decisions: list[list[int]] = []  # [trail size before, variable, flipped]
+            var = 1
+            while True:
+                while var <= self.var_count and value[2 * var]:
+                    var += 1
+                if var > self.var_count:
+                    return True
+                decisions.append([len(trail), var, 0])
+                self._assume((2 * var + 1,))
+                while not self._propagate():
+                    while decisions and decisions[-1][2]:
+                        decisions.pop()
+                    if not decisions:
+                        return False
+                    size, var, _ = top = decisions[-1]
+                    top[2] = 1
+                    self._undo(size)
+                    self._assume((2 * var,))
+        finally:
+            self._undo(root)
+
+
+def _codes(lits: Iterable[int]) -> list[int]:
+    return [2 * lit if lit > 0 else 1 - 2 * lit for lit in lits]
 
 
 def is_satisfiable(cs: ClauseSet) -> bool:
     """True iff some assignment satisfies every clause."""
-    return _dpll(list(cs.clauses))
+    return Solver(cs.clauses, cs.var_count).solve()
 
 
 def is_consistent(sentences: Iterable[Formula]) -> bool:

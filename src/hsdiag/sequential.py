@@ -23,8 +23,10 @@ from .dpi import (
     is_minimal_diagnosis,
     normalized,
     pr_of,
+    reasoner_for,
 )
-from .logic import Formula, entails, is_consistent
+from .logic import Formula
+from .reasoner import Reasoner
 from .search import HSTREE, RBFHS, SearchResult, SearchStats, hs_tree, rbf_hs
 
 
@@ -79,43 +81,44 @@ def make_query(dpi: Dpi, axiom_id: str) -> Query:
     return Query(axiom_id, sentence)
 
 
-def _rest(dpi: Dpi, diag: Diagnosis) -> list[str]:
-    return [a for a in dpi.k_ids if a not in diag.id_set]
-
-
-def _entails_query(dpi: Dpi, rest: Sequence[str], query: Query) -> bool:
+def _entails_query(
+    dpi: Dpi, rest: frozenset[str], query: Query, reasoner: Reasoner | None
+) -> bool:
     if dpi.kind == ABSTRACT:
         return query.axiom_id in rest or query.axiom_id in dpi.positive_ids
-    base = dpi.sentences(rest) + list(dpi.background) + list(dpi.positive)
-    return entails(base, query.sentence)
+    return reasoner.entails(rest, query.axiom_id)
 
 
-def _valid_with_query(dpi: Dpi, rest: Sequence[str], query: Query) -> bool:
+def _valid_with_query(
+    dpi: Dpi, rest: frozenset[str], query: Query, reasoner: Reasoner | None
+) -> bool:
+    assumed = rest | {query.axiom_id}
     if dpi.kind == ABSTRACT:
-        assumed = frozenset(rest) | {query.axiom_id}
         return not any(member <= assumed for member in dpi.family_sets())
-    base = dpi.sentences(rest) + list(dpi.background) + list(dpi.positive) + [query.sentence]
-    if not is_consistent(base):
-        return False
-    return not any(entails(base, n) for n in dpi.negative)
+    return reasoner.is_valid(assumed)
 
 
-def partition(dpi: Dpi, diagnoses: Sequence[Diagnosis], query: Query) -> QueryPartition:
+def partition(
+    dpi: Dpi, diagnoses: Sequence[Diagnosis], query: Query, reasoner: Reasoner | None = None
+) -> QueryPartition:
     """Split diagnoses by the predicted measurement outcome.
 
     A diagnosis whose remaining system entails the queried sentence is
     confirmed by a positive answer (dplus); one that becomes invalid when
     the sentence is added is refuted by it (dminus); the rest are unaffected
-    (dzero).
+    (dzero). On the reasoner backend the checks run on ``reasoner`` (the
+    DPI's, built here when not passed in).
     """
     if not diagnoses:
         raise ValueError("partition needs at least one diagnosis")
+    if reasoner is None:
+        reasoner = reasoner_for(dpi)
     dplus, dminus, dzero = [], [], []
     for diag in diagnoses:
-        rest = _rest(dpi, diag)
-        if _entails_query(dpi, rest, query):
+        rest = frozenset(dpi.k_ids) - diag.id_set
+        if _entails_query(dpi, rest, query, reasoner):
             dplus.append(diag)
-        elif not _valid_with_query(dpi, rest, query):
+        elif not _valid_with_query(dpi, rest, query, reasoner):
             dminus.append(diag)
         else:
             dzero.append(diag)
@@ -140,11 +143,12 @@ def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities)
     anywhere = set.union(*(set(d.ids) for d in diagnoses))
     best: tuple[float, int, int] | None = None
     best_query: Query | None = None
+    reasoner = reasoner_for(dpi)
     for idx, axiom in enumerate(dpi.k_ids):
         if axiom not in anywhere or axiom in common:
             continue
         query = make_query(dpi, axiom)
-        cells = partition(dpi, diagnoses, query)
+        cells = partition(dpi, diagnoses, query, reasoner)
         if not cells.dplus or not cells.dminus:
             continue
         mass = sum(weight_of[d] for d in cells.dplus) + 0.5 * sum(

@@ -108,6 +108,13 @@ def test_bench_rows_round_trip():
     assert read_rows(write_rows(rows)) == rows
 
 
+def test_bench_row_with_comma_in_name_round_trips():
+    row = make_row(dpi="a,b")
+    assert row.to_csv().startswith('"a,b",rbfhs,')
+    assert read_rows(write_rows([row])) == [row]
+    assert make_row().to_csv() == "t,rbfhs,4,0,1.25,9,27,21,8,6,4"
+
+
 def test_bench_header_exact():
     assert CSV_HEADER == (
         "dpi,algo,ld,session,runtime_ms,peak_live_nodes,nodes_generated,"

@@ -207,6 +207,13 @@ def test_satisfiability_agrees_with_truth_tables(seed):
     assert is_satisfiable(to_clause_set(formulas)) == truth_table_satisfiable(formulas)
 
 
+def test_many_independent_decisions_need_no_recursion():
+    # One decision per clause; a recursive DPLL exceeds Python's frame limit.
+    clauses = [Or(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(1200)]
+    assert is_consistent(clauses)
+    assert not is_consistent(clauses + [Not(Atom("a7")), Not(Atom("b7"))])
+
+
 # --- consistency and entailment ----------------------------------------------
 
 def test_empty_set_consistent_and_entails_nothing():
