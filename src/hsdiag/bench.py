@@ -28,7 +28,7 @@ from .dpi import (
     cost_adjust,
 )
 from .dpifile import load_dpi_file
-from .search import HSTREE, RBFHS, rbf_hs
+from .search import HSTREE, RBFHS, SearchStats, rbf_hs
 from .sequential import SessionTrace, run_session
 
 SUMMARY_HEADER = "dpi,ld,memory_factor,time_factor"
@@ -96,8 +96,16 @@ def read_rows(text: str) -> list[BenchRow]:
     return [BenchRow.from_csv(l) for l in lines[1:]]
 
 
-def session_row(name: str, algo: str, ld: int, session: int, trace: SessionTrace) -> BenchRow:
-    stats = [it.stats for it in trace.iterations]
+def stats_row(
+    name: str,
+    algo: str,
+    ld: int,
+    session: int,
+    stats: Sequence[SearchStats],
+    diagnoses_found: int,
+) -> BenchRow:
+    """One row over the searches of a cell: times and counters summed, the
+    peak node count the maximum."""
     return BenchRow(
         dpi=name,
         algo=algo,
@@ -109,8 +117,14 @@ def session_row(name: str, algo: str, ld: int, session: int, trace: SessionTrace
         label_calls=sum(s.label_calls for s in stats),
         conflict_computations=sum(s.conflict_computations for s in stats),
         conflict_reuses=sum(s.conflict_reuses for s in stats),
-        diagnoses_found=max(len(it.diagnoses) for it in trace.iterations),
+        diagnoses_found=diagnoses_found,
     )
+
+
+def session_row(name: str, algo: str, ld: int, session: int, trace: SessionTrace) -> BenchRow:
+    stats = [it.stats for it in trace.iterations]
+    found = max(len(it.diagnoses) for it in trace.iterations)
+    return stats_row(name, algo, ld, session, stats, found)
 
 
 def derive_seed(*parts) -> int:

@@ -103,18 +103,8 @@ def cmd_diag(args) -> int:
             "".join(e.line() + "\n" for e in trace), encoding="utf-8"
         )
     if args.stats_csv:
-        row = bench_mod.BenchRow(
-            dpi=Path(args.dpi).stem,
-            algo=args.algo,
-            ld=args.ld,
-            session=0,
-            runtime_ms=result.stats.wall_time * 1000.0,
-            peak_live_nodes=result.stats.peak_live_nodes,
-            nodes_generated=result.stats.nodes_generated,
-            label_calls=result.stats.label_calls,
-            conflict_computations=result.stats.conflict_computations,
-            conflict_reuses=result.stats.conflict_reuses,
-            diagnoses_found=len(result.diagnoses),
+        row = bench_mod.stats_row(
+            Path(args.dpi).stem, args.algo, args.ld, 0, [result.stats], len(result.diagnoses)
         )
         _append_csv(args.stats_csv, [row])
     return 0

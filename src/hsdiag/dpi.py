@@ -295,15 +295,16 @@ class ValidityChecker:
     One instance per search/extraction run; the call counter backs the
     QuickXplain complexity assertions and the cache removes repeated
     reasoner work on identical assumption sets. On the reasoner backend the
-    first miss encodes the DPI once; the encoding lives as long as the
-    checker, never on the DPI.
+    checks run on ``reasoner`` when one is passed (a caller sharing the
+    DPI's encoding with other checks), else the first miss encodes the DPI
+    once; the encoding lives as long as the checker, never on the DPI.
     """
 
-    def __init__(self, dpi: Dpi):
+    def __init__(self, dpi: Dpi, reasoner: Reasoner | None = None):
         self.dpi = dpi
         self.calls = 0
         self._cache: dict[frozenset[str], bool] = {}
-        self._reasoner: Reasoner | None = None
+        self._reasoner = reasoner
 
     def is_valid(self, ids: frozenset[str]) -> bool:
         self.calls += 1

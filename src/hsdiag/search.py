@@ -22,6 +22,15 @@ is smaller, which makes ``(-F, cardinality, -mask)`` the full sort key.
 Subset and disjointness tests are one ``&`` each; id tuples are built only
 for conflict extraction, recorded diagnoses and trace events, and trace
 text only when a trace list is passed.
+
+A node is the list ``[-F, card, -mask, f, mask]``: backed-up log cost F
+(only ever decreases), cardinality, node set, and static log cost f. Its
+first three entries are the sort key, so ``list.sort``, ``insort`` and
+``heapq`` compare nodes natively with no key function. Sibling masks are
+unique and so are the masks in HS-Tree's queue, which means a comparison
+never reaches the fourth entry. Backing up or inheriting a cost writes
+entry 0. The RBF-HS dummy sibling is ``[inf, 0, 0, -inf, None]``: F is the
+minus-infinity sentinel, so it sorts after every sibling of finite cost.
 """
 
 from __future__ import annotations
@@ -34,7 +43,9 @@ from dataclasses import dataclass
 
 from .conflict import EmptyConflict, MinimalConflict, NoConflict, find_min_conflict
 from .dpi import Diagnosis, Dpi, FaultProbabilities, ValidityChecker
+from .reasoner import Reasoner
 
+INF = float("inf")
 NEG_INF = float("-inf")
 
 RBFHS = "rbfhs"
@@ -75,21 +86,6 @@ class SearchResult:
         return [d.id_set for d in self.diagnoses]
 
 
-class _Node:
-    __slots__ = ("mask", "card", "f", "F", "dummy")
-
-    def __init__(self, mask: int, card: int, f: float, F: float, dummy: bool = False):
-        self.mask = mask  # node set, axiom i of K at bit n-1-i
-        self.card = card  # number of set bits
-        self.f = f  # static log cost, immutable
-        self.F = F  # backed-up log cost, only ever decreases
-        self.dummy = dummy
-
-
-def _order_key(node: _Node) -> tuple[float, int, int]:
-    return (-node.F, node.card, -node.mask)
-
-
 class _SearchCore:
     """State shared by one search run: solution list D, conflict store C,
     cost model, counters and optional tracing."""
@@ -101,6 +97,7 @@ class _SearchCore:
         ld: int | None,
         trace: list[TraceEvent] | None,
         debug: bool,
+        reasoner: Reasoner | None,
     ):
         if not pr.cost_adjusted:
             raise ValueError("search requires cost-adjusted probabilities (all below 0.5)")
@@ -111,7 +108,7 @@ class _SearchCore:
         self.ld = ld
         self.trace = trace
         self.debug = debug
-        self.checker = ValidityChecker(dpi)
+        self.checker = ValidityChecker(dpi, reasoner)
         self.stats = SearchStats()
         self.diagnoses: list[Diagnosis] = []
         self.diag_masks: list[int] = []  # parallel to diagnoses
@@ -124,45 +121,49 @@ class _SearchCore:
         self.unique_live = True
         self._live_masks: set[int] = set()
         n = len(dpi.k_ids)
-        self._bit = {a: 1 << (n - 1 - i) for i, a in enumerate(dpi.k_ids)}
-        # Per-axiom log terms; child costs extend the parent sum by one delta,
-        # which keeps equal-probability nodes bitwise equal.
-        self._delta = {a: math.log(pr[a]) - math.log(1.0 - pr[a]) for a in dpi.k_ids}
+        # Per-axiom (delta, bit): a child's cost extends the parent sum by one
+        # log term, which keeps equal-probability nodes bitwise equal, and its
+        # mask adds axiom i of K at bit n-1-i.
+        self._step = {
+            a: (math.log(pr[a]) - math.log(1.0 - pr[a]), 1 << (n - 1 - i))
+            for i, a in enumerate(dpi.k_ids)
+        }
         self.f_empty = 0.0
         for a in dpi.k_ids:
             self.f_empty += math.log(1.0 - pr[a])
 
     # -- instrumentation ---------------------------------------------------
 
-    def make_node(self, parent: _Node, axiom: str) -> _Node:
-        f = parent.f + self._delta[axiom]
-        node = _Node(parent.mask | self._bit[axiom], parent.card + 1, f, f)
-        self._created(node)
-        return node
+    def make_root(self) -> list:
+        root = [-self.f_empty, 0, 0, self.f_empty, 0]
+        self._created([root])
+        return root
 
-    def make_root(self) -> _Node:
-        node = _Node(0, 0, self.f_empty, self.f_empty)
-        self._created(node)
-        return node
+    def make_dummy(self) -> list:
+        dummy = [INF, 0, 0, NEG_INF, None]
+        self._created([dummy])
+        return dummy
 
-    def make_dummy(self) -> _Node:
-        node = _Node(0, 0, NEG_INF, NEG_INF, dummy=True)
-        self._created(node)
-        return node
+    def _created(self, nodes: list[list]) -> None:
+        # The live count only rises inside one batch, so one peak check per
+        # batch sees the same peak as one check per node.
+        stats = self.stats
+        stats.nodes_generated += len(nodes)
+        self._live += len(nodes)
+        if self._live > stats.peak_live_nodes:
+            stats.peak_live_nodes = self._live
+        if self.debug and self.unique_live:
+            for node in nodes:
+                mask = node[4]
+                if mask is not None:  # the dummy is not a node set
+                    assert mask not in self._live_masks, f"duplicate live node {self.ids_of(mask)}"
+                    self._live_masks.add(mask)
 
-    def _created(self, node: _Node) -> None:
-        self.stats.nodes_generated += 1
-        self._live += 1
-        if self._live > self.stats.peak_live_nodes:
-            self.stats.peak_live_nodes = self._live
-        if self.debug and self.unique_live and not node.dummy:
-            assert node.mask not in self._live_masks, f"duplicate live node {self.node_ids(node)}"
-            self._live_masks.add(node.mask)
-
-    def discard(self, node: _Node) -> None:
-        self._live -= 1
-        if self.debug and self.unique_live and not node.dummy:
-            self._live_masks.discard(node.mask)
+    def discard(self, nodes: list[list]) -> None:
+        self._live -= len(nodes)
+        if self.debug and self.unique_live:
+            for node in nodes:
+                self._live_masks.discard(node[4])
 
     def assert_drained(self) -> None:
         if self.debug:
@@ -176,9 +177,9 @@ class _SearchCore:
         first so no detail text is formatted when tracing is off."""
         self.trace.append(TraceEvent(kind, ids, detail))
 
-    def node_ids(self, node: _Node) -> tuple[str, ...]:
+    def ids_of(self, mask: int) -> tuple[str, ...]:
         k_ids, top = self.dpi.k_ids, len(self.dpi.k_ids) - 1
-        ids, mask = [], node.mask
+        ids = []
         while mask:
             high = mask.bit_length() - 1
             ids.append(k_ids[top - high])
@@ -189,9 +190,9 @@ class _SearchCore:
 
     def add_conflict(self, ids: tuple[str, ...]) -> None:
         self.conflict_list.append(ids)
-        self.conflict_masks.append(sum(self._bit[a] for a in ids))
+        self.conflict_masks.append(sum(self._step[a][1] for a in ids))
 
-    def label(self, node: _Node):
+    def label(self, node: list):
         """Classify a node: closed, valid, or a minimal conflict to expand.
 
         Cheapest test first: non-minimality against the found diagnoses,
@@ -199,7 +200,7 @@ class _SearchCore:
         computation on the instance without the node's axioms.
         """
         self.stats.label_calls += 1
-        mask = node.mask
+        mask = node[4]
         for i, d in enumerate(self.diag_masks):
             if d & mask == d:
                 if self.trace is not None:
@@ -212,7 +213,7 @@ class _SearchCore:
                 if self.trace is not None:
                     self._emit_label(node, f"conflict-reuse {{{','.join(stored)}}}")
                 return stored
-        outcome = find_min_conflict(self.dpi, exclude=self.node_ids(node), checker=self.checker)
+        outcome = find_min_conflict(self.dpi, exclude=self.ids_of(mask), checker=self.checker)
         self.stats.conflict_computations += 1
         if isinstance(outcome, NoConflict):
             if self.trace is not None:
@@ -225,24 +226,29 @@ class _SearchCore:
             return outcome.ids
         raise RuntimeError("empty conflict inside the search tree")  # handled up front
 
-    def _emit_label(self, node: _Node, verdict: str) -> None:
-        self.emit("LABEL", self.node_ids(node), f"{verdict} f={self.linear(node.f):.9g}")
+    def _emit_label(self, node: list, verdict: str) -> None:
+        self.emit("LABEL", self.ids_of(node[4]), f"{verdict} f={self.linear(node[3]):.9g}")
 
-    def expand(self, node: _Node, conflict: tuple[str, ...]) -> list[_Node]:
+    def expand(self, node: list, conflict: tuple[str, ...]) -> list[list]:
         """One child per conflict element, in the conflict's stored order."""
-        children = [self.make_node(node, e) for e in conflict]
+        f, card, mask = node[3], node[1] + 1, node[4]
+        children = []
+        for delta, bit in map(self._step.__getitem__, conflict):
+            cf, cmask = f + delta, mask | bit
+            children.append([-cf, card, -cmask, cf, cmask])
+        self._created(children)
         if self.trace is not None:
-            costs = ",".join(f"{self.linear(c.f):.9g}" for c in children)
+            costs = ",".join(f"{self.linear(c[3]):.9g}" for c in children)
             detail = f"conflict={{{','.join(conflict)}}} f=[{costs}]"
-            self.emit("EXPAND", self.node_ids(node), detail)
+            self.emit("EXPAND", self.ids_of(mask), detail)
         return children
 
-    def record_diagnosis(self, node: _Node) -> None:
-        ids = self.node_ids(node)
-        self.diagnoses.append(Diagnosis(ids, self.linear(node.f)))
-        self.diag_masks.append(node.mask)
+    def record_diagnosis(self, node: list) -> None:
+        ids = self.ids_of(node[4])
+        self.diagnoses.append(Diagnosis(ids, self.linear(node[3])))
+        self.diag_masks.append(node[4])
         if self.trace is not None:
-            self.emit("DIAG", ids, f"pr={self.linear(node.f):.9g}")
+            self.emit("DIAG", ids, f"pr={self.linear(node[3]):.9g}")
         if self.ld is not None and len(self.diagnoses) >= self.ld:
             self.aborted = True  # exit procedure: unwind without further work
 
@@ -272,25 +278,27 @@ def rbf_hs(
     *,
     trace: list[TraceEvent] | None = None,
     debug: bool = False,
+    reasoner: Reasoner | None = None,
 ) -> SearchResult:
     """Recursive best-first hitting-set search.
 
     Returns up to ld minimal diagnoses in non-increasing probability order.
     Peak live nodes stay within (max conflict size + 1) * (|K| + 1): one
-    child list per recursion level, plus the root.
+    child list per recursion level, plus the root. On the reasoner backend,
+    pass the DPI's ``reasoner`` to share its encoding with other checks.
     """
-    core = _SearchCore(dpi, pr, ld, trace, debug)
+    core = _SearchCore(dpi, pr, ld, trace, debug, reasoner)
     started = time.perf_counter()
     if _start(core) is not None:
         root = core.make_root()
-        _rbf_rec(core, root, root.F, NEG_INF, 0)
-        core.discard(root)
+        _rbf_rec(core, root, root[3], NEG_INF, 0)
+        core.discard([root])
     core.stats.wall_time = time.perf_counter() - started
     core.assert_drained()
     return core.result(RBFHS)
 
 
-def _rbf_rec(core: _SearchCore, node: _Node, f_backed: float, bound: float, depth: int) -> float:
+def _rbf_rec(core: _SearchCore, node: list, f_backed: float, bound: float, depth: int) -> float:
     label = core.label(node)
     if label is _CLOSED:
         return NEG_INF
@@ -298,36 +306,32 @@ def _rbf_rec(core: _SearchCore, node: _Node, f_backed: float, bound: float, dept
         core.record_diagnosis(node)
         return NEG_INF
     children = core.expand(node, label)
-    if node.f > f_backed:  # node was expanded before; pass learned costs down
+    if node[3] > f_backed:  # node was expanded before; pass learned costs down
         for child in children:
-            if child.f > f_backed:
-                child.F = f_backed
+            if child[3] > f_backed:
+                child[0] = -f_backed
                 if core.trace is not None:
-                    core.emit("INHERIT", core.node_ids(child), f"F={core.linear(child.F):.9g}")
+                    core.emit("INHERIT", core.ids_of(child[4]), f"F={core.linear(f_backed):.9g}")
     if len(children) == 1:
         children.append(core.make_dummy())
-    children.sort(key=_order_key)
-    best = children.pop(0)
-    runner_up = children[0]
-    while best.F >= bound and best.F > NEG_INF:
-        new_f = _rbf_rec(core, best, best.F, max(bound, runner_up.F), depth + 1)
+    children.sort()
+    best, runner_up = children[0], children[1]
+    # F >= bound and F above the sentinel, on negated costs
+    while best[0] <= -bound and best[0] != INF:
+        new_f = _rbf_rec(core, best, -best[0], max(bound, -runner_up[0]), depth + 1)
         if core.aborted:
-            core.discard(best)
-            for child in children:
-                core.discard(child)
+            core.discard(children)
             return NEG_INF
-        best.F = new_f
-        insort(children, best, key=_order_key)
-        best = children.pop(0)
-        runner_up = children[0]
-    subtree_best = best.F
-    core.discard(best)
-    for child in children:
-        core.discard(child)
+        best[0] = -new_f
+        del children[0]
+        insort(children, best)
+        best, runner_up = children[0], children[1]
+    subtree_best = -best[0]
+    core.discard(children)
     if depth > 0 and core.trace is not None:
         core.emit(
             "BACKTRACK",
-            core.node_ids(node),
+            core.ids_of(node[4]),
             f"F={core.linear(subtree_best):.9g} bound={core.linear(bound):.9g}",
         )
     return subtree_best
@@ -340,6 +344,7 @@ def hs_tree(
     *,
     trace: list[TraceEvent] | None = None,
     debug: bool = False,
+    reasoner: Reasoner | None = None,
 ) -> SearchResult:
     """Reiter-style best-first hitting-set tree.
 
@@ -347,43 +352,45 @@ def hs_tree(
     and the conflict store are shared with rbf_hs, the only additions being
     the duplicate check against queued nodes and full tree retention
     (expanded inner nodes stay in memory until the search ends, which is what
-    the peak-node metric measures).
+    the peak-node metric measures). ``reasoner`` is shared as in rbf_hs.
     """
-    core = _SearchCore(dpi, pr, ld, trace, debug)
+    core = _SearchCore(dpi, pr, ld, trace, debug, reasoner)
     core.unique_live = False
     started = time.perf_counter()
     if _start(core) is not None:
         root = core.make_root()
         # Queued masks are unique (set-equal children are dropped below), so
-        # heap keys never tie and pops follow the full sort order.
-        queue: list[tuple[tuple[float, int, int], _Node]] = [(_order_key(root), root)]
-        queued_masks = {root.mask}
-        retained: list[_Node] = []
+        # heap comparisons never tie on the sort key and pops follow the full
+        # sort order.
+        queue = [root]
+        queued_masks = {0}
+        retained: list[list] = []
         while queue:
-            node = heapq.heappop(queue)[1]
-            queued_masks.discard(node.mask)
+            node = heapq.heappop(queue)
+            queued_masks.discard(node[4])
             label = core.label(node)
             if label is _CLOSED:
-                core.discard(node)
+                core.discard([node])
                 continue
             if label is _VALID:
                 core.record_diagnosis(node)
-                core.discard(node)
+                core.discard([node])
                 if core.aborted:
                     break
                 continue
             children = core.expand(node, label)
             retained.append(node)
+            duplicates = []
             for child in children:
-                if child.mask in queued_masks:
-                    core.discard(child)  # duplicate of a queued node
+                if child[4] in queued_masks:
+                    duplicates.append(child)  # set-equal to a queued node
                     continue
-                heapq.heappush(queue, (_order_key(child), child))
-                queued_masks.add(child.mask)
-        for _, node in queue:
-            core.discard(node)
-        for node in retained:
-            core.discard(node)
+                heapq.heappush(queue, child)
+                queued_masks.add(child[4])
+            if duplicates:
+                core.discard(duplicates)
+        core.discard(queue)
+        core.discard(retained)
     core.stats.wall_time = time.perf_counter() - started
     core.assert_drained()
     return core.result(HSTREE)

@@ -125,7 +125,13 @@ def partition(
     return QueryPartition(tuple(dplus), tuple(dminus), tuple(dzero))
 
 
-def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities) -> Query:
+def ent_select(
+    dpi: Dpi,
+    diagnoses: Sequence[Diagnosis],
+    pr: FaultProbabilities,
+    *,
+    reasoner: Reasoner | None = None,
+) -> Query:
     """Entropy-style measurement selection.
 
     Scores each candidate axiom by how close the probability mass of the
@@ -133,7 +139,9 @@ def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities)
     one half, i.e. by expected information gain. Ties fall to the smaller
     unaffected cell, then the lowest axiom id; scores are quantized so that
     mathematically equal splits tie exactly despite float noise. Only
-    admissible queries (both dplus and dminus nonempty) qualify.
+    admissible queries (both dplus and dminus nonempty) qualify. On the
+    reasoner backend every partition runs on ``reasoner`` (the DPI's, built
+    here when not passed in).
     """
     if len(diagnoses) < 2:
         raise ValueError("measurement selection needs at least two diagnoses")
@@ -143,7 +151,8 @@ def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities)
     anywhere = set.union(*(set(d.ids) for d in diagnoses))
     best: tuple[float, int, int] | None = None
     best_query: Query | None = None
-    reasoner = reasoner_for(dpi)
+    if reasoner is None:
+        reasoner = reasoner_for(dpi)
     for idx, axiom in enumerate(dpi.k_ids):
         if axiom not in anywhere or axiom in common:
             continue
@@ -202,7 +211,9 @@ def run_session(
 
     The measurement oracle answers from the designated actual diagnosis
     unless answer_fn overrides it (interactive mode). Search statistics of
-    every iteration accumulate into the returned trace.
+    every iteration accumulate into the returned trace. Each iteration
+    encodes its DPI once: the search and the measurement selection share
+    one reasoner.
     """
     if ld < 2:
         raise ValueError("sessions need ld of at least 2 to detect isolation")
@@ -215,7 +226,8 @@ def run_session(
     iterations: list[SessionIteration] = []
     current = dpi
     while True:
-        result: SearchResult = search(current, pr, ld)
+        reasoner = reasoner_for(current)
+        result: SearchResult = search(current, pr, ld, reasoner=reasoner)
         found = tuple(result.diagnoses)
         if not found:
             raise RuntimeError("every diagnosis candidate was eliminated")
@@ -223,7 +235,7 @@ def run_session(
             iterations.append(SessionIteration(found, None, None, result.stats))
             return SessionTrace(tuple(iterations), found[0])
         try:
-            query = ent_select(current, found, pr)
+            query = ent_select(current, found, pr, reasoner=reasoner)
         except ValueError as exc:
             iterations.append(SessionIteration(found, None, None, result.stats))
             raise NonDiscriminableError(str(exc), tuple(iterations)) from exc

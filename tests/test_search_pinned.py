@@ -1,29 +1,37 @@
-"""Pinned search outputs on a fixed corpus of random abstract instances.
+"""Pinned search outputs on two fixed corpora of random abstract instances.
 
-``search_pinned.json`` holds, for every instance, mode and algorithm, the
+Each corpus file holds, for every instance, mode and algorithm, the
 diagnosis id lists in emission order, their probabilities (compared
 bitwise), every ``SearchStats`` counter, the stored conflicts and a digest
-of the enabled trace. The values were recorded from the search before its
-node sets became int masks; any change to node order, tie-break, conflict
-reuse or trace text shows up here.
+of the enabled trace. ``search_pinned.json`` (|K| 10 to 12) was recorded
+from the search before its node sets became int masks,
+``search_pinned_large.json`` (|K| 20 to 24, where HS-Tree's heap holds
+hundreds of nodes with many ties in card mode) before nodes became sort-key
+lists; any change to node order, tie-break, conflict reuse or trace text
+shows up here.
 
-Regenerate (only for a deliberate behaviour change) with
-``PYTHONPATH=src python tests/test_search_pinned.py > tests/search_pinned.json``.
+Regenerate a corpus (only for a deliberate behaviour change) with
+``PYTHONPATH=src python tests/test_search_pinned.py small > tests/search_pinned.json``
+(or ``large > tests/search_pinned_large.json``).
 """
 
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from hsdiag import FaultProbabilities, cardinality_pr, gen_random_dpi, hs_tree, rbf_hs
 
-PINNED = Path(__file__).resolve().parent / "search_pinned.json"
+HERE = Path(__file__).resolve().parent
+CORPORA = {
+    "small": (HERE / "search_pinned.json", range(20)),
+    "large": (HERE / "search_pinned_large.json", range(20, 28)),
+}
 SEARCHES = {"rbfhs": rbf_hs, "hstree": hs_tree}
 MODES = ("prob", "card")
-SEEDS = range(20)
 COUNTERS = (
     "peak_live_nodes",
     "nodes_generated",
@@ -34,13 +42,18 @@ COUNTERS = (
 
 
 def instance(mode: str, seed: int):
-    """|K| of 10 to 12, 12 to 15 sampled conflicts of size up to 5."""
-    dpi = gen_random_dpi(10 + seed % 3, 12 + seed % 4, 5, seed)
+    """Small corpus: |K| of 10 to 12, 12 to 15 sampled conflicts of size up
+    to 5, ld 12. Large corpus: |K| of 20 to 24, 14 sampled conflicts of size
+    up to 4, ld 20."""
+    if seed in CORPORA["large"][1]:
+        dpi, ld = gen_random_dpi(20 + seed % 5, 14, 4, seed), 20
+    else:
+        dpi, ld = gen_random_dpi(10 + seed % 3, 12 + seed % 4, 5, seed), 12
     if mode == "card":
-        return dpi, cardinality_pr(dpi.k_ids), 12
+        return dpi, cardinality_pr(dpi.k_ids), ld
     rng = random.Random(1000 + seed)
     pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
-    return dpi, pr, 12
+    return dpi, pr, ld
 
 
 def outcome(result) -> dict:
@@ -63,7 +76,11 @@ def record(mode: str, seed: int, algo: str) -> dict:
     return dict(outcome(SEARCHES[algo](dpi, pr, ld)), trace=trace_digest(trace))
 
 
-CASES = [(mode, seed, algo) for mode in MODES for seed in SEEDS for algo in SEARCHES]
+def cases(seeds) -> list[tuple[str, int, str]]:
+    return [(mode, seed, algo) for mode in MODES for seed in seeds for algo in SEARCHES]
+
+
+CASES = [case for _, seeds in CORPORA.values() for case in cases(seeds)]
 
 
 def case_id(mode: str, seed: int, algo: str) -> str:
@@ -72,7 +89,7 @@ def case_id(mode: str, seed: int, algo: str) -> str:
 
 @pytest.fixture(scope="module")
 def pinned():
-    return json.loads(PINNED.read_text())
+    return {k: v for path, _ in CORPORA.values() for k, v in json.loads(path.read_text()).items()}
 
 
 @pytest.mark.parametrize("mode,seed,algo", CASES, ids=[case_id(*c) for c in CASES])
@@ -97,5 +114,6 @@ def test_trace_on_and_off_agree(mode, seed, algo):
 
 
 if __name__ == "__main__":
-    lines = [f"{json.dumps(case_id(*c))}: {json.dumps(record(*c))}" for c in CASES]
+    _, seeds = CORPORA[sys.argv[1]]
+    lines = [f"{json.dumps(case_id(*c))}: {json.dumps(record(*c))}" for c in cases(seeds)]
     print("{\n" + ",\n".join(lines) + "\n}")

@@ -5,6 +5,7 @@ import pytest
 from hsdiag import (
     Diagnosis,
     Dpi,
+    Reasoner,
     brute_force_min_diagnoses,
     cardinality_pr,
     ent_select,
@@ -168,6 +169,24 @@ def test_session_table1_isolates_actual(table1, table1_card):
     assert trace.final.id_set == frozenset({"ax1", "ax3"})
     assert trace.query_count == 2  # ax1 then ax3, derived by hand
     assert [it.query.axiom_id for it in trace.iterations if it.query] == ["ax1", "ax3"]
+
+
+@pytest.mark.parametrize("algo", ["rbfhs", "hstree"])
+def test_session_encodes_each_iteration_once(table1, table1_card, monkeypatch, algo):
+    # the search and the measurement selection of one iteration share one
+    # reasoner, so the DPI of each iteration is encoded exactly once
+    dpi, _ = table1
+    encoded = []
+    init = Reasoner.__init__
+
+    def counting_init(self, dpi):
+        encoded.append(dpi)
+        init(self, dpi)
+
+    monkeypatch.setattr(Reasoner, "__init__", counting_init)
+    trace = run_session(dpi, table1_card, 4, {"ax1", "ax3"}, algo, check_actual=False)
+    assert trace.query_count == 2
+    assert len(encoded) == len(trace.iterations) == 3
 
 
 def test_session_every_actual_is_recovered(table1, table1_card):
