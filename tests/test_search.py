@@ -1,11 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
 from hsdiag import (
     Dpi,
     FaultProbabilities,
+    Reasoner,
     brute_force_min_diagnoses,
     cardinality_pr,
     cost_adjust,
@@ -262,3 +264,20 @@ def test_search_results_are_reproducible(ex4):
         b.stats.conflict_computations,
         b.stats.conflict_reuses,
     )
+
+
+@pytest.mark.parametrize("search", [rbf_hs, hs_tree])
+def test_wall_time_excludes_encoding(table1, table1_card, monkeypatch, search):
+    # a search that builds its own reasoner encodes before its timer starts,
+    # as a session does, so diag and session step times compare
+    dpi, _ = table1
+    init = Reasoner.__init__
+
+    def slow_init(self, dpi):
+        time.sleep(0.2)
+        init(self, dpi)
+
+    monkeypatch.setattr(Reasoner, "__init__", slow_init)
+    result = search(dpi, table1_card, 4)
+    assert len(result.diagnoses) == 4
+    assert result.stats.wall_time < 0.2

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -171,10 +172,12 @@ def test_session_table1_isolates_actual(table1, table1_card):
     assert [it.query.axiom_id for it in trace.iterations if it.query] == ["ax1", "ax3"]
 
 
+@pytest.mark.parametrize("check_actual", [False, True])
 @pytest.mark.parametrize("algo", ["rbfhs", "hstree"])
-def test_session_encodes_each_iteration_once(table1, table1_card, monkeypatch, algo):
-    # the search and the measurement selection of one iteration share one
-    # reasoner, so the DPI of each iteration is encoded exactly once
+def test_session_encodes_once(table1, table1_card, monkeypatch, algo, check_actual):
+    # one reasoner serves the actual's check, every search and every
+    # measurement selection, and absorbs each answer, so the session
+    # encodes its DPI exactly once however many iterations it runs
     dpi, _ = table1
     encoded = []
     init = Reasoner.__init__
@@ -184,9 +187,24 @@ def test_session_encodes_each_iteration_once(table1, table1_card, monkeypatch, a
         init(self, dpi)
 
     monkeypatch.setattr(Reasoner, "__init__", counting_init)
-    trace = run_session(dpi, table1_card, 4, {"ax1", "ax3"}, algo, check_actual=False)
+    trace = run_session(dpi, table1_card, 4, {"ax1", "ax3"}, algo, check_actual=check_actual)
     assert trace.query_count == 2
-    assert len(encoded) == len(trace.iterations) == 3
+    assert len(trace.iterations) == 3
+    assert encoded == [dpi]
+
+
+@pytest.mark.parametrize("algo", ["rbfhs", "hstree"])
+def test_session_leaves_no_cyclic_garbage(table1, table1_card, algo):
+    # the session's reasoner, with its memo, is freed when the session
+    # returns, not whenever the cyclic garbage collector next runs
+    dpi, _ = table1
+    gc.collect()
+    gc.disable()
+    try:
+        run_session(dpi, table1_card, 4, {"ax1", "ax3"}, algo)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_session_every_actual_is_recovered(table1, table1_card):
