@@ -15,7 +15,9 @@ from .dpi import (
     is_diagnosis,
     is_minimal_diagnosis,
     is_valid_set,
+    log_pr_of,
     normalized,
+    normalized_logs,
     pr_of,
 )
 from .dpifile import DpiFileError, dumps, load_dpi_file, loads

@@ -12,12 +12,14 @@ from . import bench as bench_mod
 from .dpi import (
     BRUTE_FORCE_LIMIT,
     Dpi,
+    FaultProbabilities,
     brute_force_min_conflicts,
     brute_force_min_diagnoses,
     brute_force_min_hitting_sets,
     is_diagnosis,
     is_valid_set,
-    normalized,
+    log_pr_of,
+    normalized_logs,
 )
 from .dpifile import load_dpi_file
 from .search import HSTREE, RBFHS, SearchResult, hs_tree, rbf_hs
@@ -97,7 +99,7 @@ def cmd_diag(args) -> int:
     trace = [] if args.trace else None
     search = rbf_hs if args.algo == RBFHS else hs_tree
     result: SearchResult = search(dpi, pr, args.ld, trace=trace)
-    _print_diagnoses(result)
+    _print_diagnoses(result, dpi, pr)
     if args.trace:
         Path(args.trace).write_text(
             "".join(e.line() + "\n" for e in trace), encoding="utf-8"
@@ -110,11 +112,11 @@ def cmd_diag(args) -> int:
     return 0
 
 
-def _print_diagnoses(result: SearchResult) -> None:
+def _print_diagnoses(result: SearchResult, dpi: Dpi, pr: FaultProbabilities) -> None:
     if not result.diagnoses:
         print("no diagnosis exists")
         return
-    norms = normalized([d.pr for d in result.diagnoses])
+    norms = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in result.diagnoses])
     for rank, (diag, norm) in enumerate(zip(result.diagnoses, norms), start=1):
         ids = ",".join(diag.ids) if diag.ids else "(empty)"
         print(f"{rank}. {ids} pr={diag.pr:.9g} norm={norm:.6g}")

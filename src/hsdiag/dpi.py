@@ -17,6 +17,7 @@ oracles that the test suite uses as ground truth.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -74,21 +75,43 @@ def cardinality_pr(k_ids: Iterable[str], c: float = 1 / 3) -> FaultProbabilities
     return FaultProbabilities({a: c for a in k_ids}, cost_adjusted=True)
 
 
+def _selection(k_ids: Iterable[str], x: Iterable[str]) -> tuple[set[str], list[str]]:
+    members = set(x)
+    k = list(k_ids)
+    unknown = members.difference(k)
+    if unknown:
+        raise ValueError(f"unknown axiom ids: {sorted(unknown)}")
+    return members, k
+
+
 def pr_of(pr: FaultProbabilities, k_ids: Iterable[str], x: Iterable[str]) -> float:
     """Probability that exactly the axioms in x are faulty.
 
     Computed in K order for determinism; search code keeps these values in
     log scale, this function reports the linear value.
     """
-    members = set(x)
-    k = list(k_ids)
-    unknown = members.difference(k)
-    if unknown:
-        raise ValueError(f"unknown axiom ids: {sorted(unknown)}")
+    members, k = _selection(k_ids, x)
     p = 1.0
     for axiom in k:
         p *= pr[axiom] if axiom in members else 1.0 - pr[axiom]
     return p
+
+
+def log_pr_of(pr: FaultProbabilities, k_ids: Iterable[str], x: Iterable[str]) -> float:
+    """Natural log of ``pr_of``, summed in K order; finite where the linear
+    value underflows to zero (thousands of axioms)."""
+    members, k = _selection(k_ids, x)
+    total = 0.0
+    for axiom in k:
+        total += math.log(pr[axiom]) if axiom in members else math.log1p(-pr[axiom])
+    return total
+
+
+def normalized_logs(log_values: Sequence[float]) -> list[float]:
+    """Normalize probabilities given as logs. Each is taken relative to the
+    largest, as exp(l - max), so the total never underflows to zero."""
+    top = max(log_values)
+    return normalized([math.exp(v - top) for v in log_values])
 
 
 def normalized(values: Sequence[float]) -> list[float]:
@@ -292,11 +315,14 @@ class ValidityChecker:
     """Counting, memoizing front-end for is_valid_set.
 
     One instance per search/extraction run; the call counter backs the
-    QuickXplain complexity assertions and the cache removes repeated
-    reasoner work on identical assumption sets. On the reasoner backend the
-    checks run on ``reasoner`` when one is passed (the searches always pass
-    one), else the first miss encodes the DPI once, as for a standalone
-    ``quickxplain`` or ``find_min_conflict``; no encoding is stored on the DPI.
+    QuickXplain complexity assertions and the cache is the exact-set front:
+    it answers a repeated assumption set without even building its mask.
+    The monotone lookups (a superset of an invalid set, a subset of a valid
+    one) live in the reasoner's verdict store, which outlives the checker
+    for a whole session. On the reasoner backend the checks run on
+    ``reasoner`` when one is passed (the searches always pass one), else the
+    first miss encodes the DPI once, as for a standalone ``quickxplain`` or
+    ``find_min_conflict``; no encoding is stored on the DPI.
     """
 
     def __init__(self, dpi: Dpi, reasoner: Reasoner | None = None):

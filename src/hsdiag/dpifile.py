@@ -156,9 +156,15 @@ def _build_probabilities(lines, dpi: Dpi, source: str) -> FaultProbabilities | N
 
 
 def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
-    """Serialize a DPI (and optional probabilities) back to the text format."""
+    """Serialize a DPI (and optional probabilities) back to the text format.
+
+    The format names abstract components 1..n, so an abstract DPI with other
+    ids raises ``ValueError``.
+    """
     out: list[str] = []
     if dpi.kind == "abstract":
+        if dpi.k_ids != tuple(str(i + 1) for i in range(len(dpi.k_ids))):
+            raise ValueError("the DPI format names abstract components 1..n; cannot write these ids")
         out.append("[COMPONENTS]")
         out.append(str(len(dpi.k_ids)))
         out.append("[CONFLICTS]")

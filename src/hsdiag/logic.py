@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -376,6 +376,16 @@ class Solver:
     Sörensson, SAT 2003) let one encoding answer many checks: each ``solve``
     assumes them on top of the fixed clauses and undoes everything afterwards.
 
+    After a True answer ``model`` holds the satisfying values (indexed like
+    ``value``). After a False answer ``core`` holds the assumption literals
+    behind the conflict (MiniSat's ``analyzeFinal``): every implied literal
+    keeps the clause that implied it, and the conflict is walked back
+    through those reasons down to the assumptions. Root-level literals
+    (from construction and ``add_unit``) hold for every solve, so the walk
+    never enters them; a root conflict gives the empty core. When the
+    conflict is only reached after decisions the core is every assumption,
+    which stays sound because no clause is ever learned.
+
     Internally literal +v is code 2v and -v is code 2v+1, so negation is
     ``code ^ 1``; ``value`` maps a code to 1 (true), -1 (false) or 0.
     """
@@ -386,7 +396,11 @@ class Solver:
         self.watches: list[list[list[int]]] = [[] for _ in self.value]
         self.trail: list[int] = []
         self.head = 0  # trail[:head] has been propagated
+        self.reason: list[list[int] | None] = [None] * (var_count + 1)  # by variable
+        self.failed: Sequence[int] = ()  # false codes of the last conflict
         self.conflict = False  # the clauses alone are unsatisfiable
+        self.model: list[int] = []
+        self.core: list[int] = []
         units = []
         for clause in clauses:
             codes = _codes(clause)
@@ -407,19 +421,24 @@ class Solver:
             self.conflict = not self._assume(_codes((lit,))) or not self._propagate()
 
     def _assume(self, codes: Iterable[int]) -> bool:
-        value, trail = self.value, self.trail
+        """Set codes true with no reason; False (``failed`` = the code) when
+        one of them is already false."""
+        value, trail, reason = self.value, self.trail, self.reason
         for code in codes:
             if value[code] == -1:
+                self.failed = (code,)
                 return False
             if not value[code]:
                 value[code] = 1
                 value[code ^ 1] = -1
                 trail.append(code)
+                reason[code >> 1] = None
         return True
 
     def _propagate(self) -> bool:
-        """Unit propagation of the unpropagated trail; False on a conflict."""
-        value, watches, trail = self.value, self.watches, self.trail
+        """Unit propagation of the unpropagated trail; False (``failed`` =
+        the falsified clause) on a conflict."""
+        value, watches, trail, reason = self.value, self.watches, self.trail, self.reason
         head = self.head
         while head < len(trail):
             false_code = trail[head] ^ 1
@@ -447,10 +466,12 @@ class Solver:
                     if value[other] == -1:
                         kept.extend(watching[pos + 1:])
                         watches[false_code] = kept
+                        self.failed = clause
                         return False
                     value[other] = 1
                     value[other ^ 1] = -1
                     trail.append(other)
+                    reason[other >> 1] = clause
             watches[false_code] = kept
         self.head = head
         return True
@@ -462,14 +483,38 @@ class Solver:
         del trail[size:]
         self.head = size
 
+    def _failed_assumptions(self, root: int) -> list[int]:
+        """The assumption codes that imply the false codes in ``failed``,
+        found by walking the trail above ``root`` back through reasons."""
+        reason = self.reason
+        seen = {code >> 1 for code in self.failed}
+        core = []
+        for code in reversed(self.trail[root:]):
+            var = code >> 1
+            if var in seen:
+                clause = reason[var]
+                if clause is None:
+                    core.append(code)
+                else:
+                    seen.update(c >> 1 for c in clause)
+        return core
+
     def solve(self, assumptions: Iterable[int] = ()) -> bool:
-        """True iff the clauses and the assumption literals are satisfiable."""
+        """True iff the clauses and the assumption literals are satisfiable;
+        sets ``model`` on True and ``core`` on False."""
         if self.conflict:
+            self.core = []
             return False
         value, trail = self.value, self.trail
         root = len(trail)
+        codes = _codes(assumptions)
         try:
-            if not self._assume(_codes(assumptions)) or not self._propagate():
+            if not self._assume(codes):
+                # the assumed code itself plus whatever made it false
+                self.core = _literals([*self.failed, *self._failed_assumptions(root)])
+                return False
+            if not self._propagate():
+                self.core = _literals(self._failed_assumptions(root))
                 return False
             decisions: list[list[int]] = []  # [trail size before, variable, flipped]
             var = 1
@@ -477,6 +522,7 @@ class Solver:
                 while var <= self.var_count and value[2 * var]:
                     var += 1
                 if var > self.var_count:
+                    self.model = value[:]
                     return True
                 decisions.append([len(trail), var, 0])
                 self._assume((2 * var + 1,))
@@ -484,6 +530,7 @@ class Solver:
                     while decisions and decisions[-1][2]:
                         decisions.pop()
                     if not decisions:
+                        self.core = _literals(codes)
                         return False
                     size, var, _ = top = decisions[-1]
                     top[2] = 1
@@ -495,6 +542,10 @@ class Solver:
 
 def _codes(lits: Iterable[int]) -> list[int]:
     return [2 * lit if lit > 0 else 1 - 2 * lit for lit in lits]
+
+
+def _literals(codes: Iterable[int]) -> list[int]:
+    return [-(code >> 1) if code & 1 else code >> 1 for code in codes]
 
 
 def is_satisfiable(cs: ClauseSet) -> bool:

@@ -13,17 +13,39 @@ constant are decided by the same assumption mechanism.
 
 Session measurements are axioms of K, whose literals already exist: a
 positive one asserts lit(f_i) as a root-level unit, a negative one joins the
-negative literals. Neither can reverse an invalid or an entailed verdict
-(P only removes models, N only adds requirements), so those two verdicts are
-memoized for the reasoner's lifetime; valid and not-entailed verdicts are
-not, since a later measurement can overturn them.
+negative literals.
+
+Validity is monotone (a superset of an invalid set is invalid, a subset of a
+valid set is valid), so the reasoner keeps why each solver answer held, as
+int masks over K (bit i is axiom i), and answers most checks from that
+verdict store without calling the solver (the nogoods and environments of
+de Kleer's ATMS, AIJ 1986):
+
+* Cores. An unsatisfiable check yields the solver's failed assumptions;
+  their positive selectors form a core. ¬s_j is never among them, because
+  s_j occurs only in ¬s_j ∨ lit(f_j). A core of S, or of S ∧ ¬n for a
+  negative n, is an invalid core: every superset of it is invalid. A core of
+  S ∧ ¬lit(f_a) is an entailment core of a: every superset entails a.
+  Measurements only remove models (P) or add requirements (N), so neither
+  verdict can be overturned and cores last for the reasoner's lifetime. Each
+  list keeps only its minimal masks.
+* Witnesses. A satisfiable check yields a model; the store keeps only the
+  pair (axioms whose literal the model makes true, negatives it makes
+  false), never the model. For S within the first mask, setting s_i := [i ∈
+  S] in that model satisfies every clause, so it proves S consistent, S ∧ ¬n
+  satisfiable for each negative n in the second mask, and S ∧ ¬lit(f_a)
+  satisfiable for each axiom a outside the first. Only pairs that no other
+  pair proves more than are kept: one per first mask, with the second masks
+  merged. A positive measurement of a drops the witnesses whose model makes
+  lit(f_a) false (only those stop being models); a negative one keeps them
+  all, since their second masks say nothing of the new negative.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Collection
 
-from .logic import Const, Formula, Solver, _collect_atoms, _Encoder, _fold_constants, format_formula
+from .logic import Const, Formula, Solver, _codes, _collect_atoms, _Encoder, _fold_constants, format_formula
 
 if TYPE_CHECKING:
     from .dpi import Dpi
@@ -31,7 +53,12 @@ if TYPE_CHECKING:
 
 class Reasoner:
     """Validity and entailment checks over one DPI, decided as SAT under
-    assumptions."""
+    assumptions or read off the verdict store.
+
+    The store is readable as ``invalid_cores`` (minimal masks),
+    ``entailed_cores`` (axiom id -> minimal masks) and ``witnesses`` (first
+    mask -> second mask); ``solver_calls`` counts the solver runs.
+    """
 
     def __init__(self, dpi: "Dpi"):
         hard = sorted(dpi.background | dpi.positive, key=format_formula)
@@ -44,17 +71,22 @@ class Reasoner:
         enc.add((self._true,))
         for f in hard:
             enc.add((self._literal(enc, f),))
-        self._selectors: list[tuple[str, int]] = []
+        self._bit = {axiom: 1 << i for i, axiom in enumerate(dpi.k_ids)}
+        self._selectors: list[int] = []
         self._goals: dict[str, int] = {}
         for axiom, f in zip(dpi.k_ids, dpi.formulas):
             goal = self._goals[axiom] = self._literal(enc, f)
             selector = enc.fresh()
             enc.add((-selector, goal))
-            self._selectors.append((axiom, selector))
+            self._selectors.append(selector)
+        self._goal_codes = _codes(self._goals.values())
         self._negatives = [self._literal(enc, n) for n in negative]
         self._solver = Solver(enc.clauses, enc.next_var - 1)
-        self._invalid: set[frozenset[str]] = set()
-        self._entailed: set[tuple[frozenset[str], str]] = set()
+        self.solver_calls = 0
+        self.invalid_cores: list[int] = []
+        self.entailed_cores: dict[str, list[int]] = {axiom: [] for axiom in dpi.k_ids}
+        self.witnesses: dict[int, int] = {}  # true goals -> false negatives
+        self._core = 0  # selector mask of the last unsatisfiable solve
 
     def _literal(self, enc: _Encoder, f: Formula) -> int:
         folded = _fold_constants(f)
@@ -62,8 +94,35 @@ class Reasoner:
             return self._true if folded.value else -self._true
         return enc.lit(folded)
 
-    def _assumptions(self, ids: Collection[str]) -> list[int]:
-        return [s if axiom in ids else -s for axiom, s in self._selectors]
+    def _mask(self, ids: Collection[str]) -> int:
+        return sum(map(self._bit.__getitem__, ids))
+
+    def _solve(self, mask: int, extra: list[int]) -> int | None:
+        """Solve with the axioms of mask selected plus the extra literals.
+        Stores the model's witness and returns its mask of false negatives,
+        or returns None and leaves the core's selector mask in ``_core``."""
+        self.solver_calls += 1
+        solver = self._solver
+        assumed = [s if mask >> i & 1 else -s for i, s in enumerate(self._selectors)]
+        if not solver.solve(assumed + extra):
+            selected = set(solver.core)
+            self._core = sum(1 << i for i, s in enumerate(self._selectors) if s in selected)
+            return None
+        model = solver.model
+        true_goals = sum(1 << i for i, code in enumerate(self._goal_codes) if model[code] == 1)
+        false_negatives = sum(
+            1 << j for j, code in enumerate(_codes(self._negatives)) if model[code] == -1
+        )
+        witnesses = self.witnesses
+        false_negatives |= witnesses.get(true_goals, 0)
+        witnesses[true_goals] = false_negatives
+        return false_negatives
+
+    @staticmethod
+    def _add_core(cores: list[int], core: int) -> None:
+        # a stored core inside the new one would have answered the check
+        cores[:] = [c for c in cores if c & core != core]
+        cores.append(core)
 
     def add_measurement(self, axiom: str, positive: bool) -> None:
         """Absorb a measurement of the sentence of ``axiom``: into P when
@@ -71,28 +130,48 @@ class Reasoner:
         goal = self._goals[axiom]
         if positive:
             self._solver.add_unit(goal)
+            bit = self._bit[axiom]
+            self.witnesses = {g: nf for g, nf in self.witnesses.items() if g & bit}
         elif goal not in self._negatives:
             self._negatives.append(goal)
 
     def is_valid(self, ids: Collection[str]) -> bool:
         """The axioms in ids plus B and P are consistent and entail no
         negative measurement."""
-        ids = frozenset(ids)
-        if ids in self._invalid:
+        mask = self._mask(ids)
+        if any(c & mask == c for c in self.invalid_cores):
             return False
-        assumed = self._assumptions(ids)
-        solve = self._solver.solve
-        if solve(assumed) and all(solve(assumed + [-n]) for n in self._negatives):
+        covered, known = 0, False
+        for g, nf in self.witnesses.items():
+            if g & mask == mask:
+                covered |= nf
+                known = True
+        if self._negatives:
+            # S ∧ ¬n satisfiable implies S consistent, and S inconsistent
+            # makes the first S ∧ ¬n unsatisfiable: no plain solve needed
+            for j, n in enumerate(self._negatives):
+                if not covered >> j & 1:
+                    found = self._solve(mask, [-n])
+                    if found is None:
+                        break
+                    covered |= found
+            else:
+                return True
+        elif known or self._solve(mask, []) is not None:
             return True
-        self._invalid.add(ids)
+        self._add_core(self.invalid_cores, self._core)
         return False
 
     def entails(self, ids: Collection[str], axiom: str) -> bool:
         """The axioms in ids plus B and P entail the sentence of ``axiom``."""
-        ids = frozenset(ids)
-        if (ids, axiom) in self._entailed:
+        mask = self._mask(ids)
+        cores = self.entailed_cores[axiom]
+        if any(c & mask == c for c in cores):
             return True
-        if self._solver.solve(self._assumptions(ids) + [-self._goals[axiom]]):
+        bit = self._bit[axiom]
+        if any(g & mask == mask and not g & bit for g in self.witnesses):
             return False
-        self._entailed.add((ids, axiom))
+        if self._solve(mask, [-self._goals[axiom]]) is not None:
+            return False
+        self._add_core(cores, self._core)
         return True

@@ -62,6 +62,7 @@ class SearchStats:
     label_calls: int = 0
     conflict_computations: int = 0
     conflict_reuses: int = 0
+    solver_calls: int = 0
     wall_time: float = 0.0
 
 
@@ -110,6 +111,8 @@ class _SearchCore:
         self.debug = debug
         if reasoner is None:  # before the caller's timer starts
             reasoner = reasoner_for(dpi)
+        self.reasoner = reasoner
+        self._solver_calls_before = reasoner.solver_calls if reasoner else 0
         self.checker = ValidityChecker(dpi, reasoner)
         self.stats = SearchStats()
         self.diagnoses: list[Diagnosis] = []
@@ -255,6 +258,8 @@ class _SearchCore:
             self.aborted = True  # exit procedure: unwind without further work
 
     def result(self, algorithm: str) -> SearchResult:
+        if self.reasoner is not None:
+            self.stats.solver_calls = self.reasoner.solver_calls - self._solver_calls_before
         return SearchResult(algorithm, self.diagnoses, self.stats, tuple(self.conflict_list))
 
 

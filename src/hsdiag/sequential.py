@@ -21,8 +21,8 @@ from .dpi import (
     FaultProbabilities,
     antichain_reduce,
     is_minimal_diagnosis,
-    normalized,
-    pr_of,
+    log_pr_of,
+    normalized_logs,
     reasoner_for,
 )
 from .logic import Formula
@@ -145,7 +145,7 @@ def ent_select(
     """
     if len(diagnoses) < 2:
         raise ValueError("measurement selection needs at least two diagnoses")
-    weights = normalized([pr_of(pr, dpi.k_ids, d.ids) for d in diagnoses])
+    weights = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in diagnoses])
     weight_of = {d: w for d, w in zip(diagnoses, weights)}
     common = set.intersection(*(set(d.ids) for d in diagnoses))
     anywhere = set.union(*(set(d.ids) for d in diagnoses))

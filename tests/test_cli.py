@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hsdiag import DpiFileError, dumps, gen_random_dpi, load_dpi_file, loads, parse_formula
+from hsdiag import Dpi, DpiFileError, dumps, gen_random_dpi, load_dpi_file, loads, parse_formula
 from hsdiag.bench import BenchRow, CSV_HEADER, read_rows, write_rows
 from hsdiag.cli import main
 
@@ -89,6 +89,15 @@ def test_dump_load_round_trip_random_abstract():
         dpi = gen_random_dpi(9, 5, 4, seed)
         again, _ = loads(dumps(dpi))
         assert again.conflict_family == dpi.conflict_family
+
+
+def test_dumps_rejects_abstract_ids_the_format_cannot_name():
+    # the format numbers abstract components 1..n; other ids would come back
+    # as text that loads rejects
+    with pytest.raises(ValueError, match="1..n"):
+        dumps(Dpi.abstract(["c0", "c1"], [("c0", "c1")]))
+    with pytest.raises(ValueError, match="1..n"):
+        dumps(Dpi.abstract(["2", "1"], [("1", "2")]))
 
 
 # --- BenchRow CSV ----------------------------------------------------------------
@@ -200,6 +209,17 @@ def test_diag_normalized_column_sums_to_one(capsys):
     out = capsys.readouterr().out
     norms = [float(line.split("norm=")[1]) for line in out.splitlines() if "norm=" in line]
     assert sum(norms) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_diag_normalizes_probabilities_that_underflow(tmp_path, capsys):
+    # each diagnosis of 2,000 components has a probability below the
+    # smallest float; the normalized column is still computed, in log space
+    path = tmp_path / "wide.dpi"
+    path.write_text(dumps(Dpi.abstract(2000, [("1", "2"), ("3", "4")])))
+    assert main(["diag", "--dpi", str(path), "--mode", "card", "--ld", "3"]) == 0
+    out = capsys.readouterr().out
+    norms = [float(line.split("norm=")[1]) for line in out.splitlines() if "norm=" in line]
+    assert norms == pytest.approx([1 / 3] * 3, abs=1e-6)
 
 
 # --- sequential command ----------------------------------------------------------------

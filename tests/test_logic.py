@@ -20,6 +20,7 @@ from hsdiag import (
     parse_formula,
     to_clause_set,
 )
+from hsdiag.logic import Solver
 from conftest import random_formula
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -243,3 +244,30 @@ def test_entailment_consistency_round_trip(seed):
         assert not is_consistent(sentences + [Not(goal)])
     else:
         assert is_consistent(sentences + [Not(goal)])
+
+
+# --- failed assumptions -------------------------------------------------------
+
+def test_solver_core_holds_only_the_assumptions_behind_the_conflict():
+    # 1 -> 2, 2 -> !3: assuming 1, 3 and 4 fails on 1 and 3 alone
+    solver = Solver([frozenset({-1, 2}), frozenset({-2, -3})], 4)
+    assert not solver.solve([1, 3, 4])
+    assert sorted(solver.core) == [1, 3]
+    assert not solver.solve([1, -2, 4])  # an assumption already false
+    assert sorted(solver.core) == [-2, 1]
+    solver.add_unit(1)  # root-level literals carry no assumption
+    assert not solver.solve([3, 4])
+    assert solver.core == [3]
+    assert solver.solve([4])
+    assert solver.model[2 * 2] == 1 and solver.model[2 * 3] == -1
+
+
+def test_solver_core_after_decisions_is_every_assumption():
+    # (a|b), (a|!b), (!a|b), (!a|!b) need a decision before the conflict shows
+    clauses = [frozenset(c) for c in ({1, 2}, {1, -2}, {-1, 2}, {-1, -2})]
+    solver = Solver(clauses, 3)
+    assert not solver.solve([3])
+    assert solver.core == [3]
+    unsatisfiable = Solver([frozenset()], 1)
+    assert not unsatisfiable.solve([1])
+    assert unsatisfiable.core == []  # no assumption is needed

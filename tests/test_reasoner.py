@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsdiag import And, Atom, Const, Dpi, Implies, Not, Or, Reasoner, make_query, update_dpi
+from hsdiag.logic import Solver
 from conftest import random_formula
 from test_logic import evaluate
 
@@ -88,3 +90,79 @@ def test_measured_reasoner_agrees_with_fresh_encodings(seed):
     for axiom in measured:
         dpi = update_dpi(dpi, make_query(dpi, axiom), rng.random() < 0.5, reasoner=live)
         assert_same_verdicts(live, Reasoner(dpi), dpi.k_ids)
+
+
+# --- verdict store ---------------------------------------------------------------
+
+X, Y = Atom("x1"), Atom("x2")
+
+
+def counting_solves(monkeypatch):
+    calls = []
+    solve = Solver.solve
+
+    def counted(self, assumptions=()):
+        calls.append(1)
+        return solve(self, assumptions)
+
+    monkeypatch.setattr(Solver, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("negative", [[], [And(X, Y)]], ids=["no-negatives", "negative"])
+def test_monotone_checks_make_no_solver_calls(monkeypatch, negative):
+    # a superset of an invalid set and a subset of a valid set are decided by
+    # the stored core and witness alone, entailment likewise
+    dpi = Dpi.propositional([("a", X), ("b", Not(X)), ("c", Y), ("d", Or(X, Y))], negative=negative)
+    reasoner = Reasoner(dpi)
+    assert not reasoner.is_valid(frozenset({"a", "b"}))
+    assert reasoner.is_valid(frozenset({"a", "d"}))
+    assert reasoner.entails(frozenset({"a"}), "d")
+    assert not reasoner.entails(frozenset({"b", "c"}), "a")
+    calls = counting_solves(monkeypatch)
+    assert not reasoner.is_valid(frozenset({"a", "b", "c"}))
+    assert reasoner.is_valid(frozenset({"d"}))
+    assert reasoner.entails(frozenset({"a", "c"}), "d")
+    assert not reasoner.entails(frozenset({"c"}), "a")
+    assert calls == []
+    assert reasoner.solver_calls == 4
+
+
+def ids_of(dpi, mask):
+    return frozenset(a for i, a in enumerate(dpi.k_ids) if mask >> i & 1)
+
+
+def covering(cores, mask):
+    return [c for c in cores if c & mask == c]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_cores_carry_their_verdicts(seed):
+    # every invalid or entailed verdict, read off the store or freshly solved,
+    # rests on a stored core whose axioms alone give the same verdict on a
+    # fresh encoding of the current DPI, across measurements too
+    rng = random.Random(seed)
+    dpi = random_dpi(rng)
+    live = Reasoner(dpi)
+    subsets = [frozenset(c) for size in range(len(dpi.k_ids) + 1)
+               for c in itertools.combinations(dpi.k_ids, size)]
+    for step in range(rng.randint(1, 3)):
+        if step:
+            axiom = rng.choice(dpi.k_ids)
+            dpi = update_dpi(dpi, make_query(dpi, axiom), rng.random() < 0.5, reasoner=live)
+        fresh = Reasoner(dpi)
+        rng.shuffle(subsets)
+        for ids in subsets:
+            mask = sum(1 << dpi.k_ids.index(a) for a in ids)
+            if not live.is_valid(ids):
+                cores = covering(live.invalid_cores, mask)
+                assert cores
+                assert not fresh.is_valid(ids_of(dpi, cores[0]))
+            for axiom in dpi.k_ids:
+                if live.entails(ids, axiom):
+                    cores = covering(live.entailed_cores[axiom], mask)
+                    assert cores
+                    assert fresh.entails(ids_of(dpi, cores[0]), axiom)
+        for cores in (live.invalid_cores, *live.entailed_cores.values()):
+            assert all(a & b != a for a in cores for b in cores if a != b)  # minimal

@@ -19,6 +19,7 @@ from hsdiag import (
     rbf_hs,
 )
 from conftest import random_propositional_dpi
+from test_reasoner import counting_solves
 
 EX4_ORDER = [("1", "4"), ("1", "6"), ("4", "5"), ("2", "4", "6")]
 
@@ -281,3 +282,17 @@ def test_wall_time_excludes_encoding(table1, table1_card, monkeypatch, search):
     result = search(dpi, table1_card, 4)
     assert len(result.diagnoses) == 4
     assert result.stats.wall_time < 0.2
+
+
+def test_solver_calls_count_the_searchs_solves(table1, table1_card, ex4, monkeypatch):
+    dpi, _ = table1
+    solves = counting_solves(monkeypatch)
+    for search in (rbf_hs, hs_tree):
+        reasoner = Reasoner(dpi)
+        reasoner.is_valid(frozenset(dpi.k_ids))  # before the search: not counted
+        del solves[:]
+        result = search(dpi, table1_card, 4, reasoner=reasoner)
+        assert result.stats.solver_calls == len(solves) > 0
+    abstract, pr = ex4
+    assert rbf_hs(abstract, pr, 4).stats.solver_calls == 0
+    assert hs_tree(abstract, pr, 4).stats.solver_calls == 0

@@ -6,6 +6,7 @@ import pytest
 from hsdiag import (
     Diagnosis,
     Dpi,
+    FaultProbabilities,
     Reasoner,
     brute_force_min_diagnoses,
     cardinality_pr,
@@ -101,6 +102,17 @@ def test_ent_select_prefers_balanced_query():
     cells = partition(dpi, diagnoses, query)
     assert len(cells.dplus) == 2 and len(cells.dminus) == 2
     assert query.axiom_id == "1"  # tie among all four axioms, lowest id wins
+
+
+def test_ent_select_weighs_diagnoses_whose_probability_underflows():
+    # {1}, {2}, {3} split as one against two by every query; {3} alone holds
+    # about half the mass, which only shows when the weights do not all
+    # underflow to zero on 2,000 components
+    ids = [str(i + 1) for i in range(2000)]
+    dpi = Dpi.abstract(ids, [("1", "2", "3")])
+    pr = FaultProbabilities({a: 0.4 for a in ids} | {"1": 0.1, "2": 0.1, "3": 0.2})
+    diagnoses = [Diagnosis((a,)) for a in ("1", "2", "3")]
+    assert ent_select(dpi, diagnoses, pr).axiom_id == "3"
 
 
 # --- oracle and update ---------------------------------------------------------------
