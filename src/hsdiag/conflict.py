@@ -41,7 +41,7 @@ ConflictOutcome = EmptyConflict | NoConflict | MinimalConflict
 
 def quickxplain(
     dpi: Dpi,
-    background: Iterable[str],
+    background: Iterable[str] | int,
     candidates: Sequence[str],
     *,
     checker: ValidityChecker | None = None,
@@ -50,20 +50,20 @@ def quickxplain(
 
     Preconditions: background is valid, background plus candidates is not.
     Splits at ceil(len/2); elements keep their candidate order, so the
-    result is deterministic for a fixed K ordering.
+    result is deterministic for a fixed K ordering. Sets are K-masks
+    throughout.
     """
     checker = checker or ValidityChecker(dpi)
-    bg = frozenset(background)
-    cands = list(candidates)
-    if not checker.is_valid(bg):
+    base = dpi.mask_of(background)
+    bits = [dpi.mask_of((a,)) for a in dict.fromkeys(candidates)]  # sums need distinct bits
+    if not checker.is_valid(base):
         raise ValueError("quickxplain precondition: background must be valid")
-    if checker.is_valid(bg | set(cands)):
+    if checker.is_valid(base | sum(bits)):
         raise ValueError("quickxplain precondition: background plus candidates must be invalid")
+    return tuple(dpi.ids_of(bit)[0] for bit in _qx(checker, base, False, bits))
 
-    return tuple(_qx(checker, bg, False, cands))
 
-
-def _qx(checker: ValidityChecker, base: frozenset[str], added_last: bool, cs: list[str]) -> list[str]:
+def _qx(checker: ValidityChecker, base: int, added_last: bool, cs: list[int]) -> list[int]:
     # Module-level, not a closure: a recursive closure is a reference cycle
     # that would keep the checker and its reasoner alive until the cyclic
     # garbage collector runs.
@@ -73,35 +73,35 @@ def _qx(checker: ValidityChecker, base: frozenset[str], added_last: bool, cs: li
         return list(cs)
     half = (len(cs) + 1) // 2
     c1, c2 = cs[:half], cs[half:]
-    d2 = _qx(checker, base | set(c1), bool(c1), c2)
-    d1 = _qx(checker, base | set(d2), bool(d2), c1)
+    d2 = _qx(checker, base | sum(c1), bool(c1), c2)
+    d1 = _qx(checker, base | sum(d2), bool(d2), c1)
     return d1 + d2
 
 
 def find_min_conflict(
     dpi: Dpi,
-    exclude: Iterable[str] = (),
+    exclude: Iterable[str] | int = (),
     *,
     checker: ValidityChecker | None = None,
 ) -> ConflictOutcome:
-    """Minimal conflict for the DPI restricted to K minus the exclusion set.
+    """Minimal conflict for the DPI restricted to K minus the exclusion set
+    (ids or a K-mask).
 
     The exclusion set stands in for the sub-instance built during search,
     avoiding a DPI copy per tree node.
     """
-    excluded = frozenset(exclude)
+    excluded = dpi.mask_of(exclude)
     if dpi.kind == ABSTRACT:
-        family = dpi.family_sets()
-        if frozenset() in family:
+        if 0 in dpi.family_masks:
             return EmptyConflict()
-        for member, ordered in zip(family, dpi.conflict_family):
+        for member, ordered in zip(dpi.family_masks, dpi.conflict_family):
             if not member & excluded:
                 return MinimalConflict(ordered)
         return NoConflict()
     checker = checker or ValidityChecker(dpi)
-    if not checker.is_valid(frozenset()):
+    if not checker.is_valid(0):
         return EmptyConflict()
-    candidates = [a for a in dpi.k_ids if a not in excluded]
-    if checker.is_valid(frozenset(candidates)):
+    rest = dpi.mask_of(dpi.k_ids) & ~excluded
+    if checker.is_valid(rest):
         return NoConflict()
-    return MinimalConflict(quickxplain(dpi, (), candidates, checker=checker))
+    return MinimalConflict(quickxplain(dpi, 0, dpi.ids_of(rest), checker=checker))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .logic import Formula
@@ -170,6 +170,8 @@ class Dpi:
     positive_ids: frozenset[str] = frozenset()
     negative_ids: frozenset[str] = frozenset()
     pr: FaultProbabilities | None = None
+    # the abstract conflict family as K-masks, derived from conflict_family
+    family_masks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (REASONER, ABSTRACT):
@@ -177,27 +179,29 @@ class Dpi:
         if len(set(self.k_ids)) != len(self.k_ids):
             dupes = sorted({a for a in self.k_ids if self.k_ids.count(a) > 1})
             raise ValueError(f"duplicate axiom ids: {dupes}")
+        n = len(self.k_ids)
+        bits = {a: 1 << (n - 1 - i) for i, a in enumerate(self.k_ids)}
+        object.__setattr__(self, "_bits", bits)
         if self.kind == REASONER:
             if self.formulas is None or len(self.formulas) != len(self.k_ids):
                 raise ValueError("reasoner DPI needs one formula per axiom id")
         else:
             if self.conflict_family is None:
                 raise ValueError("abstract DPI needs a conflict family")
-            known = set(self.k_ids)
+            masks = []
             for member in self.conflict_family:
-                bad = set(member) - known
+                members = set(member)
+                bad = members.difference(bits)
                 if bad:
                     raise ValueError(f"conflict mentions unknown ids: {sorted(bad)}")
-            sets = [frozenset(m) for m in self.conflict_family]
-            for i, a in enumerate(sets):
-                for j, b in enumerate(sets):
-                    if i != j and a <= b:
+                if len(members) != len(member):
+                    raise ValueError(f"conflict names an id twice: {list(member)}")
+                masks.append(sum(map(bits.__getitem__, members)))
+            for i, a in enumerate(masks):
+                for j, b in enumerate(masks):
+                    if i != j and a & b == a:
                         raise ValueError("conflict family is not an antichain")
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.k_ids)})
-        if self.conflict_family is not None:
-            object.__setattr__(
-                self, "_family_sets", tuple(frozenset(m) for m in self.conflict_family)
-            )
+            object.__setattr__(self, "family_masks", tuple(masks))
 
     @classmethod
     def propositional(
@@ -241,7 +245,7 @@ class Dpi:
 
     def index_of(self, axiom: str) -> int:
         try:
-            return self._index[axiom]  # type: ignore[attr-defined]
+            return len(self.k_ids) - self._bits[axiom].bit_length()  # type: ignore[attr-defined]
         except KeyError:
             raise ValueError(f"unknown axiom id: {axiom!r}") from None
 
@@ -250,10 +254,38 @@ class Dpi:
             raise ValueError("abstract DPI axioms carry no formulas")
         return self.formulas[self.index_of(axiom)]
 
+    def mask_of(self, ids: Iterable[str] | int) -> int:
+        """The K-mask of a set of axiom ids: axiom i of K is bit n-1-i, so
+        the first axiom in K order is the highest bit. A mask passes
+        through unchanged, so every function taking a set of axioms takes
+        either form."""
+        if isinstance(ids, int):
+            if ids >> len(self.k_ids):  # also true for a negative int
+                raise ValueError(f"mask has bits outside K: {ids:#x}")
+            return ids
+        members = set(ids)
+        try:
+            return sum(map(self._bits.__getitem__, members))  # type: ignore[attr-defined]
+        except KeyError:
+            unknown = sorted(members.difference(self._bits))  # type: ignore[attr-defined]
+            raise ValueError(f"unknown axiom ids: {unknown}") from None
+
+    def ids_of(self, mask: int) -> tuple[str, ...]:
+        """The axiom ids of a K-mask, in K order."""
+        k_ids, top = self.k_ids, len(self.k_ids) - 1
+        if mask >> len(k_ids):
+            raise ValueError(f"mask has bits outside K: {mask:#x}")
+        ids = []
+        while mask:
+            high = mask.bit_length() - 1
+            ids.append(k_ids[top - high])
+            mask ^= 1 << high
+        return tuple(ids)
+
     def family_sets(self) -> tuple[frozenset[str], ...]:
         if self.kind != ABSTRACT:
             raise ValueError("only abstract DPIs carry a conflict family")
-        return self._family_sets  # type: ignore[attr-defined]
+        return tuple(frozenset(m) for m in self.conflict_family)
 
     def with_measurement(self, sentence: Formula, positive: bool) -> "Dpi":
         if self.kind != REASONER:
@@ -263,82 +295,76 @@ class Dpi:
         return replace(self, negative=self.negative | {sentence})
 
 
-def _check_subset(dpi: Dpi, ids: Iterable[str]) -> frozenset[str]:
-    s = frozenset(ids)
-    unknown = [a for a in s if a not in dpi._index]  # type: ignore[attr-defined]
-    if unknown:
-        raise ValueError(f"unknown axiom ids: {sorted(unknown)}")
-    return s
-
-
 def reasoner_for(dpi: Dpi) -> Reasoner | None:
     """The DPI encoded once for many checks; None on the abstract backend."""
     return Reasoner(dpi) if dpi.kind == REASONER else None
 
 
-def is_valid_set(dpi: Dpi, ids: Iterable[str], reasoner: Reasoner | None = None) -> bool:
-    """True iff assuming exactly the axioms in ids raises no conflict.
+def is_valid_set(dpi: Dpi, ids: Iterable[str] | int, reasoner: Reasoner | None = None) -> bool:
+    """True iff assuming exactly the axioms in ids (or a K-mask) raises no
+    conflict.
 
     Reasoner backend: the sentences plus B and P are consistent and entail
     no negative measurement; pass the DPI's reasoner to reuse its encoding
     across calls. Abstract backend: no attached conflict member is
     contained in the set.
     """
-    s = _check_subset(dpi, ids)
+    mask = dpi.mask_of(ids)
     if dpi.kind == ABSTRACT:
-        return not any(member <= s for member in dpi.family_sets())
-    return (reasoner or Reasoner(dpi)).is_valid(s)
+        return not any(m & mask == m for m in dpi.family_masks)
+    return (reasoner or Reasoner(dpi)).is_valid(mask)
 
 
-def is_diagnosis(dpi: Dpi, ids: Iterable[str], reasoner: Reasoner | None = None) -> bool:
+def is_diagnosis(dpi: Dpi, ids: Iterable[str] | int, reasoner: Reasoner | None = None) -> bool:
     """Duality: D is a diagnosis iff K minus D is a valid assumption set."""
-    s = _check_subset(dpi, ids)
-    return is_valid_set(dpi, [a for a in dpi.k_ids if a not in s], reasoner)
+    full = (1 << len(dpi.k_ids)) - 1
+    return is_valid_set(dpi, full & ~dpi.mask_of(ids), reasoner)
 
 
-def is_minimal_diagnosis(dpi: Dpi, ids: Iterable[str], reasoner: Reasoner | None = None) -> bool:
+def is_minimal_diagnosis(
+    dpi: Dpi, ids: Iterable[str] | int, reasoner: Reasoner | None = None
+) -> bool:
     """Diagnosis-hood plus failure of every one-element deletion.
 
     Single deletions suffice under the weak fault model because
     diagnosis-hood is monotone over supersets. Pass the DPI's ``reasoner``
     to reuse its encoding; else one is built here.
     """
-    s = _check_subset(dpi, ids)
+    mask = dpi.mask_of(ids)
     if reasoner is None:
         reasoner = reasoner_for(dpi)
-    if not is_diagnosis(dpi, s, reasoner):
+    if not is_diagnosis(dpi, mask, reasoner):
         return False
-    return all(not is_diagnosis(dpi, s - {a}, reasoner) for a in s)
+    bits = (1 << i for i in range(mask.bit_length()) if mask >> i & 1)
+    return all(not is_diagnosis(dpi, mask ^ bit, reasoner) for bit in bits)
 
 
 class ValidityChecker:
     """Counting, memoizing front-end for is_valid_set.
 
     One instance per search/extraction run; the call counter backs the
-    QuickXplain complexity assertions and the cache is the exact-set front:
-    it answers a repeated assumption set without even building its mask.
-    The monotone lookups (a superset of an invalid set, a subset of a valid
+    QuickXplain complexity assertions and the cache, keyed by K-mask, is
+    the exact-set front: it answers a repeated assumption set at once. The
+    monotone lookups (a superset of an invalid set, a subset of a valid
     one) live in the reasoner's verdict store, which outlives the checker
     for a whole session. On the reasoner backend the checks run on
-    ``reasoner`` when one is passed (the searches always pass one), else the
-    first miss encodes the DPI once, as for a standalone ``quickxplain`` or
+    ``reasoner`` when one is passed (the searches always pass one), else on
+    one built here, as for a standalone ``quickxplain`` or
     ``find_min_conflict``; no encoding is stored on the DPI.
     """
 
     def __init__(self, dpi: Dpi, reasoner: Reasoner | None = None):
         self.dpi = dpi
         self.calls = 0
-        self._cache: dict[frozenset[str], bool] = {}
-        self._reasoner = reasoner
+        self._cache: dict[int, bool] = {}
+        self._reasoner = reasoner or reasoner_for(dpi)
 
-    def is_valid(self, ids: frozenset[str]) -> bool:
+    def is_valid(self, ids: Iterable[str] | int) -> bool:
         self.calls += 1
-        cached = self._cache.get(ids)
+        mask = self.dpi.mask_of(ids)
+        cached = self._cache.get(mask)
         if cached is None:
-            if self._reasoner is None and self.dpi.kind == REASONER:
-                self._reasoner = Reasoner(self.dpi)
-            cached = is_valid_set(self.dpi, ids, self._reasoner)
-            self._cache[ids] = cached
+            cached = self._cache[mask] = is_valid_set(self.dpi, mask, self._reasoner)
         return cached
 
 

@@ -123,6 +123,8 @@ def _build_abstract(sections, source: str) -> Dpi:
         bad = [e for e in member if e not in known]
         if bad:
             raise DpiFileError(f"conflict mentions unknown components: {bad}", source, lineno)
+        if len(set(member)) != len(member):
+            raise DpiFileError(f"conflict names a component twice: {list(member)}", source, lineno)
         conflicts.append(member)
     try:
         return Dpi.abstract(count, conflicts)

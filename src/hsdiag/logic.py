@@ -228,57 +228,33 @@ def _fmt(f: Formula, floor: int) -> str:
 @dataclass
 class ClauseSet:
     """Clauses over integer literals. Variables 1..len(atom_ids) name the
-    original atoms (sorted); higher ids are auxiliary definition atoms."""
+    original atoms (sorted); higher ids are auxiliary definition atoms and,
+    when a constant occurs, one variable fixed true."""
 
     clauses: tuple[frozenset[int], ...]
     atom_ids: dict[str, int]
     var_count: int
 
 
-def _fold_constants(f: Formula) -> Formula:
-    if isinstance(f, (Atom, Const)):
-        return f
-    if isinstance(f, Not):
-        a = _fold_constants(f.operand)
-        if isinstance(a, Const):
-            return Const(not a.value)
-        return Not(a)
-    a = _fold_constants(f.lhs)
-    b = _fold_constants(f.rhs)
-    if isinstance(f, And):
-        if isinstance(a, Const):
-            return b if a.value else FALSE
-        if isinstance(b, Const):
-            return a if b.value else FALSE
-        return And(a, b)
-    if isinstance(f, Or):
-        if isinstance(a, Const):
-            return TRUE if a.value else b
-        if isinstance(b, Const):
-            return TRUE if b.value else a
-        return Or(a, b)
-    if isinstance(f, Implies):
-        if isinstance(a, Const):
-            return b if a.value else TRUE
-        if isinstance(b, Const):
-            return TRUE if b.value else _fold_constants(Not(a))
-        return Implies(a, b)
-    if isinstance(f, Iff):
-        if isinstance(a, Const):
-            return b if a.value else _fold_constants(Not(b))
-        if isinstance(b, Const):
-            return a if b.value else _fold_constants(Not(a))
-        return Iff(a, b)
-    raise TypeError(f"not a formula: {f!r}")  # pragma: no cover
-
-
 class _Encoder:
-    def __init__(self, atom_ids: dict[str, int]):
-        self.atom_ids = atom_ids
-        self.next_var = len(atom_ids) + 1
+    """Definitional encoding of the given formulas, added with ``lit``.
+
+    Variables 1..n name their atoms in name order; every compound subformula
+    gets an auxiliary variable. ``true`` and ``false`` are one variable fixed
+    true by a unit clause, made at the first constant met, so constant-free
+    input gets no such variable.
+    """
+
+    def __init__(self, formulas: Iterable[Formula]):
+        names: set[str] = set()
+        for f in formulas:
+            _collect_atoms(f, names)
+        self.atom_ids = {name: i + 1 for i, name in enumerate(sorted(names))}
+        self.next_var = len(self.atom_ids) + 1
         self.cache: dict[Formula, int] = {}
         self.clauses: list[frozenset[int]] = []
         self.seen: set[frozenset[int]] = set()
+        self.true: int | None = None
 
     def add(self, lits: Iterable[int]) -> None:
         clause = frozenset(lits)
@@ -298,6 +274,11 @@ class _Encoder:
             return self.cache[f]
         if isinstance(f, Atom):
             out = self.atom_ids[f.name]
+        elif isinstance(f, Const):
+            if self.true is None:
+                self.true = self.fresh()
+                self.add((self.true,))
+            out = self.true if f.value else -self.true
         elif isinstance(f, Not):
             out = -self.lit(f.operand)
         else:
@@ -347,19 +328,10 @@ def to_clause_set(formulas: Iterable[Formula]) -> ClauseSet:
     of the input.
     """
     ordered = sorted(set(formulas), key=format_formula)
-    names: set[str] = set()
+    enc = _Encoder(ordered)
     for f in ordered:
-        _collect_atoms(f, names)
-    atom_ids = {name: i + 1 for i, name in enumerate(sorted(names))}
-    enc = _Encoder(atom_ids)
-    for f in ordered:
-        folded = _fold_constants(f)
-        if isinstance(folded, Const):
-            if not folded.value:
-                enc.clauses.append(frozenset())
-            continue
-        enc.add((enc.lit(folded),))
-    return ClauseSet(tuple(enc.clauses), atom_ids, enc.next_var - 1)
+        enc.add((enc.lit(f),))
+    return ClauseSet(tuple(enc.clauses), enc.atom_ids, enc.next_var - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ selector variable s_i and the clause ¬s_i ∨ lit(f_i); each negative
 measurement n keeps its definitional literal lit(n) unasserted. A check then
 assumes s_i for the axioms it keeps and ¬s_j for the rest, and runs the
 :class:`~hsdiag.logic.Solver` under those assumptions, so no check encodes
-anything. Constants follow the CNF conversion's folding: they map to a
-variable fixed true, so an axiom folding to ``false`` can never be selected,
-a ``false`` in B ∪ P makes every check unsatisfiable, and goals folding to a
-constant are decided by the same assumption mechanism.
+anything. The encoding is the CNF conversion's: constants are one variable
+fixed true, so root-level unit propagation forces the selector of an axiom
+equivalent to ``false`` false, and a ``false`` in B ∪ P makes every check
+unsatisfiable.
 
 Session measurements are axioms of K, whose literals already exist: a
 positive one asserts lit(f_i) as a root-level unit, a negative one joins the
@@ -17,7 +17,7 @@ negative literals.
 
 Validity is monotone (a superset of an invalid set is invalid, a subset of a
 valid set is valid), so the reasoner keeps why each solver answer held, as
-int masks over K (bit i is axiom i), and answers most checks from that
+K-masks (:meth:`~hsdiag.dpi.Dpi.mask_of`), and answers most checks from that
 verdict store without calling the solver (the nogoods and environments of
 de Kleer's ATMS, AIJ 1986):
 
@@ -43,9 +43,9 @@ de Kleer's ATMS, AIJ 1986):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection
+from typing import TYPE_CHECKING, Iterable
 
-from .logic import Const, Formula, Solver, _codes, _collect_atoms, _Encoder, _fold_constants, format_formula
+from .logic import Solver, _codes, _Encoder, format_formula
 
 if TYPE_CHECKING:
     from .dpi import Dpi
@@ -63,24 +63,22 @@ class Reasoner:
     def __init__(self, dpi: "Dpi"):
         hard = sorted(dpi.background | dpi.positive, key=format_formula)
         negative = sorted(dpi.negative, key=format_formula)
-        names: set[str] = set()
-        for f in (*hard, *dpi.formulas, *negative):
-            _collect_atoms(f, names)
-        enc = _Encoder({name: i + 1 for i, name in enumerate(sorted(names))})
-        self._true = enc.fresh()
-        enc.add((self._true,))
+        enc = _Encoder((*hard, *dpi.formulas, *negative))
         for f in hard:
-            enc.add((self._literal(enc, f),))
-        self._bit = {axiom: 1 << i for i, axiom in enumerate(dpi.k_ids)}
-        self._selectors: list[int] = []
+            enc.add((enc.lit(f),))
+        self._mask_of = dpi.mask_of
+        # (K bit, selector) and (K bit, goal code), in K order
+        self._selectors: list[tuple[int, int]] = []
+        self._goal_codes: list[tuple[int, int]] = []
         self._goals: dict[str, int] = {}
         for axiom, f in zip(dpi.k_ids, dpi.formulas):
-            goal = self._goals[axiom] = self._literal(enc, f)
+            bit = dpi.mask_of((axiom,))
+            goal = self._goals[axiom] = enc.lit(f)
             selector = enc.fresh()
             enc.add((-selector, goal))
-            self._selectors.append(selector)
-        self._goal_codes = _codes(self._goals.values())
-        self._negatives = [self._literal(enc, n) for n in negative]
+            self._selectors.append((bit, selector))
+            self._goal_codes.append((bit, _codes((goal,))[0]))
+        self._negatives = [enc.lit(n) for n in negative]
         self._solver = Solver(enc.clauses, enc.next_var - 1)
         self.solver_calls = 0
         self.invalid_cores: list[int] = []
@@ -88,28 +86,19 @@ class Reasoner:
         self.witnesses: dict[int, int] = {}  # true goals -> false negatives
         self._core = 0  # selector mask of the last unsatisfiable solve
 
-    def _literal(self, enc: _Encoder, f: Formula) -> int:
-        folded = _fold_constants(f)
-        if isinstance(folded, Const):
-            return self._true if folded.value else -self._true
-        return enc.lit(folded)
-
-    def _mask(self, ids: Collection[str]) -> int:
-        return sum(map(self._bit.__getitem__, ids))
-
     def _solve(self, mask: int, extra: list[int]) -> int | None:
         """Solve with the axioms of mask selected plus the extra literals.
         Stores the model's witness and returns its mask of false negatives,
         or returns None and leaves the core's selector mask in ``_core``."""
         self.solver_calls += 1
         solver = self._solver
-        assumed = [s if mask >> i & 1 else -s for i, s in enumerate(self._selectors)]
+        assumed = [s if mask & bit else -s for bit, s in self._selectors]
         if not solver.solve(assumed + extra):
             selected = set(solver.core)
-            self._core = sum(1 << i for i, s in enumerate(self._selectors) if s in selected)
+            self._core = sum(bit for bit, s in self._selectors if s in selected)
             return None
         model = solver.model
-        true_goals = sum(1 << i for i, code in enumerate(self._goal_codes) if model[code] == 1)
+        true_goals = sum(bit for bit, code in self._goal_codes if model[code] == 1)
         false_negatives = sum(
             1 << j for j, code in enumerate(_codes(self._negatives)) if model[code] == -1
         )
@@ -130,15 +119,15 @@ class Reasoner:
         goal = self._goals[axiom]
         if positive:
             self._solver.add_unit(goal)
-            bit = self._bit[axiom]
+            bit = self._mask_of((axiom,))
             self.witnesses = {g: nf for g, nf in self.witnesses.items() if g & bit}
         elif goal not in self._negatives:
             self._negatives.append(goal)
 
-    def is_valid(self, ids: Collection[str]) -> bool:
-        """The axioms in ids plus B and P are consistent and entail no
-        negative measurement."""
-        mask = self._mask(ids)
+    def is_valid(self, ids: Iterable[str] | int) -> bool:
+        """The axioms in ids (or a K-mask) plus B and P are consistent and
+        entail no negative measurement."""
+        mask = self._mask_of(ids)
         if any(c & mask == c for c in self.invalid_cores):
             return False
         covered, known = 0, False
@@ -162,13 +151,14 @@ class Reasoner:
         self._add_core(self.invalid_cores, self._core)
         return False
 
-    def entails(self, ids: Collection[str], axiom: str) -> bool:
-        """The axioms in ids plus B and P entail the sentence of ``axiom``."""
-        mask = self._mask(ids)
+    def entails(self, ids: Iterable[str] | int, axiom: str) -> bool:
+        """The axioms in ids (or a K-mask) plus B and P entail the sentence
+        of ``axiom``."""
+        mask = self._mask_of(ids)
         cores = self.entailed_cores[axiom]
         if any(c & mask == c for c in cores):
             return True
-        bit = self._bit[axiom]
+        bit = self._mask_of((axiom,))
         if any(g & mask == mask and not g & bit for g in self.witnesses):
             return False
         if self._solve(mask, [-self._goals[axiom]]) is not None:

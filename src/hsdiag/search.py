@@ -15,13 +15,14 @@ by cost arithmetic. Child costs derive incrementally from the parent, so
 nodes with equal probability compare exactly equal and the deterministic
 tie-break (smaller cardinality, then smaller id sequence) decides.
 
-Node, conflict and diagnosis sets are int masks: axiom i of K sits at bit
-n-1-i, so the first axiom in K order is the highest bit. Between two sets
-of equal cardinality the larger mask is the one whose K-ordered id sequence
-is smaller, which makes ``(-F, cardinality, -mask)`` the full sort key.
-Subset and disjointness tests are one ``&`` each; id tuples are built only
-for conflict extraction, recorded diagnoses and trace events, and trace
-text only when a trace list is passed.
+Node, conflict and diagnosis sets are the DPI's K-masks
+(:meth:`~hsdiag.dpi.Dpi.mask_of`): the first axiom in K order is the
+highest bit. Between two sets of equal cardinality the larger mask is the
+one whose K-ordered id sequence is smaller, which makes
+``(-F, cardinality, -mask)`` the full sort key. Subset and disjointness
+tests are one ``&`` each, and conflict extraction takes the node's mask;
+id tuples are built only for recorded diagnoses and trace events, and
+trace text only when a trace list is passed.
 
 A node is the list ``[-F, card, -mask, f, mask]``: backed-up log cost F
 (only ever decreases), cardinality, node set, and static log cost f. Its
@@ -125,13 +126,11 @@ class _SearchCore:
         # a duplicate child briefly before its queue check discards it.
         self.unique_live = True
         self._live_masks: set[int] = set()
-        n = len(dpi.k_ids)
         # Per-axiom (delta, bit): a child's cost extends the parent sum by one
         # log term, which keeps equal-probability nodes bitwise equal, and its
-        # mask adds axiom i of K at bit n-1-i.
+        # mask adds the axiom's K bit.
         self._step = {
-            a: (math.log(pr[a]) - math.log(1.0 - pr[a]), 1 << (n - 1 - i))
-            for i, a in enumerate(dpi.k_ids)
+            a: (math.log(pr[a]) - math.log(1.0 - pr[a]), dpi.mask_of((a,))) for a in dpi.k_ids
         }
         self.f_empty = 0.0
         for a in dpi.k_ids:
@@ -161,7 +160,7 @@ class _SearchCore:
             for node in nodes:
                 mask = node[4]
                 if mask is not None:  # the dummy is not a node set
-                    assert mask not in self._live_masks, f"duplicate live node {self.ids_of(mask)}"
+                    assert mask not in self._live_masks, f"duplicate live node {self.dpi.ids_of(mask)}"
                     self._live_masks.add(mask)
 
     def discard(self, nodes: list[list]) -> None:
@@ -182,20 +181,11 @@ class _SearchCore:
         first so no detail text is formatted when tracing is off."""
         self.trace.append(TraceEvent(kind, ids, detail))
 
-    def ids_of(self, mask: int) -> tuple[str, ...]:
-        k_ids, top = self.dpi.k_ids, len(self.dpi.k_ids) - 1
-        ids = []
-        while mask:
-            high = mask.bit_length() - 1
-            ids.append(k_ids[top - high])
-            mask ^= 1 << high
-        return tuple(ids)
-
     # -- shared Reiter-style labeling ---------------------------------------
 
     def add_conflict(self, ids: tuple[str, ...]) -> None:
         self.conflict_list.append(ids)
-        self.conflict_masks.append(sum(self._step[a][1] for a in ids))
+        self.conflict_masks.append(self.dpi.mask_of(ids))
 
     def label(self, node: list):
         """Classify a node: closed, valid, or a minimal conflict to expand.
@@ -218,7 +208,7 @@ class _SearchCore:
                 if self.trace is not None:
                     self._emit_label(node, f"conflict-reuse {{{','.join(stored)}}}")
                 return stored
-        outcome = find_min_conflict(self.dpi, exclude=self.ids_of(mask), checker=self.checker)
+        outcome = find_min_conflict(self.dpi, exclude=mask, checker=self.checker)
         self.stats.conflict_computations += 1
         if isinstance(outcome, NoConflict):
             if self.trace is not None:
@@ -232,7 +222,7 @@ class _SearchCore:
         raise RuntimeError("empty conflict inside the search tree")  # handled up front
 
     def _emit_label(self, node: list, verdict: str) -> None:
-        self.emit("LABEL", self.ids_of(node[4]), f"{verdict} f={self.linear(node[3]):.9g}")
+        self.emit("LABEL", self.dpi.ids_of(node[4]), f"{verdict} f={self.linear(node[3]):.9g}")
 
     def expand(self, node: list, conflict: tuple[str, ...]) -> list[list]:
         """One child per conflict element, in the conflict's stored order."""
@@ -245,11 +235,11 @@ class _SearchCore:
         if self.trace is not None:
             costs = ",".join(f"{self.linear(c[3]):.9g}" for c in children)
             detail = f"conflict={{{','.join(conflict)}}} f=[{costs}]"
-            self.emit("EXPAND", self.ids_of(mask), detail)
+            self.emit("EXPAND", self.dpi.ids_of(mask), detail)
         return children
 
     def record_diagnosis(self, node: list) -> None:
-        ids = self.ids_of(node[4])
+        ids = self.dpi.ids_of(node[4])
         self.diagnoses.append(Diagnosis(ids, self.linear(node[3])))
         self.diag_masks.append(node[4])
         if self.trace is not None:
@@ -320,7 +310,7 @@ def _rbf_rec(core: _SearchCore, node: list, f_backed: float, bound: float, depth
             if child[3] > f_backed:
                 child[0] = -f_backed
                 if core.trace is not None:
-                    core.emit("INHERIT", core.ids_of(child[4]), f"F={core.linear(f_backed):.9g}")
+                    core.emit("INHERIT", core.dpi.ids_of(child[4]), f"F={core.linear(f_backed):.9g}")
     if len(children) == 1:
         children.append(core.make_dummy())
     children.sort()
@@ -340,7 +330,7 @@ def _rbf_rec(core: _SearchCore, node: list, f_backed: float, bound: float, depth
     if depth > 0 and core.trace is not None:
         core.emit(
             "BACKTRACK",
-            core.ids_of(node[4]),
+            core.dpi.ids_of(node[4]),
             f"F={core.linear(subtree_best):.9g} bound={core.linear(bound):.9g}",
         )
     return subtree_best

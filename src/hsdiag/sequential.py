@@ -21,6 +21,7 @@ from .dpi import (
     FaultProbabilities,
     antichain_reduce,
     is_minimal_diagnosis,
+    is_valid_set,
     log_pr_of,
     normalized_logs,
     reasoner_for,
@@ -81,23 +82,6 @@ def make_query(dpi: Dpi, axiom_id: str) -> Query:
     return Query(axiom_id, sentence)
 
 
-def _entails_query(
-    dpi: Dpi, rest: frozenset[str], query: Query, reasoner: Reasoner | None
-) -> bool:
-    if dpi.kind == ABSTRACT:
-        return query.axiom_id in rest or query.axiom_id in dpi.positive_ids
-    return reasoner.entails(rest, query.axiom_id)
-
-
-def _valid_with_query(
-    dpi: Dpi, rest: frozenset[str], query: Query, reasoner: Reasoner | None
-) -> bool:
-    assumed = rest | {query.axiom_id}
-    if dpi.kind == ABSTRACT:
-        return not any(member <= assumed for member in dpi.family_sets())
-    return reasoner.is_valid(assumed)
-
-
 def partition(
     dpi: Dpi, diagnoses: Sequence[Diagnosis], query: Query, reasoner: Reasoner | None = None
 ) -> QueryPartition:
@@ -113,12 +97,17 @@ def partition(
         raise ValueError("partition needs at least one diagnosis")
     if reasoner is None:
         reasoner = reasoner_for(dpi)
+    full, bit = dpi.mask_of(dpi.k_ids), dpi.mask_of((query.axiom_id,))
     dplus, dminus, dzero = [], [], []
     for diag in diagnoses:
-        rest = frozenset(dpi.k_ids) - diag.id_set
-        if _entails_query(dpi, rest, query, reasoner):
+        rest = full & ~dpi.mask_of(diag.ids)
+        if dpi.kind == ABSTRACT:
+            entailed = bool(rest & bit) or query.axiom_id in dpi.positive_ids
+        else:
+            entailed = reasoner.entails(rest, query.axiom_id)
+        if entailed:
             dplus.append(diag)
-        elif not _valid_with_query(dpi, rest, query, reasoner):
+        elif not is_valid_set(dpi, rest | bit, reasoner):
             dminus.append(diag)
         else:
             dzero.append(diag)

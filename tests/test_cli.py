@@ -70,6 +70,39 @@ def test_load_rejects_unknown_conflict_component():
         loads("[COMPONENTS]\n2\n[CONFLICTS]\n1 5\n")
 
 
+def test_load_rejects_conflict_naming_a_component_twice():
+    with pytest.raises(DpiFileError, match="names a component twice") as exc:
+        loads("[COMPONENTS]\n3\n[CONFLICTS]\n2 3\n1 1 2\n")
+    assert exc.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "args", [["diag", "--ld", "3"], ["diag", "--algo", "hstree", "--ld", "3"], ["check"]]
+)
+def test_cli_rejects_conflict_naming_a_component_twice(tmp_path, args):
+    # both searches used to loop without end on this file, and check to
+    # print a traceback
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "dup.dpi"
+    path.write_text("[COMPONENTS]\n3\n[CONFLICTS]\n1 1 2\n")
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsdiag.cli", *args, "--dpi", str(path)],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: dup.dpi:4: conflict names a component twice: ['1', '1', '2']"
+    ]
+
+
 def test_dump_load_round_trip(table1, ex4, tmp_path):
     for dpi, pr in (table1, ex4):
         text = dumps(dpi, pr)

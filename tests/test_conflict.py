@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -62,6 +63,16 @@ def test_exclusion_set_restricts_candidates(ex4):
     assert find_min_conflict(dpi, exclude={"2"}).ids == ("1", "3", "4")
     assert find_min_conflict(dpi, exclude={"2", "4"}).ids == ("1", "5", "6", "7")
     assert find_min_conflict(dpi, exclude={"1", "4"}) == NoConflict()
+
+
+@pytest.mark.parametrize("fixture", ["table1", "ex4"])
+def test_exclusion_by_ids_or_k_mask_agrees(fixture, request):
+    dpi, _ = request.getfixturevalue(fixture)
+    for size in range(len(dpi.k_ids) + 1):
+        for ids in itertools.combinations(dpi.k_ids, size):
+            assert find_min_conflict(dpi, exclude=ids) == find_min_conflict(
+                dpi, exclude=dpi.mask_of(ids)
+            )
 
 
 def test_quickxplain_whole_set_is_the_conflict():

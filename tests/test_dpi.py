@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hsdiag import (
     Atom,
@@ -298,6 +299,40 @@ def test_gen_random_dpi_antichain():
 def test_abstract_constructor_rejects_non_antichain():
     with pytest.raises(ValueError, match="antichain"):
         Dpi.abstract(4, [["1", "2"], ["1", "2", "3"]])
+
+
+def test_conflict_naming_an_id_twice_rejected():
+    # its mask would have no single bit per member, and both searches looped
+    with pytest.raises(ValueError, match="names an id twice"):
+        Dpi.abstract(2, [("1", "1")])
+
+
+@given(st.integers(0, 10_000), st.data())
+def test_k_mask_round_trip_and_tie_break_order(seed, data):
+    n = data.draw(st.integers(1, 16))
+    dpi = gen_random_dpi(n, 3, 1, seed)
+    size = data.draw(st.integers(0, n))
+    subset = st.lists(st.sampled_from(dpi.k_ids), min_size=size, max_size=size, unique=True)
+    a, b = data.draw(subset), data.draw(subset)
+    for ids in (a, b):
+        assert dpi.ids_of(dpi.mask_of(ids)) == tuple(x for x in dpi.k_ids if x in ids)
+    # the search's -mask tie-break: of two equal-size sets, the larger mask
+    # has the lexicographically smaller K-index tuple
+    key_a, key_b = (sorted(map(dpi.index_of, ids)) for ids in (a, b))
+    assert (dpi.mask_of(a) > dpi.mask_of(b)) == (key_a < key_b)
+
+
+def test_mask_of_passes_masks_and_rejects_unknown_ids(ex4):
+    dpi, _ = ex4
+    assert dpi.mask_of(0b101) == 0b101
+    with pytest.raises(ValueError, match="unknown axiom ids"):
+        dpi.mask_of(["1", "9"])
+    # a bit above K would otherwise read back as some axiom of K
+    for mask in (1 << 7, -1):
+        with pytest.raises(ValueError, match="outside K"):
+            dpi.mask_of(mask)
+        with pytest.raises(ValueError, match="outside K"):
+            dpi.ids_of(mask)
 
 
 def test_duplicate_axiom_ids_rejected():

@@ -148,6 +148,13 @@ def test_conjunction_yields_unit_clauses():
     assert a != b
 
 
+def test_constants_are_one_variable_fixed_true():
+    assert not is_satisfiable(to_clause_set([Const(False)]))
+    assert is_satisfiable(to_clause_set([Const(True)]))
+    # no such variable without a constant
+    assert to_clause_set([And(A, B)]).var_count == 3
+
+
 def test_implication_equisatisfiable_with_disjunction():
     # Models of {A -> B} over {A, B} equal the models of {!A | B}.
     for bits in itertools.product((False, True), repeat=2):

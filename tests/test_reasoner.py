@@ -129,7 +129,7 @@ def test_monotone_checks_make_no_solver_calls(monkeypatch, negative):
 
 
 def ids_of(dpi, mask):
-    return frozenset(a for i, a in enumerate(dpi.k_ids) if mask >> i & 1)
+    return frozenset(dpi.ids_of(mask))
 
 
 def covering(cores, mask):
@@ -154,7 +154,7 @@ def test_cores_carry_their_verdicts(seed):
         fresh = Reasoner(dpi)
         rng.shuffle(subsets)
         for ids in subsets:
-            mask = sum(1 << dpi.k_ids.index(a) for a in ids)
+            mask = dpi.mask_of(ids)
             if not live.is_valid(ids):
                 cores = covering(live.invalid_cores, mask)
                 assert cores
