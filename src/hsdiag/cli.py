@@ -116,10 +116,11 @@ def _print_diagnoses(result: SearchResult, dpi: Dpi, pr: FaultProbabilities) -> 
     if not result.diagnoses:
         print("no diagnosis exists")
         return
-    norms = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in result.diagnoses])
-    for rank, (diag, norm) in enumerate(zip(result.diagnoses, norms), start=1):
+    # log_pr stays finite where pr underflows to 0 (thousands of axioms)
+    logs = [log_pr_of(pr, dpi.k_ids, d.ids) for d in result.diagnoses]
+    for rank, (diag, log_pr, norm) in enumerate(zip(result.diagnoses, logs, normalized_logs(logs)), start=1):
         ids = ",".join(diag.ids) if diag.ids else "(empty)"
-        print(f"{rank}. {ids} pr={diag.pr:.9g} norm={norm:.6g}")
+        print(f"{rank}. {ids} pr={diag.pr:.9g} log_pr={log_pr:.9g} norm={norm:.6g}")
     print(
         f"{len(result.diagnoses)} diagnosis(es) in {result.stats.wall_time * 1000.0:.3f} ms",
         file=sys.stderr,

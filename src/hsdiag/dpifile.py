@@ -9,7 +9,6 @@ Abstract format: [COMPONENTS] holds one integer n (components are named
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 from .dpi import Dpi, FaultProbabilities
@@ -59,18 +58,9 @@ def loads(text: str, source: str = "<string>") -> tuple[Dpi, FaultProbabilities 
     if not has_prop and not has_abstract:
         raise DpiFileError("needs a [K] or a [COMPONENTS] section", source)
 
-    if has_prop:
-        dpi = _build_propositional(sections, source)
-    else:
-        dpi = _build_abstract(sections, source)
-    pr = _build_probabilities(sections.get("PR", []), dpi, source)
-    if pr is not None:
-        dpi = _attach_pr(dpi, pr)
-    return dpi, pr
-
-
-def _attach_pr(dpi: Dpi, pr: FaultProbabilities) -> Dpi:
-    return replace(dpi, pr=pr)
+    build = _build_propositional if has_prop else _build_abstract
+    dpi = build(sections, source)
+    return dpi, dpi.pr
 
 
 def _parse_formula_line(body: str, source: str, lineno: int):
@@ -102,7 +92,9 @@ def _build_propositional(sections, source: str) -> Dpi:
             for lineno, line in sections.get(section, [])
         ]
 
-    return Dpi.propositional(k, background=bare("B"), positive=bare("P"), negative=bare("N"))
+    background, positive, negative = bare("B"), bare("P"), bare("N")
+    pr = _build_probabilities(sections, [a for a, _ in k], source)
+    return Dpi.propositional(k, background, positive, negative, pr)
 
 
 def _build_abstract(sections, source: str) -> Dpi:
@@ -116,7 +108,8 @@ def _build_abstract(sections, source: str) -> Dpi:
         raise DpiFileError(f"component count is not an integer: {body!r}", source, lineno)
     if count <= 0:
         raise DpiFileError(f"component count must be positive: {count}", source, lineno)
-    known = {str(i + 1) for i in range(count)}
+    ids = [str(i + 1) for i in range(count)]
+    known = set(ids)
     conflicts: list[tuple[str, ...]] = []
     for lineno, line in sections.get("CONFLICTS", []):
         member = tuple(line.split())
@@ -126,21 +119,26 @@ def _build_abstract(sections, source: str) -> Dpi:
         if len(set(member)) != len(member):
             raise DpiFileError(f"conflict names a component twice: {list(member)}", source, lineno)
         conflicts.append(member)
+    pr = _build_probabilities(sections, ids, source)
     try:
-        return Dpi.abstract(count, conflicts)
+        return Dpi.abstract(ids, conflicts, pr)
     except ValueError as exc:
         raise DpiFileError(str(exc), source) from exc
 
 
-def _build_probabilities(lines, dpi: Dpi, source: str) -> FaultProbabilities | None:
+def _build_probabilities(sections, k_ids: list[str], source: str) -> FaultProbabilities | None:
+    """The [PR] section's values, checked against the K ids, so that the
+    DPI is built once, with its probabilities."""
+    lines = sections.get("PR", [])
     if not lines:
         return None
+    known = set(k_ids)
     values: dict[str, float] = {}
     for lineno, line in lines:
         if ":" not in line:
             raise DpiFileError("PR line must read 'id: value'", source, lineno)
         axiom_id, body = (part.strip() for part in line.split(":", 1))
-        if axiom_id not in dpi.k_ids:
+        if axiom_id not in known:
             raise DpiFileError(f"probability for unknown axiom {axiom_id!r}", source, lineno)
         if axiom_id in values:
             raise DpiFileError(f"duplicate probability for {axiom_id!r}", source, lineno)
@@ -151,7 +149,7 @@ def _build_probabilities(lines, dpi: Dpi, source: str) -> FaultProbabilities | N
         if not 0.0 < p < 1.0:
             raise DpiFileError(f"probability out of (0,1): {p}", source, lineno)
         values[axiom_id] = p
-    missing = [a for a in dpi.k_ids if a not in values]
+    missing = [a for a in k_ids if a not in values]
     if missing:
         raise DpiFileError(f"missing probability entries: {missing}", source)
     return FaultProbabilities(values)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,26 @@ def test_dump_load_round_trip(table1, ex4, tmp_path):
         else:
             assert again.conflict_family == dpi.conflict_family
         assert pr_again.values == pr.values
+
+
+def test_loads_builds_each_dpi_once(monkeypatch):
+    # the DPI is built with its probabilities: no second __post_init__ (and
+    # antichain check) to attach them
+    calls = []
+    post_init = Dpi.__post_init__
+
+    def counting(self):
+        calls.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Dpi, "__post_init__", counting)
+    for name in ("table1.dpi", "ex4.dpi"):
+        text = (FIXTURES / name).read_text()
+        assert "[PR]" in text
+        del calls[:]
+        dpi, pr = loads(text)
+        assert len(calls) == 1
+        assert pr is not None and dpi.pr is pr
 
 
 def test_dump_load_round_trip_random_abstract():
@@ -253,6 +274,33 @@ def test_diag_normalizes_probabilities_that_underflow(tmp_path, capsys):
     out = capsys.readouterr().out
     norms = [float(line.split("norm=")[1]) for line in out.splitlines() if "norm=" in line]
     assert norms == pytest.approx([1 / 3] * 3, abs=1e-6)
+
+
+def diag_columns(out: str, name: str) -> list[float]:
+    return [float(line.split(f"{name}=")[1].split()[0]) for line in out.splitlines() if "norm=" in line]
+
+
+@pytest.mark.parametrize(
+    "conflicts,cards",
+    [
+        ([("1", "2"), ("3", "4")], [2, 2, 2]),  # equally probable diagnoses
+        ([("1", "2"), ("1", "3", "4")], [1, 2, 2]),  # {1} ranks above {2,3} and {2,4}
+    ],
+)
+def test_diag_prints_log_probabilities_past_underflow(tmp_path, capsys, conflicts, cards):
+    # pr underflows to 0 at 2,000 components; log_pr keeps the ranking, and
+    # norm= stays the last column
+    path = tmp_path / "wide.dpi"
+    path.write_text(dumps(Dpi.abstract(2000, conflicts)))
+    assert main(["diag", "--dpi", str(path), "--mode", "card", "--ld", "3"]) == 0
+    out = capsys.readouterr().out
+    assert diag_columns(out, "pr") == [0.0] * 3
+    logs = diag_columns(out, "log_pr")
+    expected = [c * math.log(1 / 3) + (2000 - c) * math.log(2 / 3) for c in cards]
+    assert all(math.isfinite(v) for v in logs)
+    assert logs == pytest.approx(expected, rel=1e-8)
+    assert len(set(logs)) == len(set(cards))
+    assert all(line.split()[-1].startswith("norm=") for line in out.splitlines() if "norm=" in line)
 
 
 # --- sequential command ----------------------------------------------------------------

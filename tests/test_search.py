@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hsdiag import (
     Dpi,
@@ -201,6 +202,37 @@ def test_random_propositional_agreement():
     for _ in range(12):
         dpi = random_propositional_dpi(rng, max_axioms=6, max_atoms=4)
         agreement_case(dpi, cardinality_pr(dpi.k_ids))
+
+
+@given(
+    components=st.integers(2, 9),
+    conflicts=st.integers(1, 9),
+    max_size=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    ld=st.sampled_from([None, 1, 2, 3]),
+    mode=st.sampled_from(["prob", "card"]),
+)
+def test_resumed_labels_agree_with_labels_from_scratch(components, conflicts, max_size, seed, ld, mode):
+    # with debug=True every label that resumes its parent's scans is checked
+    # against a full scan of D and a conflict scan from index 0
+    dpi = gen_random_dpi(components, conflicts, min(max_size, components), seed)
+    if mode == "card":
+        pr = cardinality_pr(dpi.k_ids)
+    else:
+        rng = random.Random(seed)
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+    oracle = {d.id_set: pr_of(pr, dpi.k_ids, d.ids) for d in brute_force_min_diagnoses(dpi)}
+    expected = len(oracle) if ld is None else min(ld, len(oracle))
+    for search in (rbf_hs, hs_tree):
+        result = search(dpi, pr, ld, debug=True)
+        found = result.diagnosis_sets()
+        assert len(found) == len(set(found)) == expected
+        assert set(found) <= set(oracle)
+        prs = [d.pr for d in result.diagnoses]
+        assert all(a >= b for a, b in zip(prs, prs[1:]))  # best-first order
+        left_out = [p for d, p in oracle.items() if d not in found]
+        if found and left_out:  # none left out is more probable than one found
+            assert max(left_out) <= prs[-1] * (1 + 1e-9)
 
 
 def test_truncated_ld_yields_equal_probability_multisets(ex4):
