@@ -122,7 +122,8 @@ def _print_diagnoses(result: SearchResult, dpi: Dpi, pr: FaultProbabilities) -> 
         ids = ",".join(diag.ids) if diag.ids else "(empty)"
         print(f"{rank}. {ids} pr={diag.pr:.9g} log_pr={log_pr:.9g} norm={norm:.6g}")
     print(
-        f"{len(result.diagnoses)} diagnosis(es) in {result.stats.wall_time * 1000.0:.3f} ms",
+        f"{len(result.diagnoses)} diagnosis(es) in {result.stats.wall_time * 1000.0:.3f} ms"
+        f" (encoding {result.stats.encode_s * 1000.0:.3f} ms)",
         file=sys.stderr,
     )
 

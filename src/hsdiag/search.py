@@ -5,9 +5,9 @@ order inside linear memory: it explores the best child depth-first until
 the best cost in the current subtree falls below the best known alternative
 (``bound``), then backs the learned cost up and forgets the subtree.
 ``hs_tree`` is the classic breadth-style best-first baseline that keeps the
-expanded tree and an open queue in memory. Both share one labeling routine,
-one conflict store and one instrumentation scheme so their node counts and
-runtimes are directly comparable.
+expanded tree and an open queue in memory. Both label nodes the same way,
+share one conflict store and one instrumentation scheme, so their node
+counts and runtimes are directly comparable.
 
 Costs are node probabilities kept in log scale; the minus-infinity float is
 a pure sentinel (discarded subtree / exhausted node) and is never produced
@@ -50,28 +50,57 @@ ever grow. So:
   in D, as the trace names it.
 
 The hints are the parent's conflict index + 1 and the parent's mask (e is
-the child's mask xor it; the root passes 0 and 0). RBF-HS passes them as
-arguments of ``_rbf_rec``, so its nodes stay five entries long; an HS-Tree
-node carries them as entries 5 and 6, after its mask, where no comparison
-reaches them. With ``debug`` every label is checked against a full scan of
-D and a conflict scan from index 0.
+the child's mask xor it; the root has 0 and 0). In RBF-HS they are fields
+of the frame the child belongs to, so its nodes stay five entries long; an
+HS-Tree node carries them as entries 5 and 6, after its mask, where no
+comparison reaches them. With ``debug`` every label is checked against a
+full scan of D and a conflict scan from index 0.
+
+Each search is one loop with the label written inline. The hot path runs
+on the loop's locals: the closure test over the per-axiom list of the
+node's new axiom, the conflict scan by index from the resume point, and
+the construction of the children, with the label, reuse and node counters
+kept as local ints until the loop ends. The cold paths are ``_SearchCore``
+methods: a fresh conflict, recording a diagnosis and, behind ``if``
+guards, the trace lines and the ``debug`` cross-checks.
+
+RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
+of the tree costs no Python stack and a diagnosis with thousands of
+members is searched like any other. A frame is ``(siblings, -bound,
+c_next, mask)``: the children of one expanded node sorted best first, the
+negated bound the node was entered with, its conflict index + 1 and its
+mask. The current frame lives in locals. Expanding a node pushes the
+current frame and makes the node's frame current; the loop then labels the
+best sibling while its F reaches the bound, with the runner-up's F (or
+the frame's bound, if higher) as the child's bound. A closed or valid node
+backs up the sentinel: its entry 0 is set to ``inf`` and it is re-sorted
+with ``del siblings[0]`` and ``insort``. When the best F falls below the
+bound the level is left: its children are discarded, the parent frame is
+popped, and the best F is written into the parent's best sibling (entry 0),
+which is re-sorted the same way. The root is labeled from a bottom frame
+with no siblings, whose pop ends the search. Trace events come in the
+order of the recursive formulation: LABEL, EXPAND and INHERIT when a node
+is labeled, BACKTRACK when a non-root level is left, and nothing while the
+search stops after its ld-th diagnosis.
 
 Memory the search keeps besides its live nodes (``peak_live_nodes``): the
-conflict store, with one ``(delta, bit)`` list per conflict, D, and the
-per-axiom diagnosis lists, whose total length is the summed size of the
-diagnoses found, at most ld * |K|: bounded by the output, not by the tree.
+RBF-HS frame stack, one 4-tuple per level, O(depth), whose sibling lists
+are live nodes already counted; the conflict store, with one ``(delta,
+bit)`` list per conflict; D; and the per-axiom diagnosis lists, whose total
+length is the summed size of the diagnoses found, at most ld * |K|:
+bounded by the output, not by the tree.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import itemgetter
 
-from .conflict import EmptyConflict, MinimalConflict, NoConflict, find_min_conflict
+from .conflict import MinimalConflict, NoConflict, find_min_conflict
 from .dpi import Diagnosis, Dpi, FaultProbabilities, ValidityChecker, reasoner_for
 from .reasoner import Reasoner
 
@@ -95,6 +124,7 @@ class SearchStats:
     conflict_reuses: int = 0
     solver_calls: int = 0
     wall_time: float = 0.0
+    encode_s: float = 0.0  # building the search's own reasoner, before the timer
 
 
 def _linear(log_cost: float) -> float:
@@ -148,7 +178,8 @@ class SearchResult:
 
 class _SearchCore:
     """State shared by one search run: solution list D, conflict store C,
-    cost model, counters and optional tracing."""
+    cost model, counters and optional tracing. Each search loop writes the
+    labeling hot path out inline; the methods here are its cold paths."""
 
     def __init__(
         self,
@@ -168,21 +199,21 @@ class _SearchCore:
         self.ld = ld
         self.trace = trace
         self.debug = debug
+        self.stats = SearchStats()
         if reasoner is None:  # before the caller's timer starts
+            started = time.perf_counter()
             reasoner = reasoner_for(dpi)
+            if reasoner is not None:
+                self.stats.encode_s = time.perf_counter() - started
         self.reasoner = reasoner
         self._solver_calls_before = reasoner.solver_calls if reasoner else 0
         self.checker = ValidityChecker(dpi, reasoner)
-        self.stats = SearchStats()
         self.diagnoses: list[Diagnosis] = []
         self.diag_masks: list[int] = []  # parallel to diagnoses
         self.conflict_list: list[tuple[str, ...]] = []
         self.conflict_masks: list[int] = []  # parallel to conflict_list
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_list
-        self.aborted = False
-        self._live = 0
-        self.unique_live = True
-        self._live_masks: set[int] = set()
+        self._live_masks: set[int] = set()  # debug, RBF-HS only
         # Per-axiom (delta, bit): a child's cost extends the parent sum by one
         # log term, which keeps equal-probability nodes bitwise equal, and its
         # mask adds the axiom's K bit.
@@ -196,56 +227,22 @@ class _SearchCore:
         for a in dpi.k_ids:
             self.f_empty += math.log(1.0 - pr[a])
 
-    # -- instrumentation ---------------------------------------------------
-
-    def make_root(self, hints: tuple = ()) -> list:
-        root = [-self.f_empty, 0, 0, self.f_empty, 0, *hints]
-        self._created(root)
-        return root
-
-    def make_dummy(self) -> list:
-        dummy = [INF, 0, 0, NEG_INF, None]
-        self._created(dummy)
-        return dummy
-
-    def _created(self, node: list) -> None:
-        stats = self.stats
-        stats.nodes_generated += 1
-        self._live += 1
-        if self._live > stats.peak_live_nodes:
-            stats.peak_live_nodes = self._live
-        if self.debug and node[4] is not None:  # the dummy is not a node set
-            self._track([node])
+    # -- debug and trace ---------------------------------------------------
 
     def _track(self, nodes: list[list]) -> None:
-        """Debug: no two live nodes are set-equal (RBF-HS only; HS-Tree may
-        create a duplicate child briefly before its queue check drops it)."""
-        if self.unique_live:
-            for node in nodes:
-                mask = node[4]
-                assert mask not in self._live_masks, f"duplicate live node {self.dpi.ids_of(mask)}"
-                self._live_masks.add(mask)
+        """Debug (RBF-HS): no two live nodes are set-equal. HS-Tree may
+        create a duplicate child briefly before its queue check drops it."""
+        for node in nodes:
+            mask = node[4]
+            assert mask not in self._live_masks, f"duplicate live node {self.dpi.ids_of(mask)}"
+            self._live_masks.add(mask)
 
-    def discard(self, nodes: list[list]) -> None:
-        self._live -= len(nodes)
-        if self.debug and self.unique_live:
-            for node in nodes:
-                self._live_masks.discard(node[4])
-
-    def assert_drained(self) -> None:
-        if self.debug:
-            assert self._live == 0, f"{self._live} nodes leaked"
+    def _untrack(self, nodes: list[list]) -> None:
+        self._live_masks.difference_update([node[4] for node in nodes])
 
     def emit(self, kind: str, mask: int, parts: tuple = ()) -> None:
         """Append a trace event; callers check ``self.trace is not None``."""
         self.trace.append(TraceEvent((kind, self.dpi, mask, parts)))
-
-    # -- shared Reiter-style labeling ---------------------------------------
-
-    def add_conflict(self, ids: tuple[str, ...]) -> None:
-        self.conflict_list.append(ids)
-        self.conflict_masks.append(self.dpi.mask_of(ids))
-        self.conflict_steps.append([self._step[a] for a in ids])
 
     def _check_label(self, mask: int, verdict: int) -> None:
         """Debug cross-check: the resumed label equals a label from scratch,
@@ -261,63 +258,29 @@ class _SearchCore:
     def _emit_label(self, node: list, *verdict) -> None:
         self.emit("LABEL", node[4], (*verdict, " f=", node[3]))
 
-    def label_expand(self, node: list, bit: int, c_from: int, hinted: bool) -> tuple[int, list[list] | None]:
-        """Label a node and expand it. Returns the store index of the node's
-        minimal conflict and one child per element of it, in stored order;
-        or ``(_CLOSED, None)``, or ``(_VALID, None)`` once the node is
-        recorded as a diagnosis.
-
-        The node is its parent's set plus the axiom ``bit`` (0 at the root),
-        and ``c_from`` is its parent's conflict index + 1 (see the module
-        docstring). Cheapest test first: non-minimality against the found
-        diagnoses that hold ``bit``, then reuse of a stored conflict from
-        ``c_from`` on, and only then a fresh conflict computation on the
-        instance without the node's axioms. A child's F starts at
-        min(f, F): a node expanded before passes its backed-up cost down.
-        With ``hinted`` a child carries its own hints as entries 5 and 6.
-        """
-        stats = self.stats
-        stats.label_calls += 1
-        mask = node[4]
-        for d in self._diags_with[bit]:
-            if d & mask == d:
-                return self._closed(node, d), None
-        for i, c in enumerate(self.conflict_masks[c_from:], c_from):
-            if not c & mask:
-                stats.conflict_reuses += 1
-                if self.debug:
-                    self._check_label(mask, i)
-                if self.trace is not None:
-                    self._emit_label(node, "conflict-reuse {", self.conflict_list[i], "}")
-                break
-        else:
-            i = self._new_conflict(node)
-            if i == _VALID:
-                self.record_diagnosis(node)
-                return i, None
-        f, f_backed, card, c_next = node[3], -node[0], node[1] + 1, i + 1
-        children = []
-        for delta, bit in self.conflict_steps[i]:
-            cf, cmask = f + delta, mask | bit
-            back = -(cf if cf < f_backed else f_backed)
-            if hinted:  # a literal: extending a list would over-allocate it
-                children.append([back, card, -cmask, cf, cmask, c_next, mask])
-            else:
-                children.append([back, card, -cmask, cf, cmask])
-        stats.nodes_generated += len(children)
-        self._live = live = self._live + len(children)
-        if live > stats.peak_live_nodes:
-            stats.peak_live_nodes = live
+    def _reused(self, node: list, i: int) -> None:
+        """A label answered by stored conflict i."""
         if self.debug:
-            self._track(children)
+            self._check_label(node[4], i)
         if self.trace is not None:
-            self.emit("EXPAND", mask, ("conflict={", self.conflict_list[i], "} f=[", [c[3] for c in children], "]"))
-            for child in children:
-                if child[3] > f_backed:  # only below a node expanded before
-                    self.emit("INHERIT", child[4], ("F=", f_backed))
-        return i, children
+            self._emit_label(node, "conflict-reuse {", self.conflict_list[i], "}")
 
-    def _closed(self, node: list, closer: int) -> int:
+    def _expanded(self, node: list, i: int, children: list[list]) -> None:
+        """EXPAND and INHERIT lines of a node expanded on conflict i."""
+        f_backed = -node[0]
+        self.emit("EXPAND", node[4], ("conflict={", self.conflict_list[i], "} f=[", [c[3] for c in children], "]"))
+        for child in children:
+            if child[3] > f_backed:  # only below a node expanded before
+                self.emit("INHERIT", child[4], ("F=", f_backed))
+
+    # -- cold paths of the label ---------------------------------------------
+
+    def add_conflict(self, ids: tuple[str, ...]) -> None:
+        self.conflict_list.append(ids)
+        self.conflict_masks.append(self.dpi.mask_of(ids))
+        self.conflict_steps.append([self._step[a] for a in ids])
+
+    def _closed(self, node: list, closer: int) -> None:
         """A closed label; ``closer`` is the first diagnosis in D inside
         the node, since the per-axiom lists keep D's order."""
         if self.debug:
@@ -325,7 +288,6 @@ class _SearchCore:
         if self.trace is not None:
             ids = self.diagnoses[self.diag_masks.index(closer)].ids
             self._emit_label(node, "closed superset-of={", ids, "}")
-        return _CLOSED
 
     def _new_conflict(self, node: list) -> int:
         """A label no stored conflict answers: the index of a freshly
@@ -346,7 +308,9 @@ class _SearchCore:
             return len(self.conflict_masks) - 1
         raise RuntimeError("empty conflict inside the search tree")  # handled up front
 
-    def record_diagnosis(self, node: list) -> None:
+    def record_diagnosis(self, node: list) -> bool:
+        """Add a valid node to D; True once ld diagnoses are found, when the
+        search stops without further work."""
         mask = node[4]
         ids = self.dpi.ids_of(mask)
         self.diagnoses.append(Diagnosis(ids, _linear(node[3])))
@@ -355,8 +319,7 @@ class _SearchCore:
             self._diags_with[self._step[a][1]].append(mask)
         if self.trace is not None:
             self.emit("DIAG", mask, ("pr=", node[3]))
-        if self.ld is not None and len(self.diagnoses) >= self.ld:
-            self.aborted = True  # exit procedure: unwind without further work
+        return self.ld is not None and len(self.diagnoses) >= self.ld
 
     def result(self, algorithm: str) -> SearchResult:
         if self.reasoner is not None:
@@ -364,19 +327,22 @@ class _SearchCore:
         return SearchResult(algorithm, self.diagnoses, self.stats, tuple(self.conflict_list))
 
 
-def _start(core: _SearchCore):
-    """Trivial cases shared by both algorithms; returns the seeded first
-    conflict or None when the search is already decided."""
-    outcome = find_min_conflict(core.dpi, checker=core.checker)
+def _run(loop, algorithm: str, dpi, pr, ld, trace, debug, reasoner) -> SearchResult:
+    """The part both algorithms share: the timer and the trivial cases. The
+    first conflict is computed here and seeds the store; ``loop`` runs only
+    when there is one."""
+    core = _SearchCore(dpi, pr, ld, trace, debug, reasoner)
+    started = time.perf_counter()
+    outcome = find_min_conflict(dpi, checker=core.checker)
     core.stats.conflict_computations += 1
-    if isinstance(outcome, EmptyConflict):
-        return None
     if isinstance(outcome, NoConflict):
         core.diagnoses.append(Diagnosis((), _linear(core.f_empty)))
         core.diag_masks.append(0)
-        return None
-    core.add_conflict(outcome.ids)
-    return outcome.ids
+    elif isinstance(outcome, MinimalConflict):
+        core.add_conflict(outcome.ids)
+        loop(core)
+    core.stats.wall_time = time.perf_counter() - started
+    return core.result(algorithm)
 
 
 def rbf_hs(
@@ -388,55 +354,118 @@ def rbf_hs(
     debug: bool = False,
     reasoner: Reasoner | None = None,
 ) -> SearchResult:
-    """Recursive best-first hitting-set search.
+    """Recursive best-first hitting-set search, run as one loop over an
+    explicit frame stack.
 
     Returns up to ld minimal diagnoses in non-increasing probability order.
     Peak live nodes stay within (max conflict size + 1) * (|K| + 1): one
-    child list per recursion level, plus the root. On the reasoner backend,
-    pass the DPI's ``reasoner`` to share its encoding with other checks;
-    else the DPI is encoded before the timer starts, so ``wall_time`` never
-    includes encoding.
+    child list per frame, plus the root. On the reasoner backend, pass the
+    DPI's ``reasoner`` to share its encoding with other checks; else the DPI
+    is encoded before the timer starts, so ``wall_time`` never includes
+    encoding (``encode_s`` holds it).
     """
-    core = _SearchCore(dpi, pr, ld, trace, debug, reasoner)
-    started = time.perf_counter()
-    if _start(core) is not None:
-        root = core.make_root()
-        _rbf_rec(core, root, NEG_INF, 0, 0)
-        core.discard([root])
-    core.stats.wall_time = time.perf_counter() - started
-    core.assert_drained()
-    return core.result(RBFHS)
+    return _run(_rbf_loop, RBFHS, dpi, pr, ld, trace, debug, reasoner)
 
 
-def _rbf_rec(core: _SearchCore, node: list, bound: float, c_from: int, parent_mask: int) -> float:
-    """Search below a node; its F is the backed-up cost it inherits."""
-    mask = node[4]
-    i, children = core.label_expand(node, mask ^ parent_mask, c_from, False)
-    if children is None:
-        return NEG_INF
-    c_from = i + 1
-    if len(children) == 1:
-        children.append(core.make_dummy())
-    children.sort()
-    best, runner_up = children[0], children[1]
-    # F >= bound and F above the sentinel, on negated costs
-    while best[0] <= -bound and best[0] != INF:
-        child_bound = -runner_up[0]
-        if child_bound < bound:
-            child_bound = bound
-        new_f = _rbf_rec(core, best, child_bound, c_from, mask)
-        if core.aborted:
-            core.discard(children)
-            return NEG_INF
-        best[0] = -new_f
-        del children[0]
-        insort(children, best)
-        best, runner_up = children[0], children[1]
-    subtree_best = -best[0]
-    core.discard(children)
-    if mask and core.trace is not None:  # not the root
-        core.emit("BACKTRACK", mask, ("F=", subtree_best, " bound=", bound))
-    return subtree_best
+def _rbf_loop(core: _SearchCore) -> None:
+    stats, debug, tracing = core.stats, core.debug, core.trace is not None
+    checked = debug or tracing
+    diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
+    stored = len(masks)
+    labels = reuses = 0
+    generated = live = peak = 1
+    # the root, whose bound is -inf; bounds are kept negated, like F
+    node, node_nbound = [-core.f_empty, 0, 0, core.f_empty, 0], INF
+    if debug:
+        core._track([node])
+    # The current frame: the expanded node's children sorted best first, its
+    # negated bound, its conflict index + 1 and its mask. The root is labeled
+    # from a bottom frame with no children, whose pop ends the search.
+    siblings, nbound, c_next, pmask = None, INF, 0, 0
+    stack = []
+    while node is not None:
+        # -- label `node`, a child of the current frame (the root expands:
+        # D is empty and the seeded conflict is disjoint from it)
+        labels += 1
+        mask = node[4]
+        i = _CLOSED
+        for d in diags_with[mask ^ pmask]:
+            if d & mask == d:
+                if checked:
+                    core._closed(node, d)
+                break
+        else:
+            i = c_next
+            while i < stored:
+                if not masks[i] & mask:
+                    reuses += 1
+                    if checked:
+                        core._reused(node, i)
+                    break
+                i += 1
+            else:
+                i = core._new_conflict(node)
+                if i >= 0:
+                    stored += 1
+        if i >= 0:  # expand it and go down: its frame becomes the current one
+            f, back = node[3], node[0]
+            f_backed, card = -back, node[1] + 1
+            children = []
+            for delta, bit in steps[i]:
+                cf = f + delta
+                cmask = mask | bit
+                children.append([-cf if cf < f_backed else back, card, -cmask, cf, cmask])
+            if debug:
+                core._track(children)
+            if tracing:
+                core._expanded(node, i, children)
+            n = len(children)
+            if n == 1:
+                children.append([INF, 0, 0, NEG_INF, None])  # the dummy sibling
+                n = 2
+            generated += n
+            live += n
+            if live > peak:
+                peak = live
+            children.sort()
+            stack.append((siblings, nbound, c_next, pmask))
+            siblings, nbound, c_next, pmask = children, node_nbound, i + 1, mask
+        elif i == _VALID and core.record_diagnosis(node):
+            # ld diagnoses found: stop with no further work; stack[0] is the
+            # bottom frame
+            live -= len(siblings) + sum(len(frame[0]) for frame in stack[1:])
+            break
+        else:  # a leaf backs up the sentinel
+            node[0] = INF
+            del siblings[0]
+            insort(siblings, node)
+        while True:
+            best = siblings[0]
+            backed = best[0]
+            # F >= bound and F above the sentinel, on negated costs: go down
+            if backed <= nbound and backed != INF:
+                runner_up = siblings[1][0]
+                node, node_nbound = best, (runner_up if runner_up < nbound else nbound)
+                break
+            # leave the level: back the best F up into the parent's best child
+            live -= len(siblings)
+            if debug:
+                core._untrack(siblings)
+            if pmask and tracing:  # not the root
+                core.emit("BACKTRACK", pmask, ("F=", -backed, " bound=", -nbound))
+            siblings, nbound, c_next, pmask = stack.pop()
+            if siblings is None:
+                node = None
+                break
+            best = siblings[0]
+            best[0] = backed
+            del siblings[0]
+            insort(siblings, best)
+    live -= 1  # the root
+    if debug:
+        assert live == 0, f"{live} nodes leaked"
+    stats.label_calls, stats.conflict_reuses = labels, reuses
+    stats.nodes_generated, stats.peak_live_nodes = generated, peak
 
 
 def hs_tree(
@@ -451,44 +480,79 @@ def hs_tree(
     """Reiter-style best-first hitting-set tree.
 
     Open nodes sit in a binary heap ordered like the RBF-HS sort; labeling
-    and the conflict store are shared with rbf_hs, the only additions being
+    and the conflict store are those of rbf_hs, the only additions being
     the duplicate check against queued nodes and full tree retention
     (expanded inner nodes stay in memory until the search ends, which is what
     the peak-node metric measures). ``reasoner`` is shared as in rbf_hs.
     """
-    core = _SearchCore(dpi, pr, ld, trace, debug, reasoner)
-    core.unique_live = False
-    started = time.perf_counter()
-    if _start(core) is not None:
-        # A node is [-F, card, -mask, f, mask, c_from, parent mask].
-        # Queued masks are unique (set-equal children are dropped below), so
-        # heap comparisons never tie on the sort key and pops follow the full
-        # sort order.
-        queue = [core.make_root((0, 0))]
-        queued_masks = {0}
-        retained: list[list] = []
-        while queue:
-            node = heapq.heappop(queue)
-            mask = node[4]
-            queued_masks.discard(mask)
-            _, children = core.label_expand(node, mask ^ node[6], node[5], True)
-            if children is None:
-                core.discard([node])
-                if core.aborted:
+    return _run(_hs_loop, HSTREE, dpi, pr, ld, trace, debug, reasoner)
+
+
+def _hs_loop(core: _SearchCore) -> None:
+    stats, debug, tracing = core.stats, core.debug, core.trace is not None
+    checked = debug or tracing
+    diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
+    stored = len(masks)
+    labels = reuses = 0
+    generated = live = peak = 1
+    # A node is [-F, card, -mask, f, mask, c_from, parent mask]. Queued masks
+    # are unique (set-equal children are dropped below), so heap comparisons
+    # never tie on the sort key and pops follow the full sort order.
+    queue = [[-core.f_empty, 0, 0, core.f_empty, 0, 0, 0]]
+    queued_masks = {0}
+    retained: list[list] = []
+    while queue:
+        node = heappop(queue)
+        mask = node[4]
+        queued_masks.discard(mask)
+        labels += 1
+        i = _CLOSED
+        for d in diags_with[mask ^ node[6]]:
+            if d & mask == d:
+                if checked:
+                    core._closed(node, d)
+                break
+        else:
+            i = node[5]
+            while i < stored:
+                if not masks[i] & mask:
+                    reuses += 1
+                    if checked:
+                        core._reused(node, i)
                     break
+                i += 1
+            else:
+                i = core._new_conflict(node)
+                if i >= 0:
+                    stored += 1
+        if i < 0:
+            live -= 1
+            if i == _VALID and core.record_diagnosis(node):
+                break
+            continue
+        retained.append(node)
+        f, back = node[3], node[0]
+        f_backed, card, c_next = -back, node[1] + 1, i + 1
+        children = []
+        for delta, bit in steps[i]:
+            cf = f + delta
+            cmask = mask | bit
+            children.append([-cf if cf < f_backed else back, card, -cmask, cf, cmask, c_next, mask])
+        n = len(children)
+        generated += n
+        live += n
+        if live > peak:
+            peak = live
+        if tracing:
+            core._expanded(node, i, children)
+        for child in children:
+            if child[4] in queued_masks:
+                live -= 1  # set-equal to a queued node
                 continue
-            retained.append(node)
-            duplicates = []
-            for child in children:
-                if child[4] in queued_masks:
-                    duplicates.append(child)  # set-equal to a queued node
-                    continue
-                heapq.heappush(queue, child)
-                queued_masks.add(child[4])
-            if duplicates:
-                core.discard(duplicates)
-        core.discard(queue)
-        core.discard(retained)
-    core.stats.wall_time = time.perf_counter() - started
-    core.assert_drained()
-    return core.result(HSTREE)
+            heappush(queue, child)
+            queued_masks.add(child[4])
+    live -= len(queue) + len(retained)
+    if debug:
+        assert live == 0, f"{live} nodes leaked"
+    stats.label_calls, stats.conflict_reuses = labels, reuses
+    stats.nodes_generated, stats.peak_live_nodes = generated, peak

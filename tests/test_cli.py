@@ -239,6 +239,24 @@ def test_diag_deep_formula_fails_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_diag_reports_encoding_time(capsys):
+    assert main(["diag", "--dpi", table1_path(), "--mode", "card", "--ld", "4"]) == 0
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    assert summary.startswith("4 diagnosis(es) in ") and summary.endswith(" ms)")
+    assert float(summary.split("(encoding ")[1].split()[0]) > 0
+
+
+def test_diag_rbfhs_finds_a_diagnosis_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # 1,500 singleton conflicts: the one diagnosis lies 1,500 levels down
+    ids = [str(i + 1) for i in range(1500)]
+    path = tmp_path / "deep.dpi"
+    path.write_text(dumps(Dpi.abstract(ids, [[a] for a in ids])))
+    assert main(["diag", "--dpi", str(path), "--algo", "rbfhs", "--mode", "card", "--ld", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert "error:" not in err
+    assert out.split()[1] == ",".join(ids)
+
+
 def test_diag_prob_mode_requires_pr(tmp_path, capsys):
     path = tmp_path / "nopr.dpi"
     path.write_text("[K]\nax1: A\nax2: !A\n")

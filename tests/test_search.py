@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -314,6 +315,32 @@ def test_wall_time_excludes_encoding(table1, table1_card, monkeypatch, search):
     result = search(dpi, table1_card, 4)
     assert len(result.diagnoses) == 4
     assert result.stats.wall_time < 0.2
+
+
+@pytest.mark.parametrize("search", [rbf_hs, hs_tree])
+def test_encode_s_times_the_searchs_own_reasoner(table1, table1_card, ex4, search):
+    dpi, _ = table1
+    assert search(dpi, table1_card, 4).stats.encode_s > 0
+    assert search(dpi, table1_card, 4, reasoner=Reasoner(dpi)).stats.encode_s == 0.0
+    abstract, pr = ex4
+    assert search(abstract, pr, 4).stats.encode_s == 0.0
+
+
+def singleton_conflicts(n: int) -> Dpi:
+    """n components, each a conflict of its own: the one diagnosis holds
+    all of them and lies n levels below the root."""
+    ids = [str(i + 1) for i in range(n)]
+    return Dpi.abstract(ids, [[a] for a in ids])
+
+
+@pytest.mark.parametrize("search", [rbf_hs, hs_tree])
+def test_diagnosis_deeper_than_the_recursion_limit(search):
+    dpi = singleton_conflicts(1500)
+    assert len(dpi.k_ids) > sys.getrecursionlimit()
+    result = search(dpi, cardinality_pr(dpi.k_ids), 1)
+    assert result.diagnosis_sets() == [frozenset(dpi.k_ids)]
+    if search is rbf_hs:  # max conflict size 1
+        assert result.stats.peak_live_nodes <= (1 + 1) * (len(dpi.k_ids) + 1)
 
 
 def test_solver_calls_count_the_searchs_solves(table1, table1_card, ex4, monkeypatch):

@@ -206,6 +206,15 @@ def test_session_encodes_once(table1, table1_card, monkeypatch, algo, check_actu
 
 
 @pytest.mark.parametrize("algo", ["rbfhs", "hstree"])
+def test_session_searches_spend_no_time_encoding(table1, table1_card, algo):
+    # the session's reasoner is built before its first search, and every
+    # search is handed it
+    dpi, _ = table1
+    trace = run_session(dpi, table1_card, 4, {"ax1", "ax3"}, algo)
+    assert [it.stats.encode_s for it in trace.iterations] == [0.0] * 3
+
+
+@pytest.mark.parametrize("algo", ["rbfhs", "hstree"])
 def test_session_leaves_no_cyclic_garbage(table1, table1_card, algo):
     # the session's reasoner, with its memo, is freed when the session
     # returns, not whenever the cyclic garbage collector next runs
