@@ -28,7 +28,7 @@ from .dpi import (
     cost_adjust,
 )
 from .dpifile import load_dpi_file
-from .search import HSTREE, RBFHS, SearchStats, rbf_hs
+from .search import COUNTERS, HSTREE, RBFHS, SEARCHES, SearchStats, rbf_hs
 from .sequential import SessionTrace, run_session
 
 SUMMARY_HEADER = "dpi,ld,memory_factor,time_factor"
@@ -53,14 +53,7 @@ class BenchRow:
     def __post_init__(self):
         if self.diagnoses_found > self.ld:
             raise ValueError("diagnoses_found exceeds ld")
-        for name in (
-            "peak_live_nodes",
-            "nodes_generated",
-            "label_calls",
-            "conflict_computations",
-            "conflict_reuses",
-            "diagnoses_found",
-        ):
+        for name in (*COUNTERS, "diagnoses_found"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -106,18 +99,16 @@ def stats_row(
 ) -> BenchRow:
     """One row over the searches of a cell: times and counters summed, the
     peak node count the maximum."""
+    counts = {c: sum(getattr(s, c) for s in stats) for c in COUNTERS}
+    counts["peak_live_nodes"] = max(s.peak_live_nodes for s in stats)
     return BenchRow(
         dpi=name,
         algo=algo,
         ld=ld,
         session=session,
         runtime_ms=sum(s.wall_time for s in stats) * 1000.0,
-        peak_live_nodes=max(s.peak_live_nodes for s in stats),
-        nodes_generated=sum(s.nodes_generated for s in stats),
-        label_calls=sum(s.label_calls for s in stats),
-        conflict_computations=sum(s.conflict_computations for s in stats),
-        conflict_reuses=sum(s.conflict_reuses for s in stats),
         diagnoses_found=diagnoses_found,
+        **counts,
     )
 
 
@@ -195,7 +186,7 @@ def run_bench(
         except Exception as exc:
             failures.append(CellFailure(name, "*", 0, 0, str(exc)))
             continue
-        for algo in (RBFHS, HSTREE):
+        for algo in SEARCHES:
             for ld in ld_values:
                 for session, actual in enumerate(actuals):
                     try:

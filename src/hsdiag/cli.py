@@ -20,9 +20,11 @@ from .dpi import (
     is_valid_set,
     log_pr_of,
     normalized_logs,
+    reasoner_for,
 )
 from .dpifile import load_dpi_file
-from .search import HSTREE, RBFHS, SearchResult, hs_tree, rbf_hs
+from .reasoner import Reasoner
+from .search import COUNTERS, RBFHS, SEARCHES, SearchResult
 from .sequential import NonDiscriminableError, run_session
 
 
@@ -39,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser("diag", help="compute leading minimal diagnoses")
     diag.add_argument("--dpi", required=True, help="DPI file")
-    diag.add_argument("--algo", choices=(RBFHS, HSTREE), default=RBFHS)
+    diag.add_argument("--algo", choices=tuple(SEARCHES), default=RBFHS)
     diag.add_argument("--mode", choices=("card", "prob"), default="card")
     diag.add_argument("--ld", type=positive_int, required=True)
     diag.add_argument("--trace", help="write search events to this file")
@@ -48,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq = sub.add_parser("sequential", help="run sequential diagnosis sessions")
     seq.add_argument("--dpi", required=True)
-    seq.add_argument("--algo", choices=(RBFHS, HSTREE), default=RBFHS)
+    seq.add_argument("--algo", choices=tuple(SEARCHES), default=RBFHS)
     seq.add_argument("--mode", choices=("card", "prob"), default="card")
     seq.add_argument("--ld", type=positive_int, default=4)
     seq.add_argument("--actual", help="comma-separated axiom ids of the actual diagnosis")
@@ -97,8 +99,7 @@ def _load(args) -> tuple[Dpi, object]:
 def cmd_diag(args) -> int:
     dpi, pr = _load(args)
     trace = [] if args.trace else None
-    search = rbf_hs if args.algo == RBFHS else hs_tree
-    result: SearchResult = search(dpi, pr, args.ld, trace=trace)
+    result: SearchResult = SEARCHES[args.algo](dpi, pr, args.ld, trace=trace)
     _print_diagnoses(result, dpi, pr)
     if args.trace:
         Path(args.trace).write_text(
@@ -159,13 +160,7 @@ def _iteration_records(session: int, iterations) -> list[dict]:
             "diagnoses": [list(d.ids) for d in it.diagnoses],
             "query": it.query.axiom_id if it.query else None,
             "answer": it.answer,
-            "stats": {
-                "peak_live_nodes": it.stats.peak_live_nodes,
-                "nodes_generated": it.stats.nodes_generated,
-                "label_calls": it.stats.label_calls,
-                "conflict_computations": it.stats.conflict_computations,
-                "conflict_reuses": it.stats.conflict_reuses,
-            },
+            "stats": {c: getattr(it.stats, c) for c in COUNTERS},
         }
         for i, it in enumerate(iterations)
     ]
@@ -253,6 +248,7 @@ def cmd_check(args) -> int:
         if not ok:
             failures += 1
 
+    reasoner = reasoner_for(dpi)  # one encoding for every check below
     oracle_diags = brute_force_min_diagnoses(dpi)
     oracle_sets = {d.id_set for d in oracle_diags}
     oracle_conflicts = brute_force_min_conflicts(dpi)
@@ -260,10 +256,7 @@ def cmd_check(args) -> int:
     results = []
     for mode in modes:
         pr = bench_mod.pick_probabilities(dpi, file_pr, mode)
-        results += [
-            (mode, rbf_hs(dpi, pr, None, debug=True)),
-            (mode, hs_tree(dpi, pr, None, debug=True)),
-        ]
+        results += [(mode, search(dpi, pr, None, debug=True)) for search in SEARCHES.values()]
     for mode, result in results:
         tag = f"{result.algorithm}[{mode}]"
         report(
@@ -277,8 +270,8 @@ def cmd_check(args) -> int:
         report(
             f"{tag} stored conflicts are minimal conflicts",
             all(
-                not is_valid_set(dpi, conflict)
-                and all(is_valid_set(dpi, set(conflict) - {e}) for e in conflict)
+                not is_valid_set(dpi, conflict, reasoner)
+                and all(is_valid_set(dpi, set(conflict) - {e}, reasoner) for e in conflict)
                 for conflict in result.conflicts
             ),
         )
@@ -291,12 +284,12 @@ def cmd_check(args) -> int:
         "every minimal diagnosis hits every minimal conflict",
         all(d.id_set & set(c) for d in oracle_diags for c in oracle_conflicts),
     )
-    report("duality on sampled subsets", _duality_sample(dpi, args.seed))
+    report("duality on sampled subsets", _duality_sample(dpi, args.seed, reasoner))
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1
 
 
-def _duality_sample(dpi: Dpi, seed: int, limit: int = 4096) -> bool:
+def _duality_sample(dpi: Dpi, seed: int, reasoner: Reasoner | None, limit: int = 4096) -> bool:
     import random
 
     n = len(dpi.k_ids)
@@ -308,7 +301,7 @@ def _duality_sample(dpi: Dpi, seed: int, limit: int = 4096) -> bool:
     for mask in masks:
         subset = [dpi.k_ids[i] for i in range(n) if mask >> i & 1]
         rest = [dpi.k_ids[i] for i in range(n) if not mask >> i & 1]
-        if is_diagnosis(dpi, subset) != is_valid_set(dpi, rest):
+        if is_diagnosis(dpi, subset, reasoner) != is_valid_set(dpi, rest, reasoner):
             return False
     return True
 

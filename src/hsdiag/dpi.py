@@ -168,7 +168,6 @@ class Dpi:
     negative: frozenset[Formula] = frozenset()
     conflict_family: tuple[tuple[str, ...], ...] | None = None
     positive_ids: frozenset[str] = frozenset()
-    negative_ids: frozenset[str] = frozenset()
     pr: FaultProbabilities | None = None
     # the abstract conflict family as K-masks, derived from conflict_family
     family_masks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
@@ -312,7 +311,7 @@ def is_valid_set(dpi: Dpi, ids: Iterable[str] | int, reasoner: Reasoner | None =
     mask = dpi.mask_of(ids)
     if dpi.kind == ABSTRACT:
         return not any(m & mask == m for m in dpi.family_masks)
-    return (reasoner or Reasoner(dpi)).is_valid(mask)
+    return (reasoner or reasoner_for(dpi)).is_valid(mask)
 
 
 def is_diagnosis(dpi: Dpi, ids: Iterable[str] | int, reasoner: Reasoner | None = None) -> bool:
@@ -331,8 +330,7 @@ def is_minimal_diagnosis(
     to reuse its encoding; else one is built here.
     """
     mask = dpi.mask_of(ids)
-    if reasoner is None:
-        reasoner = reasoner_for(dpi)
+    reasoner = reasoner or reasoner_for(dpi)
     if not is_diagnosis(dpi, mask, reasoner):
         return False
     bits = (1 << i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -411,7 +409,7 @@ def brute_force_min_diagnoses(dpi: Dpi) -> list[Diagnosis]:
             return all(m & mask for m in member_masks)
 
     else:
-        reasoner = Reasoner(dpi)
+        reasoner = reasoner_for(dpi)
 
         def is_diag(mask: int) -> bool:
             rest = [dpi.k_ids[i] for i in range(n) if not mask >> i & 1]
@@ -436,7 +434,7 @@ def brute_force_min_conflicts(dpi: Dpi) -> list[tuple[str, ...]]:
             return any(m & mask == m for m in member_masks)
 
     else:
-        reasoner = Reasoner(dpi)
+        reasoner = reasoner_for(dpi)
 
         def invalid(mask: int) -> bool:
             subset = [dpi.k_ids[i] for i in range(n) if mask >> i & 1]

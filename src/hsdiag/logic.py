@@ -81,11 +81,17 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
+# The binary operators, loosest first: (token, node class, right-associative).
+# The parser, the printer and the atom walk all read this table; `!` binds
+# tighter than every entry.
+_BINARY = (("<->", Iff, True), ("->", Implies, True), ("|", Or, False), ("&", And, False))
+_BINARY_CLASSES = tuple(ctor for _, ctor, _ in _BINARY)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
-#
-# Grammar (tightest first): !  &  |  ->  <->
-# `->` and `<->` associate to the right, `&` and `|` to the left.
+
+_LEVEL = {token: i for i, (token, _, _) in enumerate(_BINARY)}  # token -> table index
 
 _TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><->|->|[!&|()])|(?P<ws>\s+)")
 
@@ -130,37 +136,19 @@ class _Parser:
         return ParseError(message, line, col)
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary(0)
         if self.peek()[0] != "end":
             raise self.error(f"unexpected {self.peek()[1]!r}")
         return f
 
-    def iff(self) -> Formula:
-        lhs = self.imp()
-        if self.peek()[0] == "<->":
-            self.take()
-            return Iff(lhs, self.iff())
-        return lhs
-
-    def imp(self) -> Formula:
-        lhs = self.disj()
-        if self.peek()[0] == "->":
-            self.take()
-            return Implies(lhs, self.imp())
-        return lhs
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def binary(self, level: int) -> Formula:
+        """Precedence climbing: a unary operand, then every operator that
+        binds at ``level`` or tighter, each with its right operand."""
         f = self.unary()
-        while self.peek()[0] == "&":
-            self.take()
-            f = And(f, self.unary())
+        while _LEVEL.get(self.peek()[0], -1) >= level:
+            i = _LEVEL[self.take()[0]]
+            _, ctor, right = _BINARY[i]
+            f = ctor(f, self.binary(i if right else i + 1))
         return f
 
     def unary(self) -> Formula:
@@ -170,7 +158,7 @@ class _Parser:
             return Not(self.unary())
         if kind == "(":
             self.take()
-            f = self.iff()
+            f = self.binary(0)
             if self.peek()[0] != ")":
                 raise self.error("expected ')'")
             self.take()
@@ -193,7 +181,12 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing (inverse of the parser up to structural equality)
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Const: 6}
+# node class -> (token, precedence, left floor, right floor); precedence is
+# the table index + 1, and the side an operator associates to keeps it as
+# its floor. A node is parenthesised when its precedence is below the floor.
+_PRINT = {ctor: (token, i + 1, i + 1 + right, i + 2 - right)
+          for i, (token, ctor, right) in enumerate(_BINARY)}
+_NOT_FLOOR = len(_BINARY) + 1  # above every binary operator
 
 
 def format_formula(f: Formula) -> str:
@@ -201,24 +194,18 @@ def format_formula(f: Formula) -> str:
 
 
 def _fmt(f: Formula, floor: int) -> str:
-    prec = _PREC[type(f)]
+    op = _PRINT.get(type(f))
+    if op is not None:
+        token, prec, left, right = op
+        s = f"{_fmt(f.lhs, left)} {token} {_fmt(f.rhs, right)}"
+        return f"({s})" if prec < floor else s
+    if isinstance(f, Not):  # never parenthesised: no floor exceeds its own
+        return "!" + _fmt(f.operand, _NOT_FLOOR)
+    if isinstance(f, Atom):
+        return f.name
     if isinstance(f, Const):
-        s = "true" if f.value else "false"
-    elif isinstance(f, Atom):
-        s = f.name
-    elif isinstance(f, Not):
-        s = "!" + _fmt(f.operand, 5)
-    elif isinstance(f, And):
-        s = f"{_fmt(f.lhs, 4)} & {_fmt(f.rhs, 5)}"
-    elif isinstance(f, Or):
-        s = f"{_fmt(f.lhs, 3)} | {_fmt(f.rhs, 4)}"
-    elif isinstance(f, Implies):
-        s = f"{_fmt(f.lhs, 3)} -> {_fmt(f.rhs, 2)}"
-    elif isinstance(f, Iff):
-        s = f"{_fmt(f.lhs, 2)} <-> {_fmt(f.rhs, 1)}"
-    else:  # pragma: no cover
-        raise TypeError(f"not a formula: {f!r}")
-    return f"({s})" if prec < floor else s
+        return "true" if f.value else "false"
+    raise TypeError(f"not a formula: {f!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +301,7 @@ def _collect_atoms(f: Formula, into: set[str]) -> None:
         into.add(f.name)
     elif isinstance(f, Not):
         _collect_atoms(f.operand, into)
-    elif isinstance(f, (And, Or, Implies, Iff)):
+    elif isinstance(f, _BINARY_CLASSES):
         _collect_atoms(f.lhs, into)
         _collect_atoms(f.rhs, into)
 

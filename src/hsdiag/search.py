@@ -127,6 +127,12 @@ class SearchStats:
     encode_s: float = 0.0  # building the search's own reasoner, before the timer
 
 
+# The counters that bench rows and session records report, in column order.
+COUNTERS = (
+    "peak_live_nodes", "nodes_generated", "label_calls", "conflict_computations", "conflict_reuses"
+)
+
+
 def _linear(log_cost: float) -> float:
     return 0.0 if log_cost == NEG_INF else math.exp(log_cost)
 
@@ -556,3 +562,6 @@ def _hs_loop(core: _SearchCore) -> None:
         assert live == 0, f"{live} nodes leaked"
     stats.label_calls, stats.conflict_reuses = labels, reuses
     stats.nodes_generated, stats.peak_live_nodes = generated, peak
+
+
+SEARCHES = {RBFHS: rbf_hs, HSTREE: hs_tree}  # by algorithm name, in `--algo` choice order

@@ -28,7 +28,7 @@ from .dpi import (
 )
 from .logic import Formula
 from .reasoner import Reasoner
-from .search import HSTREE, RBFHS, SearchResult, SearchStats, hs_tree, rbf_hs
+from .search import RBFHS, SEARCHES, SearchResult, SearchStats
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ def partition(
     """
     if not diagnoses:
         raise ValueError("partition needs at least one diagnosis")
-    if reasoner is None:
-        reasoner = reasoner_for(dpi)
+    reasoner = reasoner or reasoner_for(dpi)
     full, bit = dpi.mask_of(dpi.k_ids), dpi.mask_of((query.axiom_id,))
     dplus, dminus, dzero = [], [], []
     for diag in diagnoses:
@@ -140,8 +139,7 @@ def ent_select(
     anywhere = set.union(*(set(d.ids) for d in diagnoses))
     best: tuple[float, int, int] | None = None
     best_query: Query | None = None
-    if reasoner is None:
-        reasoner = reasoner_for(dpi)
+    reasoner = reasoner or reasoner_for(dpi)
     for idx, axiom in enumerate(dpi.k_ids):
         if axiom not in anywhere or axiom in common:
             continue
@@ -189,10 +187,7 @@ def update_dpi(
             dpi, conflict_family=family, positive_ids=dpi.positive_ids | {axiom}
         )
     family = antichain_reduce(list(dpi.conflict_family) + [(axiom,)])
-    return replace(dpi, conflict_family=family, negative_ids=dpi.negative_ids | {axiom})
-
-
-_ALGOS = {RBFHS: rbf_hs, HSTREE: hs_tree}
+    return replace(dpi, conflict_family=family)
 
 
 def run_session(
@@ -215,9 +210,9 @@ def run_session(
     """
     if ld < 2:
         raise ValueError("sessions need ld of at least 2 to detect isolation")
-    if algo not in _ALGOS:
+    if algo not in SEARCHES:
         raise ValueError(f"unknown algorithm: {algo!r}")
-    search = _ALGOS[algo]
+    search = SEARCHES[algo]
     actual_ids = actual.id_set if isinstance(actual, Diagnosis) else frozenset(actual)
     reasoner = reasoner_for(dpi)
     if check_actual and not is_minimal_diagnosis(dpi, actual_ids, reasoner):

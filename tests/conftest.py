@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,39 @@ settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Far above the slowest test, so only a test that never ends reaches it.
+TEST_TIME_LIMIT_S = 120
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time
+    have passed; an enclosing limit is re-armed on the way out."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past its {seconds} s time limit")
+
+    previous_handler = signal.signal(signal.SIGALRM, expire)
+    previous_delay, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous_handler)
+        if previous_delay:
+            signal.setitimer(signal.ITIMER_REAL, previous_delay)
+
+
+@pytest.fixture(autouse=True)
+def per_test_time_limit():
+    """Every test fails after TEST_TIME_LIMIT_S instead of hanging the run
+    (say, a search that loops for ever); a no-op without SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    with time_limit(TEST_TIME_LIMIT_S):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from hsdiag import Dpi, DpiFileError, dumps, gen_random_dpi, load_dpi_file, loads, parse_formula
-from hsdiag.bench import BenchRow, CSV_HEADER, read_rows, write_rows
+from hsdiag.bench import BenchRow, CSV_HEADER, read_rows, stats_row, write_rows
 from hsdiag.cli import main
+from hsdiag.reasoner import Reasoner
+from hsdiag.search import COUNTERS, SearchStats
 
 from conftest import FIXTURES
 
@@ -185,6 +187,24 @@ def test_bench_header_exact():
     )
 
 
+def test_counters_are_bench_columns_in_order():
+    assert [c for c in CSV_HEADER.split(",") if c in COUNTERS] == list(COUNTERS)
+
+
+def test_stats_row_sums_counters_and_takes_the_largest_peak():
+    a = SearchStats(9, 27, 21, 8, 6, wall_time=0.5)
+    b = SearchStats(4, 10, 7, 3, 5, wall_time=0.25)
+    row = stats_row("t", "hstree", 4, 1, [a, b], 3)
+    assert {c: getattr(row, c) for c in COUNTERS} == {
+        "peak_live_nodes": 9,
+        "nodes_generated": 37,
+        "label_calls": 28,
+        "conflict_computations": 11,
+        "conflict_reuses": 11,
+    }
+    assert (row.runtime_ms, row.diagnoses_found) == (750.0, 3)
+
+
 def test_bench_row_invariants():
     with pytest.raises(ValueError, match="exceeds ld"):
         make_row(diagnoses_found=5)
@@ -334,6 +354,9 @@ def test_sequential_actual_flag(tmp_path, capsys):
     records = [json.loads(l) for l in trace_out.read_text().splitlines()]
     assert records[-1]["final"] == ["ax1", "ax3"]
     assert records[-1]["queries"] == 2
+    iterations = [r for r in records if "iteration" in r]
+    assert len(iterations) == 3
+    assert all(sorted(r["stats"]) == sorted(COUNTERS) for r in iterations)
 
 
 def test_sequential_seeded_sessions_deterministic(tmp_path, capsys):
@@ -473,6 +496,22 @@ def test_check_passes_on_fixtures(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert main(["check", "--dpi", ex4_path()]) == 0
+
+
+def test_check_encodes_the_dpi_a_bounded_number_of_times(monkeypatch, capsys):
+    # one reasoner for the stored-conflict and duality checks, plus one per
+    # brute-force oracle and one per search run (two modes, two algorithms)
+    builds = []
+    init = Reasoner.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Reasoner, "__init__", counting_init)
+    assert main(["check", "--dpi", table1_path()]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert len(builds) <= 7
 
 
 def test_check_rejects_corrupt_fixture(tmp_path, capsys):

@@ -124,6 +124,38 @@ def test_invalid_atom_name_rejected():
         Atom("1abc")
 
 
+def test_deep_parentheses_parse():
+    # two parser frames per parenthesis
+    assert parse_formula("(" * 300 + "x" + ")" * 300) == Atom("x")
+
+
+@pytest.mark.parametrize(
+    "f, text",
+    [
+        (Implies(A, Implies(B, C)), "A -> B -> C"),
+        (Implies(Implies(A, B), C), "(A -> B) -> C"),
+        (Iff(A, Iff(B, C)), "A <-> B <-> C"),
+        (Iff(Iff(A, B), C), "(A <-> B) <-> C"),
+        (And(And(A, B), C), "A & B & C"),
+        (And(A, And(B, C)), "A & (B & C)"),
+        (Or(Or(A, B), C), "A | B | C"),
+        (Or(A, Or(B, C)), "A | (B | C)"),
+        (And(Or(A, B), C), "(A | B) & C"),
+        (Or(A, And(B, C)), "A | B & C"),
+        (Implies(A, Iff(B, C)), "A -> (B <-> C)"),
+        (Iff(Implies(A, B), C), "A -> B <-> C"),
+        (Not(And(A, B)), "!(A & B)"),
+        (And(Not(A), B), "!A & B"),
+        (Not(Not(A)), "!!A"),
+        (Implies(Const(True), Const(False)), "true -> false"),
+    ],
+)
+def test_printer_spelling(f, text):
+    # the exact text `dumps` writes and the reasoner sorts formulas by
+    assert format_formula(f) == text
+    assert parse_formula(text) == f
+
+
 @given(st.integers(0, 10_000))
 def test_printer_round_trip(seed):
     rng = random.Random(seed)
