@@ -9,7 +9,9 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
+from . import logic
 from .dpi import (
+    ABSTRACT,
     BRUTE_FORCE_LIMIT,
     Dpi,
     FaultProbabilities,
@@ -290,6 +292,12 @@ def cmd_check(args) -> int:
 
 
 def _duality_sample(dpi: Dpi, seed: int, reasoner: Reasoner | None, limit: int = 4096) -> bool:
+    """Duality on sampled subsets D of K: ``is_diagnosis(D)`` against a test
+    of K minus D that shares nothing with it. On the reasoner backend that
+    test encodes the complement's sentences with B and P into a fresh CNF,
+    checks it consistent and checks that it entails no negative
+    measurement; on the abstract backend it looks for a conflict whose ids
+    all lie in the complement."""
     import random
 
     n = len(dpi.k_ids)
@@ -298,10 +306,26 @@ def _duality_sample(dpi: Dpi, seed: int, reasoner: Reasoner | None, limit: int =
     else:
         rng = random.Random(seed)
         masks = (rng.getrandbits(n) for _ in range(limit))
+    if dpi.kind == ABSTRACT:
+        family = dpi.family_sets()
+
+        def valid(rest: list[str]) -> bool:
+            present = set(rest)
+            return not any(member <= present for member in family)
+
+    else:
+        known = [*dpi.background, *dpi.positive]
+
+        def valid(rest: list[str]) -> bool:
+            sentences = known + [dpi.formula_of(a) for a in rest]
+            return logic.is_consistent(sentences) and not any(
+                logic.entails(sentences, m) for m in dpi.negative
+            )
+
     for mask in masks:
         subset = [dpi.k_ids[i] for i in range(n) if mask >> i & 1]
         rest = [dpi.k_ids[i] for i in range(n) if not mask >> i & 1]
-        if is_diagnosis(dpi, subset, reasoner) != is_valid_set(dpi, rest, reasoner):
+        if is_diagnosis(dpi, subset, reasoner) != valid(rest):
             return False
     return True
 

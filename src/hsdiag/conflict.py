@@ -4,9 +4,10 @@
 returns an empty-conflict marker when the background alone is already
 invalid, a no-conflict marker when the full assumption set is valid, and a
 subset-minimal conflict otherwise. The reasoner backend extracts the
-conflict with QuickXplain over the validity predicate; the abstract backend
-reads it off the attached family (the first stored member avoiding the
-exclusion set), which keeps walkthrough reproductions exact.
+conflict with QuickXplain over the validity predicate, on K-masks from the
+exclusion set to the last check; the abstract backend reads it off the
+attached family (the first stored member avoiding the exclusion set), which
+keeps walkthrough reproductions exact.
 """
 
 from __future__ import annotations
@@ -42,25 +43,36 @@ ConflictOutcome = EmptyConflict | NoConflict | MinimalConflict
 def quickxplain(
     dpi: Dpi,
     background: Iterable[str] | int,
-    candidates: Sequence[str],
+    candidates: Sequence[str] | int,
     *,
     checker: ValidityChecker | None = None,
 ) -> tuple[str, ...]:
     """Subset-minimal conflict within candidates, relative to background.
 
     Preconditions: background is valid, background plus candidates is not.
-    Splits at ceil(len/2); elements keep their candidate order, so the
-    result is deterministic for a fixed K ordering. Sets are K-masks
-    throughout.
+    Splits at ceil(len/2) and keeps the candidate order: K order for a
+    K-mask, whose bits are split from the highest down, and the caller's
+    order for a sequence of ids, in which the result is also returned. Every
+    check passes a K-mask, so the result is deterministic for a fixed K
+    ordering.
     """
     checker = checker or ValidityChecker(dpi)
     base = dpi.mask_of(background)
-    bits = [dpi.mask_of((a,)) for a in dict.fromkeys(candidates)]  # sums need distinct bits
+    if isinstance(candidates, int):
+        mask = dpi.mask_of(candidates)
+        bits = [1 << i for i in reversed(range(mask.bit_length())) if mask >> i & 1]
+        named = None
+    else:
+        named = {dpi.mask_of((a,)): a for a in candidates}  # sums need distinct bits
+        bits = list(named)
     if not checker.is_valid(base):
         raise ValueError("quickxplain precondition: background must be valid")
     if checker.is_valid(base | sum(bits)):
         raise ValueError("quickxplain precondition: background plus candidates must be invalid")
-    return tuple(dpi.ids_of(bit)[0] for bit in _qx(checker, base, False, bits))
+    found = _qx(checker, base, False, bits)
+    if named is None:
+        return dpi.ids_of(sum(found))
+    return tuple(map(named.__getitem__, found))
 
 
 def _qx(checker: ValidityChecker, base: int, added_last: bool, cs: list[int]) -> list[int]:
@@ -101,7 +113,7 @@ def find_min_conflict(
     checker = checker or ValidityChecker(dpi)
     if not checker.is_valid(0):
         return EmptyConflict()
-    rest = dpi.mask_of(dpi.k_ids) & ~excluded
+    rest = dpi.full_mask & ~excluded
     if checker.is_valid(rest):
         return NoConflict()
-    return MinimalConflict(quickxplain(dpi, 0, dpi.ids_of(rest), checker=checker))
+    return MinimalConflict(quickxplain(dpi, 0, rest, checker=checker))

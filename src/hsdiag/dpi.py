@@ -171,6 +171,8 @@ class Dpi:
     pr: FaultProbabilities | None = None
     # the abstract conflict family as K-masks, derived from conflict_family
     family_masks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # the K-mask of all of K: every in-range mask is a submask of it
+    full_mask: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (REASONER, ABSTRACT):
@@ -181,6 +183,7 @@ class Dpi:
         n = len(self.k_ids)
         bits = {a: 1 << (n - 1 - i) for i, a in enumerate(self.k_ids)}
         object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "full_mask", (1 << n) - 1)
         if self.kind == REASONER:
             if self.formulas is None or len(self.formulas) != len(self.k_ids):
                 raise ValueError("reasoner DPI needs one formula per axiom id")
@@ -308,7 +311,7 @@ def is_valid_set(dpi: Dpi, ids: Iterable[str] | int, reasoner: Reasoner | None =
     across calls. Abstract backend: no attached conflict member is
     contained in the set.
     """
-    mask = dpi.mask_of(ids)
+    mask = ids if type(ids) is int and 0 <= ids <= dpi.full_mask else dpi.mask_of(ids)
     if dpi.kind == ABSTRACT:
         return not any(m & mask == m for m in dpi.family_masks)
     return (reasoner or reasoner_for(dpi)).is_valid(mask)
@@ -316,8 +319,7 @@ def is_valid_set(dpi: Dpi, ids: Iterable[str] | int, reasoner: Reasoner | None =
 
 def is_diagnosis(dpi: Dpi, ids: Iterable[str] | int, reasoner: Reasoner | None = None) -> bool:
     """Duality: D is a diagnosis iff K minus D is a valid assumption set."""
-    full = (1 << len(dpi.k_ids)) - 1
-    return is_valid_set(dpi, full & ~dpi.mask_of(ids), reasoner)
+    return is_valid_set(dpi, dpi.full_mask & ~dpi.mask_of(ids), reasoner)
 
 
 def is_minimal_diagnosis(
@@ -342,7 +344,10 @@ class ValidityChecker:
 
     One instance per search/extraction run; the call counter backs the
     QuickXplain complexity assertions and the cache, keyed by K-mask, is
-    the exact-set front: it answers a repeated assumption set at once. The
+    the exact-set front: it answers a repeated assumption set at once.
+    QuickXplain passes masks, and an in-range mask goes to the cache,
+    ``is_valid_set`` and the reasoner as is; ids and bad masks go through
+    ``Dpi.mask_of``, once, and it raises ValueError for the bad ones. The
     monotone lookups (a superset of an invalid set, a subset of a valid
     one) live in the reasoner's verdict store, which outlives the checker
     for a whole session. On the reasoner backend the checks run on
@@ -359,10 +364,11 @@ class ValidityChecker:
 
     def is_valid(self, ids: Iterable[str] | int) -> bool:
         self.calls += 1
-        mask = self.dpi.mask_of(ids)
+        dpi = self.dpi
+        mask = ids if type(ids) is int and 0 <= ids <= dpi.full_mask else dpi.mask_of(ids)
         cached = self._cache.get(mask)
         if cached is None:
-            cached = self._cache[mask] = is_valid_set(self.dpi, mask, self._reasoner)
+            cached = self._cache[mask] = is_valid_set(dpi, mask, self._reasoner)
         return cached
 
 

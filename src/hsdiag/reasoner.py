@@ -67,13 +67,15 @@ class Reasoner:
         for f in hard:
             enc.add((enc.lit(f),))
         self._mask_of = dpi.mask_of
+        self._full = dpi.full_mask
         # (K bit, selector) and (K bit, goal code), in K order
         self._selectors: list[tuple[int, int]] = []
         self._goal_codes: list[tuple[int, int]] = []
-        self._goals: dict[str, int] = {}
+        self._goals: dict[str, tuple[int, int]] = {}  # axiom -> (goal literal, K bit)
         for axiom, f in zip(dpi.k_ids, dpi.formulas):
             bit = dpi.mask_of((axiom,))
-            goal = self._goals[axiom] = enc.lit(f)
+            goal = enc.lit(f)
+            self._goals[axiom] = (goal, bit)
             selector = enc.fresh()
             enc.add((-selector, goal))
             self._selectors.append((bit, selector))
@@ -116,10 +118,9 @@ class Reasoner:
     def add_measurement(self, axiom: str, positive: bool) -> None:
         """Absorb a measurement of the sentence of ``axiom``: into P when
         positive, into N when negative."""
-        goal = self._goals[axiom]
+        goal, bit = self._goals[axiom]
         if positive:
             self._solver.add_unit(goal)
-            bit = self._mask_of((axiom,))
             self.witnesses = {g: nf for g, nf in self.witnesses.items() if g & bit}
         elif goal not in self._negatives:
             self._negatives.append(goal)
@@ -127,15 +128,21 @@ class Reasoner:
     def is_valid(self, ids: Iterable[str] | int) -> bool:
         """The axioms in ids (or a K-mask) plus B and P are consistent and
         entail no negative measurement."""
-        mask = self._mask_of(ids)
-        if any(c & mask == c for c in self.invalid_cores):
-            return False
-        covered, known = 0, False
-        for g, nf in self.witnesses.items():
-            if g & mask == mask:
-                covered |= nf
-                known = True
-        if self._negatives:
+        mask = ids if type(ids) is int and 0 <= ids <= self._full else self._mask_of(ids)
+        for c in self.invalid_cores:
+            if c & mask == c:
+                return False
+        if not self._negatives:
+            for g in self.witnesses:  # the first covering witness answers
+                if g & mask == mask:
+                    return True
+            if self._solve(mask, []) is not None:
+                return True
+        else:
+            covered = 0
+            for g, nf in self.witnesses.items():
+                if g & mask == mask:
+                    covered |= nf
             # S ∧ ¬n satisfiable implies S consistent, and S inconsistent
             # makes the first S ∧ ¬n unsatisfiable: no plain solve needed
             for j, n in enumerate(self._negatives):
@@ -146,22 +153,21 @@ class Reasoner:
                     covered |= found
             else:
                 return True
-        elif known or self._solve(mask, []) is not None:
-            return True
         self._add_core(self.invalid_cores, self._core)
         return False
 
     def entails(self, ids: Iterable[str] | int, axiom: str) -> bool:
         """The axioms in ids (or a K-mask) plus B and P entail the sentence
         of ``axiom``."""
-        mask = self._mask_of(ids)
+        mask = ids if type(ids) is int and 0 <= ids <= self._full else self._mask_of(ids)
         cores = self.entailed_cores[axiom]
-        if any(c & mask == c for c in cores):
-            return True
-        bit = self._mask_of((axiom,))
+        for c in cores:
+            if c & mask == c:
+                return True
+        goal, bit = self._goals[axiom]
         if any(g & mask == mask and not g & bit for g in self.witnesses):
             return False
-        if self._solve(mask, [-self._goals[axiom]]) is not None:
+        if self._solve(mask, [-goal]) is not None:
             return False
         self._add_core(cores, self._core)
         return True

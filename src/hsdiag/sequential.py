@@ -96,7 +96,7 @@ def partition(
     if not diagnoses:
         raise ValueError("partition needs at least one diagnosis")
     reasoner = reasoner or reasoner_for(dpi)
-    full, bit = dpi.mask_of(dpi.k_ids), dpi.mask_of((query.axiom_id,))
+    full, bit = dpi.full_mask, dpi.mask_of((query.axiom_id,))
     dplus, dminus, dzero = [], [], []
     for diag in diagnoses:
         rest = full & ~dpi.mask_of(diag.ids)

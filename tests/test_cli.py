@@ -514,6 +514,24 @@ def test_check_encodes_the_dpi_a_bounded_number_of_times(monkeypatch, capsys):
     assert len(builds) <= 7
 
 
+def test_check_duality_fails_on_a_wrong_reasoner(monkeypatch, capsys):
+    # a reasoner that calls every set valid: the duality line compares it
+    # with a fresh-CNF test of each complement, which it cannot fool
+    monkeypatch.setattr(Reasoner, "is_valid", lambda self, ids: True)
+    assert main(["check", "--dpi", table1_path()]) == 1
+    assert "FAIL duality on sampled subsets" in capsys.readouterr().out.splitlines()
+
+
+def test_check_duality_fails_on_a_wrong_abstract_diagnosis_test(monkeypatch, capsys):
+    # the abstract oracle reads the conflict family as id sets, not through
+    # is_diagnosis
+    monkeypatch.setattr("hsdiag.cli.is_diagnosis", lambda dpi, ids, reasoner=None: not ids)
+    assert main(["check", "--dpi", ex4_path()]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL duality on sampled subsets" in out
+    assert sum(line.startswith("FAIL") for line in out) == 1
+
+
 def test_check_rejects_corrupt_fixture(tmp_path, capsys):
     path = tmp_path / "corrupt.dpi"
     path.write_text("[COMPONENTS]\n3\n[CONFLICTS]\n1\n1 2\n")

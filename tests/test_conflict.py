@@ -3,12 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hsdiag import (
     Dpi,
     EmptyConflict,
     MinimalConflict,
     NoConflict,
+    Reasoner,
     ValidityChecker,
     brute_force_min_conflicts,
     find_min_conflict,
@@ -98,6 +100,74 @@ def test_quickxplain_precondition_violations(table1):
     bad = Dpi.abstract(3, [["1"]])
     with pytest.raises(ValueError, match="must be valid"):
         quickxplain(bad, ("1",), ["2"])
+
+
+def test_quickxplain_result_follows_the_candidate_order(ex4):
+    # an id sequence keeps its caller's order, a K-mask gives K order
+    dpi, _ = ex4
+    assert quickxplain(dpi, (), dpi.k_ids[::-1]) == ("6", "4", "2")
+    assert quickxplain(dpi, 0, dpi.full_mask) == ("1", "3", "4")
+
+
+@given(st.integers(0, 10_000), st.data())
+def test_quickxplain_on_a_k_mask_matches_its_ids_in_k_order(seed, data):
+    # the mask's bits split from the highest down, which is K order: the same
+    # conflict from the same checks (or the same precondition error)
+    dpi = random_propositional_dpi(random.Random(seed))
+    mask = data.draw(st.integers(0, dpi.full_mask))
+    outcomes = []
+    for background, candidates in ((0, mask), ((), dpi.ids_of(mask))):
+        checker = ValidityChecker(dpi)
+        try:
+            conflict = quickxplain(dpi, background, candidates, checker=checker)
+        except ValueError as exc:
+            conflict = str(exc)
+        outcomes.append((conflict, checker.calls))
+    assert outcomes[0] == outcomes[1]
+
+
+def adder_dpi(bits: int) -> Dpi:
+    """Ripple-carry adder, five gate axioms per bit, adding all-ones to zero
+    with no carry in; the low sum bit is observed wrong."""
+    k, carry = [], "cin"
+    for i in range(bits):
+        a, b = f"a{i}", f"b{i}"
+        k += [
+            (f"h{i}", f"h{i} <-> !({a} <-> {b})"),
+            (f"s{i}", f"s{i} <-> !(h{i} <-> {carry})"),
+            (f"p{i}", f"p{i} <-> {a} & {b}"),
+            (f"q{i}", f"q{i} <-> h{i} & {carry}"),
+            (f"c{i}", f"c{i} <-> p{i} | q{i}"),
+        ]
+        carry = f"c{i}"
+    observed = ["!cin", "!s0", f"!{carry}"]
+    observed += [f"a{i}" for i in range(bits)] + [f"!b{i}" for i in range(bits)]
+    observed += [f"s{i}" for i in range(1, bits)]
+    return Dpi.propositional(
+        [(axiom, parse_formula(f)) for axiom, f in k], positive=map(parse_formula, observed)
+    )
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_conflict_extraction_converts_sets_a_bounded_number_of_times(bits, monkeypatch):
+    # the search passes a K-mask and keeps its checker: the only conversions
+    # left are one per entry point, however large K is
+    dpi = adder_dpi(bits)
+    calls = {"mask_of": 0, "ids_of": 0}
+    for name in calls:
+        original = getattr(Dpi, name)
+
+        def counting(self, arg, original=original, name=name):
+            calls[name] += 1
+            return original(self, arg)
+
+        monkeypatch.setattr(Dpi, name, counting)
+    checker = ValidityChecker(dpi, Reasoner(dpi))
+    exclude = dpi.mask_of(("c0",))
+    calls.update(mask_of=0, ids_of=0)
+    outcome = find_min_conflict(dpi, exclude=exclude, checker=checker)
+    assert isinstance(outcome, MinimalConflict) and len(outcome.ids) >= 2
+    assert calls["mask_of"] <= 3 and calls["ids_of"] <= 1
 
 
 def test_quickxplain_agrees_with_oracle_on_random_abstract_instances():

@@ -10,11 +10,14 @@ from hsdiag import (
     Dpi,
     FaultProbabilities,
     Not,
+    Reasoner,
+    ValidityChecker,
     brute_force_min_conflicts,
     brute_force_min_diagnoses,
     brute_force_min_hitting_sets,
     cardinality_pr,
     cost_adjust,
+    find_min_conflict,
     gen_random_dpi,
     is_diagnosis,
     is_minimal_diagnosis,
@@ -22,6 +25,7 @@ from hsdiag import (
     normalized,
     parse_formula,
     pr_of,
+    quickxplain,
 )
 from conftest import random_propositional_dpi
 
@@ -333,6 +337,28 @@ def test_mask_of_passes_masks_and_rejects_unknown_ids(ex4):
             dpi.mask_of(mask)
         with pytest.raises(ValueError, match="outside K"):
             dpi.ids_of(mask)
+
+
+@pytest.mark.parametrize("fixture", ["table1", "ex4"])
+def test_every_set_taking_entry_point_rejects_what_mask_of_rejects(fixture, request):
+    # the validity checks take an in-range int as is, without mask_of; a
+    # bit above K, a negative int and an unknown id must still be refused
+    dpi, _ = request.getfixturevalue(fixture)
+    entry_points = [
+        lambda s: ValidityChecker(dpi).is_valid(s),
+        lambda s: is_valid_set(dpi, s),
+        lambda s: is_diagnosis(dpi, s),
+        lambda s: find_min_conflict(dpi, exclude=s),
+        lambda s: quickxplain(dpi, s, dpi.full_mask),
+        lambda s: quickxplain(dpi, 0, s),
+    ]
+    if dpi.kind == "reasoner":
+        reasoner = Reasoner(dpi)
+        entry_points += [reasoner.is_valid, lambda s: reasoner.entails(s, dpi.k_ids[0])]
+    for bad, message in ((1 << len(dpi.k_ids), "outside K"), (-1, "outside K"), (["zz"], "unknown")):
+        for call in entry_points:
+            with pytest.raises(ValueError, match=message):
+                call(bad)
 
 
 def test_duplicate_axiom_ids_rejected():
