@@ -383,23 +383,20 @@ def _guard(dpi: Dpi) -> None:
 
 def _minimal_sets(n: int, holds) -> list[tuple[int, ...]]:
     """Subset-minimal index sets of range(n) on which a superset-monotone
-    predicate of the bitmask (bit i = index i) holds, in ascending
+    predicate of the K-mask (index i is bit n-1-i) holds, in ascending
     cardinality then lexicographic order."""
     found_masks: list[int] = []
     found: list[tuple[int, ...]] = []
+    top = n - 1
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
-            mask = sum(1 << i for i in combo)
+            mask = sum(1 << (top - i) for i in combo)
             if any(prev & mask == prev for prev in found_masks):
                 continue
             if holds(mask):
                 found_masks.append(mask)
                 found.append(combo)
     return found
-
-
-def _member_masks(dpi: Dpi) -> list[int]:
-    return [sum(1 << dpi.index_of(a) for a in member) for member in dpi.conflict_family]
 
 
 def brute_force_min_diagnoses(dpi: Dpi) -> list[Diagnosis]:
@@ -409,17 +406,16 @@ def brute_force_min_diagnoses(dpi: Dpi) -> list[Diagnosis]:
     _guard(dpi)
     n = len(dpi.k_ids)
     if dpi.kind == ABSTRACT:
-        member_masks = _member_masks(dpi)
+        member_masks = dpi.family_masks
 
         def is_diag(mask: int) -> bool:
             return all(m & mask for m in member_masks)
 
     else:
-        reasoner = reasoner_for(dpi)
+        reasoner, full = reasoner_for(dpi), dpi.full_mask
 
         def is_diag(mask: int) -> bool:
-            rest = [dpi.k_ids[i] for i in range(n) if not mask >> i & 1]
-            return is_valid_set(dpi, rest, reasoner)
+            return is_valid_set(dpi, full & ~mask, reasoner)
 
     found = [tuple(dpi.k_ids[i] for i in combo) for combo in _minimal_sets(n, is_diag)]
     if dpi.pr is None:
@@ -434,7 +430,7 @@ def brute_force_min_conflicts(dpi: Dpi) -> list[tuple[str, ...]]:
     _guard(dpi)
     n = len(dpi.k_ids)
     if dpi.kind == ABSTRACT:
-        member_masks = _member_masks(dpi)
+        member_masks = dpi.family_masks
 
         def invalid(mask: int) -> bool:
             return any(m & mask == m for m in member_masks)
@@ -443,8 +439,7 @@ def brute_force_min_conflicts(dpi: Dpi) -> list[tuple[str, ...]]:
         reasoner = reasoner_for(dpi)
 
         def invalid(mask: int) -> bool:
-            subset = [dpi.k_ids[i] for i in range(n) if mask >> i & 1]
-            return not is_valid_set(dpi, subset, reasoner)
+            return not is_valid_set(dpi, mask, reasoner)
 
     return [tuple(dpi.k_ids[i] for i in combo) for combo in _minimal_sets(n, invalid)]
 
@@ -454,7 +449,8 @@ def brute_force_min_hitting_sets(
 ) -> list[tuple[str, ...]]:
     """Exhaustive minimal hitting sets of a set family over distinct
     universe elements (oracle for the hitting-set property)."""
-    bit = {a: 1 << i for i, a in enumerate(universe)}
+    top = len(universe) - 1
+    bit = {a: 1 << (top - i) for i, a in enumerate(universe)}
     member_masks = [sum(bit.get(a, 0) for a in set(m)) for m in family]
     found = _minimal_sets(len(universe), lambda mask: all(m & mask for m in member_masks))
     return [tuple(universe[i] for i in combo) for combo in found]

@@ -50,7 +50,8 @@ ever grow. So:
   in D, as the trace names it.
 
 The hints are the parent's conflict index + 1 and the parent's mask (e is
-the child's mask xor it; the root has 0 and 0). In RBF-HS they are fields
+the child's mask xor it; the root has 0 and 0). Ordered branching leaves
+them as they are: it only builds fewer children. In RBF-HS they are fields
 of the frame the child belongs to, so its nodes stay five entries long; an
 HS-Tree node carries them as entries 5 and 6, after its mask, where no
 comparison reaches them. With ``debug`` every label is checked against a
@@ -64,12 +65,29 @@ kept as local ints until the loop ends. The cold paths are ``_SearchCore``
 methods: a fresh conflict, recording a diagnosis and, behind ``if``
 guards, the trace lines and the ``debug`` cross-checks.
 
+RBF-HS branches as Wotawa's ordered hitting-set tree by default. A child
+that adds axiom e of its parent's conflict C may never add a member of C
+that comes before e in K order (a higher bit), so a node's forbidden mask
+is its parent's forbidden mask plus those members of C, and 0 at the root.
+Children whose bit is forbidden are never built, and a node whose conflict
+lies inside its forbidden mask is a dead end: it backs up the sentinel
+like a closed leaf. Every node set is then built along one path only,
+while every minimal diagnosis H keeps its path: at each node on it take
+the first member of C ∩ H in K order, which is never forbidden, since the
+forbidden members of C lie before it and are not in H. Pruning only drops
+nodes, so the search stays best first, and its live nodes stay within the
+same bound, (c_max + 1)(|K| + 1) for the largest conflict size c_max: one
+child list per frame, at most |K| frames deep, plus the root. ``ordered=False`` holds the forbidden mask at 0, which is the
+paper's expansion of every member of every conflict.
+
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
 members is searched like any other. A frame is ``(siblings, -bound,
-c_next, mask)``: the children of one expanded node sorted best first, the
-negated bound the node was entered with, its conflict index + 1 and its
-mask. The current frame lives in locals. Expanding a node pushes the
+c_next, mask, forbidden)``: the children of one expanded node sorted best
+first, the negated bound the node was entered with, its conflict index +
+1, its mask and its forbidden mask; a child's forbidden mask follows from
+these and its new axiom, so nodes stay five entries long. The current
+frame lives in locals. Expanding a node pushes the
 current frame and makes the node's frame current; the loop then labels the
 best sibling while its F reaches the bound, with the runner-up's F (or
 the frame's bound, if higher) as the child's bound. A closed or valid node
@@ -84,7 +102,7 @@ is labeled, BACKTRACK when a non-root level is left, and nothing while the
 search stops after its ld-th diagnosis.
 
 Memory the search keeps besides its live nodes (``peak_live_nodes``): the
-RBF-HS frame stack, one 4-tuple per level, O(depth), whose sibling lists
+RBF-HS frame stack, one 5-tuple per level, O(depth), whose sibling lists
 are live nodes already counted; the conflict store, with one ``(delta,
 bit)`` list per conflict; D; and the per-axiom diagnosis lists, whose total
 length is the summed size of the diagnoses found, at most ld * |K|:
@@ -115,7 +133,7 @@ _CLOSED = -1
 _VALID = -2
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     peak_live_nodes: int = 0
     nodes_generated: int = 0
@@ -137,25 +155,42 @@ def _linear(log_cost: float) -> float:
     return 0.0 if log_cost == NEG_INF else math.exp(log_cost)
 
 
-def _costs(log_costs: list[float]) -> str:
-    return ",".join(f"{_linear(c):.9g}" for c in log_costs)
+class _CostText(dict):
+    """Log cost -> its linear ``:.9g`` text, each formatted on its first
+    read. One per traced search, held by its :class:`_IdsByMask`: the events
+    repeat few distinct costs (636 in the paper tree's 65,415 events on a
+    23-axiom instance)."""
+
+    __slots__ = ()
+
+    def __missing__(self, log_cost: float) -> str:
+        text = self[log_cost] = f"{_linear(log_cost):.9g}"
+        return text
 
 
-# Trace text of one detail part, by its type: a float is a log cost shown
-# linear, a tuple an id list, a list a list of log costs.
-_TEXT = {str: str, float: lambda c: f"{_linear(c):.9g}", tuple: ",".join, list: _costs}
+# Trace text of one detail part, by its type, given the search's cost memo:
+# a float is a log cost shown linear, a tuple an id list, a list a list of
+# log costs.
+_TEXT = {
+    str: lambda text, costs: text,
+    float: lambda log_cost, costs: costs[log_cost],
+    tuple: lambda ids, costs: ",".join(ids),
+    list: lambda log_costs, costs: ",".join(map(costs.__getitem__, log_costs)),
+}
 
 
 class _IdsByMask(dict):
-    """K-mask -> axiom ids, each computed on its first read. One per traced
-    search: its events name few distinct node sets many times over (65,415
-    events on 352 sets for RBF-HS on a 23-axiom instance)."""
+    """K-mask -> axiom ids, each computed on its first read, plus the
+    search's :class:`_CostText` as ``costs``. One per traced search: its
+    events name few distinct node sets many times over (65,415 events on
+    352 sets for the paper tree on a 23-axiom instance)."""
 
-    __slots__ = ("dpi",)
+    __slots__ = ("dpi", "costs")
 
     def __init__(self, dpi: Dpi):
         super().__init__()
         self.dpi = dpi
+        self.costs = _CostText()
 
     def __missing__(self, mask: int) -> tuple[str, ...]:
         ids = self[mask] = self.dpi.ids_of(mask)
@@ -179,7 +214,8 @@ class TraceEvent(tuple):
 
     @property
     def detail(self) -> str:
-        return "".join([_TEXT[type(part)](part) for part in self[3]])
+        costs = self[1].costs
+        return "".join([_TEXT[type(part)](part, costs) for part in self[3]])
 
     def line(self) -> str:
         return f"{self[0]} [{','.join(self.ids)}] {self.detail}".rstrip()
@@ -238,6 +274,7 @@ class _SearchCore:
         self.conflict_masks: list[int] = []  # parallel to conflict_list
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_list
         self._live_masks: set[int] = set()  # debug, RBF-HS only
+        self._parent_of: dict[int, int | None] | None = None  # debug, ordered RBF-HS only
         # Per-axiom (delta, bit): a child's cost extends the parent sum by one
         # log term, which keeps equal-probability nodes bitwise equal, and its
         # mask adds the axiom's K bit.
@@ -253,13 +290,18 @@ class _SearchCore:
 
     # -- debug and trace ---------------------------------------------------
 
-    def _track(self, nodes: list[list]) -> None:
-        """Debug (RBF-HS): no two live nodes are set-equal. HS-Tree may
-        create a duplicate child briefly before its queue check drops it."""
+    def _track(self, nodes: list[list], parent: int | None) -> None:
+        """Debug (RBF-HS): no two live nodes are set-equal, and in an
+        ordered run every node set is generated from one parent set for the
+        whole run (``parent`` is None for the root). HS-Tree may create a
+        duplicate child briefly before its queue check drops it."""
         for node in nodes:
             mask = node[4]
             assert mask not in self._live_masks, f"duplicate live node {self.dpi.ids_of(mask)}"
             self._live_masks.add(mask)
+            if self._parent_of is not None:
+                first = self._parent_of.setdefault(mask, parent)
+                assert first == parent, f"{self.dpi.ids_of(mask)} generated from two parent sets"
 
     def _untrack(self, nodes: list[list]) -> None:
         self._live_masks.difference_update([node[4] for node in nodes])
@@ -377,6 +419,7 @@ def rbf_hs(
     trace: list[TraceEvent] | None = None,
     debug: bool = False,
     reasoner: Reasoner | None = None,
+    ordered: bool = True,
 ) -> SearchResult:
     """Recursive best-first hitting-set search, run as one loop over an
     explicit frame stack.
@@ -387,11 +430,21 @@ def rbf_hs(
     DPI's ``reasoner`` to share its encoding with other checks; else the DPI
     is encoded before the timer starts, so ``wall_time`` never includes
     encoding (``encode_s`` holds it).
+
+    ``ordered`` (the default) branches as Wotawa's ordered hitting-set tree:
+    a child that adds axiom e of its parent's conflict never adds a member
+    of that conflict before e in K order, so every node set is reached by
+    one path and no order of building it is searched twice. The returned
+    set of diagnoses is the same, and in prob mode so is their order;
+    equal-cost diagnoses may come out in another order. ``ordered=False``
+    expands every member of every conflict, as the paper's algorithm does,
+    and reproduces its traces and counters. With ``debug``, an ordered run
+    also asserts that every node set keeps one parent set for the run.
     """
-    return _run(_rbf_loop, RBFHS, dpi, pr, ld, trace, debug, reasoner)
+    return _run(lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner)
 
 
-def _rbf_loop(core: _SearchCore) -> None:
+def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
@@ -401,11 +454,14 @@ def _rbf_loop(core: _SearchCore) -> None:
     # the root, whose bound is -inf; bounds are kept negated, like F
     node, node_nbound = [-core.f_empty, 0, 0, core.f_empty, 0], INF
     if debug:
-        core._track([node])
+        if ordered:
+            core._parent_of = {}
+        core._track([node], None)
     # The current frame: the expanded node's children sorted best first, its
-    # negated bound, its conflict index + 1 and its mask. The root is labeled
-    # from a bottom frame with no children, whose pop ends the search.
-    siblings, nbound, c_next, pmask = None, INF, 0, 0
+    # negated bound, its conflict index + 1, its mask and its forbidden mask.
+    # The root is labeled from a bottom frame with no children, whose pop
+    # ends the search.
+    siblings, nbound, c_next, pmask, pforbid = None, INF, 0, 0, 0
     stack = []
     while node is not None:
         # -- label `node`, a child of the current frame (the root expands:
@@ -431,16 +487,27 @@ def _rbf_loop(core: _SearchCore) -> None:
                 i = core._new_conflict(node)
                 if i >= 0:
                     stored += 1
+        if i >= 0 and ordered:
+            # the members of the parent's conflict before the new axiom e
+            # (higher bits); 0 at the root, where e and the conflict are 0
+            e = mask ^ pmask
+            forbid = pforbid | masks[c_next - 1] & -(e << 1)
+            if not masks[i] & ~forbid:  # a dead end: no child may be built
+                i = _CLOSED
+        else:
+            forbid = 0
         if i >= 0:  # expand it and go down: its frame becomes the current one
             f, back = node[3], node[0]
             f_backed, card = -back, node[1] + 1
             children = []
             for delta, bit in steps[i]:
+                if bit & forbid:
+                    continue
                 cf = f + delta
                 cmask = mask | bit
                 children.append([-cf if cf < f_backed else back, card, -cmask, cf, cmask])
             if debug:
-                core._track(children)
+                core._track(children, mask)
             if tracing:
                 core._expanded(node, i, children)
             n = len(children)
@@ -452,8 +519,8 @@ def _rbf_loop(core: _SearchCore) -> None:
             if live > peak:
                 peak = live
             children.sort()
-            stack.append((siblings, nbound, c_next, pmask))
-            siblings, nbound, c_next, pmask = children, node_nbound, i + 1, mask
+            stack.append((siblings, nbound, c_next, pmask, pforbid))
+            siblings, nbound, c_next, pmask, pforbid = children, node_nbound, i + 1, mask, forbid
         elif i == _VALID and core.record_diagnosis(node):
             # ld diagnoses found: stop with no further work; stack[0] is the
             # bottom frame
@@ -477,7 +544,7 @@ def _rbf_loop(core: _SearchCore) -> None:
                 core._untrack(siblings)
             if pmask and tracing:  # not the root
                 core.emit("BACKTRACK", pmask, ("F=", -backed, " bound=", -nbound))
-            siblings, nbound, c_next, pmask = stack.pop()
+            siblings, nbound, c_next, pmask, pforbid = stack.pop()
             if siblings is None:
                 node = None
                 break

@@ -44,7 +44,7 @@ def test_ex4_rbf_hs_golden_order(ex4):
 def test_ex4_trace_backtracks_and_reuse(ex4):
     dpi, pr = ex4
     trace = []
-    rbf_hs(dpi, pr, 4, trace=trace, debug=True)
+    rbf_hs(dpi, pr, 4, trace=trace, debug=True, ordered=False)
     backtracks = [e for e in trace if e.kind == "BACKTRACK"]
     assert len(backtracks) == 7
     # first backtrack discards the subtree under {1}: best remaining child
@@ -66,7 +66,7 @@ def test_ex4_trace_backtracks_and_reuse(ex4):
 
 def test_ex4_instrumentation_golden(ex4):
     dpi, pr = ex4
-    result = rbf_hs(dpi, pr, 4, debug=True)
+    result = rbf_hs(dpi, pr, 4, debug=True, ordered=False)
     s = result.stats
     assert s.peak_live_nodes == 11  # first verified run, frozen
     assert s.peak_live_nodes <= (4 + 1) * (len(dpi.k_ids) + 1)
@@ -74,6 +74,21 @@ def test_ex4_instrumentation_golden(ex4):
     assert s.conflict_computations == 8
     assert s.conflict_reuses == 7
     assert s.label_calls == 16
+
+
+def test_ex4_ordered_instrumentation_golden(ex4):
+    # the default tree: one path to each node set, same list and backtracks
+    dpi, pr = ex4
+    trace = []
+    result = rbf_hs(dpi, pr, 4, trace=trace, debug=True)
+    assert [d.ids for d in result.diagnoses] == EX4_ORDER
+    assert sum(1 for e in trace if e.kind == "BACKTRACK") == 7
+    s = result.stats
+    assert s.peak_live_nodes == 9  # first verified run, frozen
+    assert s.nodes_generated == 25
+    assert s.conflict_computations == 8
+    assert s.conflict_reuses == 7
+    assert s.label_calls == 15
 
 
 def test_ex4_hs_tree_same_ordered_list(ex4):
@@ -196,6 +211,30 @@ def test_random_abstract_agreement_with_random_pr():
         prs = [d.pr for d in rbf.diagnoses]
         if all(abs(a - b) > 1e-9 * max(a, b) for a, b in zip(prs, prs[1:])):
             assert [d.ids for d in rbf.diagnoses] == [d.ids for d in hst.diagnoses]
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_random_instances_ordered_and_paper_tree(ordered):
+    # with debug=True an ordered run also asserts that every node set keeps
+    # one parent set for the whole run
+    rng = random.Random(13)
+    for seed in range(120):
+        comps = rng.randint(3, 12)
+        dpi = gen_random_dpi(comps, rng.randint(1, 8), rng.randint(1, min(5, comps)), seed)
+        prob = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+        card = cardinality_pr(dpi.k_ids)
+        rbf = rbf_hs(dpi, prob, None, debug=True, ordered=ordered)
+        assert [d.ids for d in rbf.diagnoses] == [d.ids for d in hs_tree(dpi, prob, None).diagnoses]
+        oracle = {d.id_set for d in brute_force_min_diagnoses(dpi)}
+        full = rbf_hs(dpi, card, None, debug=True, ordered=ordered)
+        assert len(full.diagnoses) == len(oracle) and set(full.diagnosis_sets()) == oracle
+        for pr, result in ((prob, rbf), (card, full)):
+            ids = [d.ids for d in result.diagnoses]
+            for ld in (1, 2, 5):
+                assert [d.ids for d in rbf_hs(dpi, pr, ld, debug=True, ordered=ordered).diagnoses] == ids[:ld]
+            if result.conflicts:
+                c_max = max(len(c) for c in result.conflicts)
+                assert result.stats.peak_live_nodes <= (c_max + 1) * (len(dpi.k_ids) + 1)
 
 
 def test_random_propositional_agreement():

@@ -8,7 +8,9 @@ from the search before its node sets became int masks,
 ``search_pinned_large.json`` (|K| 20 to 24, where HS-Tree's heap holds
 hundreds of nodes with many ties in card mode) before nodes became sort-key
 lists; any change to node order, tie-break, conflict reuse or trace text
-shows up here.
+shows up here. Their ``rbfhs`` entries run the paper's expansion
+(``ordered=False``); the ``rbfhs-ordered`` entries, added later, run the
+default ordered tree.
 
 Regenerate a corpus (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_search_pinned.py small > tests/search_pinned.json``
@@ -19,6 +21,7 @@ import hashlib
 import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,7 @@ CORPORA = {
     "small": (HERE / "search_pinned.json", range(20)),
     "large": (HERE / "search_pinned_large.json", range(20, 28)),
 }
-SEARCHES = {"rbfhs": rbf_hs, "hstree": hs_tree}
+SEARCHES = {"rbfhs": partial(rbf_hs, ordered=False), "hstree": hs_tree, "rbfhs-ordered": rbf_hs}
 MODES = ("prob", "card")
 COUNTERS = (
     "peak_live_nodes",
