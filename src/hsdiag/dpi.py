@@ -387,10 +387,12 @@ def _minimal_sets(n: int, holds) -> list[tuple[int, ...]]:
     cardinality then lexicographic order."""
     found_masks: list[int] = []
     found: list[tuple[int, ...]] = []
-    top = n - 1
+    bits = [1 << (n - 1 - i) for i in range(n)]
     for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = sum(1 << (top - i) for i in combo)
+        # both enumerations yield the same subsets in the same order
+        pairs = zip(itertools.combinations(range(n), size), itertools.combinations(bits, size))
+        for combo, combo_bits in pairs:
+            mask = sum(combo_bits)
             if any(prev & mask == prev for prev in found_masks):
                 continue
             if holds(mask):

@@ -77,8 +77,9 @@ the first member of C ∩ H in K order, which is never forbidden, since the
 forbidden members of C lie before it and are not in H. Pruning only drops
 nodes, so the search stays best first, and its live nodes stay within the
 same bound, (c_max + 1)(|K| + 1) for the largest conflict size c_max: one
-child list per frame, at most |K| frames deep, plus the root. ``ordered=False`` holds the forbidden mask at 0, which is the
-paper's expansion of every member of every conflict.
+child list per frame, at most |K| frames deep, plus the root.
+``ordered=False`` holds the forbidden mask at 0, which is the paper's
+expansion of every member of every conflict.
 
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
@@ -87,19 +88,19 @@ c_next, mask, forbidden)``: the children of one expanded node sorted best
 first, the negated bound the node was entered with, its conflict index +
 1, its mask and its forbidden mask; a child's forbidden mask follows from
 these and its new axiom, so nodes stay five entries long. The current
-frame lives in locals. Expanding a node pushes the
-current frame and makes the node's frame current; the loop then labels the
-best sibling while its F reaches the bound, with the runner-up's F (or
-the frame's bound, if higher) as the child's bound. A closed or valid node
-backs up the sentinel: its entry 0 is set to ``inf`` and it is re-sorted
-with ``del siblings[0]`` and ``insort``. When the best F falls below the
-bound the level is left: its children are discarded, the parent frame is
-popped, and the best F is written into the parent's best sibling (entry 0),
-which is re-sorted the same way. The root is labeled from a bottom frame
-with no siblings, whose pop ends the search. Trace events come in the
-order of the recursive formulation: LABEL, EXPAND and INHERIT when a node
-is labeled, BACKTRACK when a non-root level is left, and nothing while the
-search stops after its ld-th diagnosis.
+frame lives in locals. Expanding a node pushes the current frame and makes
+the node's frame current; the loop then labels the best sibling while its
+F reaches the bound, with the runner-up's F (or the frame's bound, if
+higher) as the child's bound. A closed, valid or dead-end node backs up
+the sentinel: its entry 0 is set to ``inf`` and it is re-sorted with ``del
+siblings[0]`` and ``insort``. When the best F falls below the bound the
+level is left: its children are discarded, the parent frame is popped, and
+the best F is written into the parent's best sibling (entry 0), which is
+re-sorted the same way. The root is labeled from a bottom frame with no
+siblings, whose pop ends the search. Trace events come in the order of the
+recursive formulation: LABEL, EXPAND and INHERIT when a node is labeled,
+BACKTRACK when a non-root level is left, and nothing while the search
+stops after its ld-th diagnosis.
 
 Memory the search keeps besides its live nodes (``peak_live_nodes``): the
 RBF-HS frame stack, one 5-tuple per level, O(depth), whose sibling lists
@@ -435,11 +436,11 @@ def rbf_hs(
     a child that adds axiom e of its parent's conflict never adds a member
     of that conflict before e in K order, so every node set is reached by
     one path and no order of building it is searched twice. The returned
-    set of diagnoses is the same, and in prob mode so is their order;
-    equal-cost diagnoses may come out in another order. ``ordered=False``
-    expands every member of every conflict, as the paper's algorithm does,
-    and reproduces its traces and counters. With ``debug``, an ordered run
-    also asserts that every node set keeps one parent set for the run.
+    diagnoses are the same, and so is their order except among diagnoses
+    of equal cost. ``ordered=False`` expands every member of every
+    conflict, as the paper's algorithm does, and reproduces its traces and
+    counters. With ``debug``, an ordered run also asserts that every node
+    set keeps one parent set for the run.
     """
     return _run(lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner)
 
