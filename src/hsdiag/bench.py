@@ -2,10 +2,11 @@
 
 One BenchRow summarizes one session cell (dpi, algorithm, ld, session
 index): counters are summed over the session's searches, the peak node
-count is the maximum, and diagnoses_found reports the largest single-search
-yield. The summary aggregates the two comparison families: factor of memory
-saved, peak(hstree) / peak(rbfhs), and factor of extra time spent,
-runtime(rbfhs) / runtime(hstree), averaged over paired sessions.
+count and the peak learned-cost table size are maxima, and diagnoses_found
+reports the largest single-search yield. The summary aggregates the two
+comparison families: factor of memory saved, peak(hstree) / (peak(rbfhs) +
+its learned costs), and factor of extra time spent, runtime(rbfhs) /
+runtime(hstree), averaged over paired sessions.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class BenchRow:
     label_calls: int
     conflict_computations: int
     conflict_reuses: int
+    peak_learned_costs: int
     diagnoses_found: int
 
     def __post_init__(self):
@@ -98,9 +100,10 @@ def stats_row(
     diagnoses_found: int,
 ) -> BenchRow:
     """One row over the searches of a cell: times and counters summed, the
-    peak node count the maximum."""
+    two peaks the maximum."""
     counts = {c: sum(getattr(s, c) for s in stats) for c in COUNTERS}
-    counts["peak_live_nodes"] = max(s.peak_live_nodes for s in stats)
+    for peak in ("peak_live_nodes", "peak_learned_costs"):
+        counts[peak] = max(getattr(s, peak) for s in stats)
     return BenchRow(
         dpi=name,
         algo=algo,
@@ -218,7 +221,7 @@ def summarize(rows: Sequence[BenchRow]) -> list[SummaryRow]:
         if RBFHS not in pair or HSTREE not in pair:
             continue
         rbf, hst = pair[RBFHS], pair[HSTREE]
-        memory = hst.peak_live_nodes / max(rbf.peak_live_nodes, 1)
+        memory = hst.peak_live_nodes / max(rbf.peak_live_nodes + rbf.peak_learned_costs, 1)
         time_factor = rbf.runtime_ms / max(hst.runtime_ms, 1e-9)
         grouped.setdefault((name, ld), []).append((memory, time_factor))
     out = []

@@ -30,7 +30,8 @@ first three entries are the sort key, so ``list.sort``, ``insort`` and
 ``heapq`` compare nodes natively with no key function. Sibling masks are
 unique and so are the masks in HS-Tree's queue, which means a comparison
 never reaches the fourth entry. A child's F starts at ``min(f, F_parent)``:
-a node expanded before passes its backed-up cost down. Backing up a cost
+a node expanded before passes its backed-up cost down (in the ordered
+RBF-HS tree also what its children learned, see below). Backing up a cost
 writes entry 0. The RBF-HS dummy sibling is ``[inf, 0, 0, -inf, None]``: F
 is the minus-infinity sentinel, so it sorts after every sibling of finite
 cost.
@@ -81,6 +82,23 @@ child list per frame, at most |K| frames deep, plus the root.
 ``ordered=False`` holds the forbidden mask at 0, which is the paper's
 expansion of every member of every conflict.
 
+The ordered tree also keeps what the subtrees it forgets have learned, in
+one table from K-mask to negated backed-up F, as SMA* (Russell, ECAI 1992)
+and HBF-HS (Rodler, AIJ 2022) do. It is written only when a level is left,
+for each child whose F lies strictly below the best sibling's F, which is
+the F the parent now holds and passes down, and below the child's own f:
+what inheriting from the parent cannot restore. It is read only when a node
+expanded before (F below f) is expanded again: a child's F is then
+``min(f, F_parent, table[mask])``. The table is exact because in the ordered
+tree a mask has one path and one forbidden mask, and D and the conflict
+store only grow: a subtree only shrinks, so its learned F stays an upper
+bound on its best diagnosis not yet found. Its cap is the live-node
+bound, (c_max + 1)(|K| + 1), raised as larger conflicts are stored; a deque
+of its keys evicts the oldest entry once it is full. With equal fault
+probabilities (card mode) every F is a cardinality level that the parent
+passes down anyway, so no entry would ever be written, and the table is
+not kept; nor is it for ``ordered=False``, whose node sets have many paths.
+
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
 members is searched like any other. A frame is ``(siblings, -bound,
@@ -98,16 +116,19 @@ level is left: its children are discarded, the parent frame is popped, and
 the best F is written into the parent's best sibling (entry 0), which is
 re-sorted the same way. The root is labeled from a bottom frame with no
 siblings, whose pop ends the search. Trace events come in the order of the
-recursive formulation: LABEL, EXPAND and INHERIT when a node is labeled,
+recursive formulation: LABEL, EXPAND and INHERIT (one per child whose F
+starts below its f, inherited or learned) when a node is labeled,
 BACKTRACK when a non-root level is left, and nothing while the search
 stops after its ld-th diagnosis.
 
 Memory the search keeps besides its live nodes (``peak_live_nodes``): the
-RBF-HS frame stack, one 5-tuple per level, O(depth), whose sibling lists
-are live nodes already counted; the conflict store, with one ``(delta,
-bit)`` list per conflict; D; and the per-axiom diagnosis lists, whose total
-length is the summed size of the diagnoses found, at most ld * |K|:
-bounded by the output, not by the tree.
+RBF-HS learned-cost table and its deque of keys, at most (c_max + 1)(|K| +
+1) entries each (``peak_learned_costs``), so RBF-HS stays in linear space;
+the RBF-HS frame stack, one 5-tuple per level, O(depth), whose sibling
+lists are live nodes already counted; the conflict store, with one
+``(delta, bit)`` list per conflict; D; and the per-axiom diagnosis lists,
+whose total length is the summed size of the diagnoses found, at most ld *
+|K|: bounded by the output, not by the tree.
 """
 
 from __future__ import annotations
@@ -115,6 +136,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -141,6 +163,7 @@ class SearchStats:
     label_calls: int = 0
     conflict_computations: int = 0
     conflict_reuses: int = 0
+    peak_learned_costs: int = 0  # RBF-HS learned-cost table, kept apart from the live nodes
     solver_calls: int = 0
     wall_time: float = 0.0
     encode_s: float = 0.0  # building the search's own reasoner, before the timer
@@ -148,7 +171,12 @@ class SearchStats:
 
 # The counters that bench rows and session records report, in column order.
 COUNTERS = (
-    "peak_live_nodes", "nodes_generated", "label_calls", "conflict_computations", "conflict_reuses"
+    "peak_live_nodes",
+    "nodes_generated",
+    "label_calls",
+    "conflict_computations",
+    "conflict_reuses",
+    "peak_learned_costs",
 )
 
 
@@ -276,6 +304,7 @@ class _SearchCore:
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_list
         self._live_masks: set[int] = set()  # debug, RBF-HS only
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered RBF-HS only
+        self._learned: dict[int, float] | None = None  # debug, RBF-HS with a learned-cost table
         # Per-axiom (delta, bit): a child's cost extends the parent sum by one
         # log term, which keeps equal-probability nodes bitwise equal, and its
         # mask adds the axiom's K bit.
@@ -334,11 +363,10 @@ class _SearchCore:
 
     def _expanded(self, node: list, i: int, children: list[list]) -> None:
         """EXPAND and INHERIT lines of a node expanded on conflict i."""
-        f_backed = -node[0]
         self.emit("EXPAND", node[4], ("conflict={", self.conflict_list[i], "} f=[", [c[3] for c in children], "]"))
         for child in children:
-            if child[3] > f_backed:  # only below a node expanded before
-                self.emit("INHERIT", child[4], ("F=", f_backed))
+            if child[0] != -child[3]:  # F inherited or learned: only below a node expanded before
+                self.emit("INHERIT", child[4], ("F=", -child[0]))
 
     # -- cold paths of the label ---------------------------------------------
 
@@ -386,6 +414,12 @@ class _SearchCore:
             self._diags_with[self._step[a][1]].append(mask)
         if self.trace is not None:
             self.emit("DIAG", mask, ("pr=", node[3]))
+        if self._learned:  # admissible: no learned F on its path lies below it
+            m = mask
+            while m is not None:
+                learned_f = -self._learned.get(m, NEG_INF)
+                assert node[3] <= learned_f, f"{ids} above the learned F of {self.dpi.ids_of(m)}"
+                m = self._parent_of[m]
         return self.ld is not None and len(self.diagnoses) >= self.ld
 
     def result(self, algorithm: str) -> SearchResult:
@@ -441,6 +475,14 @@ def rbf_hs(
     conflict, as the paper's algorithm does, and reproduces its traces and
     counters. With ``debug``, an ordered run also asserts that every node
     set keeps one parent set for the run.
+
+    The ordered tree with unequal fault probabilities keeps the backed-up
+    F of the children it discards in a learned-cost table of at most as
+    many entries as the live-node bound, and restores them when their
+    parent is expanded again, so it rebuilds fewer subtrees;
+    ``peak_learned_costs`` reports its size. With ``debug`` every recorded
+    diagnosis is checked against the learned F of each node set on its
+    path.
     """
     return _run(lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner)
 
@@ -454,9 +496,17 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     generated = live = peak = 1
     # the root, whose bound is -inf; bounds are kept negated, like F
     node, node_nbound = [-core.f_empty, 0, 0, core.f_empty, 0], INF
+    # The learned-cost table, K-mask -> negated backed-up F, and its keys
+    # oldest first, for eviction once it holds `cap` entries.
+    learning = ordered and len({delta for delta, _ in core._step.values()}) > 1
+    learned: dict[int, float] = {}
+    ring: deque[int] = deque()
+    width, cap = len(core.dpi.k_ids) + 1, 0
     if debug:
         if ordered:
             core._parent_of = {}
+        if learning:
+            core._learned = learned
         core._track([node], None)
     # The current frame: the expanded node's children sorted best first, its
     # negated bound, its conflict index + 1, its mask and its forbidden mask.
@@ -507,6 +557,11 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                 cf = f + delta
                 cmask = mask | bit
                 children.append([-cf if cf < f_backed else back, card, -cmask, cf, cmask])
+            if learned and f_backed < f:  # expanded before: its children may have learned
+                for child in children:
+                    learned_nf = learned.get(child[4], NEG_INF)
+                    if learned_nf > child[0]:
+                        child[0] = learned_nf
             if debug:
                 core._track(children, mask)
             if tracing:
@@ -543,6 +598,23 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             live -= len(siblings)
             if debug:
                 core._untrack(siblings)
+            if learning:
+                # keep the F of each child below the best F (which the parent
+                # passes down) and below its own f; sentinels sort last
+                for child in siblings:
+                    nf = child[0]
+                    if nf == INF:
+                        break
+                    if nf != backed and nf != -child[3]:
+                        cmask = child[4]
+                        if cmask not in learned:
+                            if len(ring) >= cap:
+                                # the live-node bound, raised as larger conflicts are stored
+                                cap = (max(map(len, steps)) + 1) * width
+                                if len(ring) >= cap:
+                                    del learned[ring.popleft()]
+                            ring.append(cmask)
+                        learned[cmask] = nf
             if pmask and tracing:  # not the root
                 core.emit("BACKTRACK", pmask, ("F=", -backed, " bound=", -nbound))
             siblings, nbound, c_next, pmask, pforbid = stack.pop()
@@ -558,6 +630,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
         assert live == 0, f"{live} nodes leaked"
     stats.label_calls, stats.conflict_reuses = labels, reuses
     stats.nodes_generated, stats.peak_live_nodes = generated, peak
+    stats.peak_learned_costs = len(learned)  # the table never shrinks
 
 
 def hs_tree(

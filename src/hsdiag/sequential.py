@@ -83,7 +83,11 @@ def make_query(dpi: Dpi, axiom_id: str) -> Query:
 
 
 def partition(
-    dpi: Dpi, diagnoses: Sequence[Diagnosis], query: Query, reasoner: Reasoner | None = None
+    dpi: Dpi,
+    diagnoses: Sequence[Diagnosis],
+    query: Query,
+    reasoner: Reasoner | None = None,
+    masks: Sequence[int] | None = None,
 ) -> QueryPartition:
     """Split diagnoses by the predicted measurement outcome.
 
@@ -91,15 +95,18 @@ def partition(
     confirmed by a positive answer (dplus); one that becomes invalid when
     the sentence is added is refuted by it (dminus); the rest are unaffected
     (dzero). On the reasoner backend the checks run on ``reasoner`` (the
-    DPI's, built here when not passed in).
+    DPI's, built here when not passed in). ``masks`` are the diagnoses'
+    K-masks, computed here when not passed in.
     """
     if not diagnoses:
         raise ValueError("partition needs at least one diagnosis")
     reasoner = reasoner or reasoner_for(dpi)
+    if masks is None:
+        masks = [dpi.mask_of(diag.ids) for diag in diagnoses]
     full, bit = dpi.full_mask, dpi.mask_of((query.axiom_id,))
     dplus, dminus, dzero = [], [], []
-    for diag in diagnoses:
-        rest = full & ~dpi.mask_of(diag.ids)
+    for diag, mask in zip(diagnoses, masks):
+        rest = full & ~mask
         if dpi.kind == ABSTRACT:
             entailed = bool(rest & bit) or query.axiom_id in dpi.positive_ids
         else:
@@ -129,7 +136,8 @@ def ent_select(
     mathematically equal splits tie exactly despite float noise. Only
     admissible queries (both dplus and dminus nonempty) qualify. On the
     reasoner backend every partition runs on ``reasoner`` (the DPI's, built
-    here when not passed in).
+    here when not passed in); the diagnoses' masks are computed once for
+    all partitions.
     """
     if len(diagnoses) < 2:
         raise ValueError("measurement selection needs at least two diagnoses")
@@ -140,11 +148,12 @@ def ent_select(
     best: tuple[float, int, int] | None = None
     best_query: Query | None = None
     reasoner = reasoner or reasoner_for(dpi)
+    masks = [dpi.mask_of(d.ids) for d in diagnoses]
     for idx, axiom in enumerate(dpi.k_ids):
         if axiom not in anywhere or axiom in common:
             continue
         query = make_query(dpi, axiom)
-        cells = partition(dpi, diagnoses, query, reasoner)
+        cells = partition(dpi, diagnoses, query, reasoner, masks)
         if not cells.dplus or not cells.dminus:
             continue
         mass = sum(weight_of[d] for d in cells.dplus) + 0.5 * sum(

@@ -162,7 +162,7 @@ def make_row(**kw):
     base = dict(
         dpi="t", algo="rbfhs", ld=4, session=0, runtime_ms=1.25,
         peak_live_nodes=9, nodes_generated=27, label_calls=21,
-        conflict_computations=8, conflict_reuses=6, diagnoses_found=4,
+        conflict_computations=8, conflict_reuses=6, peak_learned_costs=3, diagnoses_found=4,
     )
     base.update(kw)
     return BenchRow(**base)
@@ -177,13 +177,13 @@ def test_bench_row_with_comma_in_name_round_trips():
     row = make_row(dpi="a,b")
     assert row.to_csv().startswith('"a,b",rbfhs,')
     assert read_rows(write_rows([row])) == [row]
-    assert make_row().to_csv() == "t,rbfhs,4,0,1.25,9,27,21,8,6,4"
+    assert make_row().to_csv() == "t,rbfhs,4,0,1.25,9,27,21,8,6,3,4"
 
 
 def test_bench_header_exact():
     assert CSV_HEADER == (
         "dpi,algo,ld,session,runtime_ms,peak_live_nodes,nodes_generated,"
-        "label_calls,conflict_computations,conflict_reuses,diagnoses_found"
+        "label_calls,conflict_computations,conflict_reuses,peak_learned_costs,diagnoses_found"
     )
 
 
@@ -192,8 +192,8 @@ def test_counters_are_bench_columns_in_order():
 
 
 def test_stats_row_sums_counters_and_takes_the_largest_peak():
-    a = SearchStats(9, 27, 21, 8, 6, wall_time=0.5)
-    b = SearchStats(4, 10, 7, 3, 5, wall_time=0.25)
+    a = SearchStats(9, 27, 21, 8, 6, 2, wall_time=0.5)
+    b = SearchStats(4, 10, 7, 3, 5, 7, wall_time=0.25)
     row = stats_row("t", "hstree", 4, 1, [a, b], 3)
     assert {c: getattr(row, c) for c in COUNTERS} == {
         "peak_live_nodes": 9,
@@ -201,6 +201,7 @@ def test_stats_row_sums_counters_and_takes_the_largest_peak():
         "label_calls": 28,
         "conflict_computations": 11,
         "conflict_reuses": 11,
+        "peak_learned_costs": 7,
     }
     assert (row.runtime_ms, row.diagnoses_found) == (750.0, 3)
 

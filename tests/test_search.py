@@ -235,6 +235,43 @@ def test_random_instances_ordered_and_paper_tree(ordered):
             if result.conflicts:
                 c_max = max(len(c) for c in result.conflicts)
                 assert result.stats.peak_live_nodes <= (c_max + 1) * (len(dpi.k_ids) + 1)
+                assert result.stats.peak_learned_costs <= (c_max + 1) * (len(dpi.k_ids) + 1)
+
+
+def test_learned_costs_keep_the_list_when_the_ring_wraps():
+    # Prob mode on |K| = 14 with 9 sampled conflicts: the learned-cost table
+    # reaches its cap, the live-node bound, on some instances and evicts its
+    # oldest entries from then on. With debug=True every recorded diagnosis
+    # is also checked against the learned F of each node on its path.
+    rng = random.Random(14)
+    at_cap = 0
+    for seed in range(140):
+        dpi = gen_random_dpi(14, 9, 4, seed)
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+        result = rbf_hs(dpi, pr, None, debug=True)
+        ids = [d.ids for d in result.diagnoses]
+        assert ids == [d.ids for d in hs_tree(dpi, pr, None).diagnoses]
+        cap = (max(len(c) for c in result.conflicts) + 1) * (len(dpi.k_ids) + 1)
+        assert result.stats.peak_learned_costs <= cap
+        at_cap += result.stats.peak_learned_costs == cap
+        for ld in (1, 2, 5, 20):
+            assert [d.ids for d in rbf_hs(dpi, pr, ld, debug=True).diagnoses] == ids[:ld]
+    assert at_cap
+
+
+def test_no_learned_costs_with_equal_probabilities_or_the_paper_tree():
+    for seed in range(40):
+        dpi = gen_random_dpi(14, 9, 4, seed)
+        card = cardinality_pr(dpi.k_ids)
+        prob = FaultProbabilities(
+            {a: 0.01 + 0.02 * (i % 5) for i, a in enumerate(dpi.k_ids)}, cost_adjusted=True
+        )
+        for result in (
+            rbf_hs(dpi, card, None),
+            rbf_hs(dpi, prob, None, ordered=False),
+            hs_tree(dpi, prob, None),
+        ):
+            assert result.stats.peak_learned_costs == 0
 
 
 def test_random_propositional_agreement():
