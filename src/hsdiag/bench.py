@@ -6,7 +6,10 @@ count and the peak learned-cost table size are maxima, and diagnoses_found
 reports the largest single-search yield. The summary aggregates the two
 comparison families: factor of memory saved, peak(hstree) / (peak(rbfhs) +
 its learned costs), and factor of extra time spent, runtime(rbfhs) /
-runtime(hstree), averaged over paired sessions.
+runtime(hstree), averaged over paired sessions. The two RBF-HS maxima may
+come from different searches of a session, or from different moments of
+one search, so their sum is an upper bound on RBF-HS memory and the memory
+factor a lower bound.
 """
 
 from __future__ import annotations

@@ -96,8 +96,9 @@ bound on its best diagnosis not yet found. Its cap is the live-node
 bound, (c_max + 1)(|K| + 1), raised as larger conflicts are stored; a deque
 of its keys evicts the oldest entry once it is full. With equal fault
 probabilities (card mode) every F is a cardinality level that the parent
-passes down anyway, so no entry would ever be written, and the table is
-not kept; nor is it for ``ordered=False``, whose node sets have many paths.
+passes down anyway, so no entry would ever be written; the table is not
+kept, which also spares each level exit a scan of its children. Nor is it
+kept for ``ordered=False``, whose node sets have many paths.
 
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
@@ -311,6 +312,11 @@ class _SearchCore:
         self._step = {
             a: (math.log(pr[a]) - math.log(1.0 - pr[a]), dpi.mask_of((a,))) for a in dpi.k_ids
         }
+        # Equal fault probabilities: every cost is a cardinality level, and
+        # the ordered RBF-HS tree keeps no learned-cost table.
+        deltas = (delta for delta, _ in self._step.values())
+        first = next(deltas, 0.0)
+        self.equal_costs = all(delta == first for delta in deltas)
         # axiom bit (0 at the root, which adds none) -> masks in D holding it
         self._diags_with: dict[int, list[int]] = {bit: [] for _, bit in self._step.values()}
         self._diags_with[0] = []
@@ -497,8 +503,9 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     # the root, whose bound is -inf; bounds are kept negated, like F
     node, node_nbound = [-core.f_empty, 0, 0, core.f_empty, 0], INF
     # The learned-cost table, K-mask -> negated backed-up F, and its keys
-    # oldest first, for eviction once it holds `cap` entries.
-    learning = ordered and len({delta for delta, _ in core._step.values()}) > 1
+    # oldest first, for eviction once it holds `cap` entries (a plain dict
+    # reads faster than an OrderedDict).
+    learning = ordered and not core.equal_costs
     learned: dict[int, float] = {}
     ring: deque[int] = deque()
     width, cap = len(core.dpi.k_ids) + 1, 0

@@ -85,24 +85,23 @@ def make_query(dpi: Dpi, axiom_id: str) -> Query:
 def partition(
     dpi: Dpi,
     diagnoses: Sequence[Diagnosis],
+    masks: Sequence[int],
     query: Query,
     reasoner: Reasoner | None = None,
-    masks: Sequence[int] | None = None,
 ) -> QueryPartition:
     """Split diagnoses by the predicted measurement outcome.
 
     A diagnosis whose remaining system entails the queried sentence is
     confirmed by a positive answer (dplus); one that becomes invalid when
     the sentence is added is refuted by it (dminus); the rest are unaffected
-    (dzero). On the reasoner backend the checks run on ``reasoner`` (the
-    DPI's, built here when not passed in). ``masks`` are the diagnoses'
-    K-masks, computed here when not passed in.
+    (dzero). ``masks`` are the diagnoses' K-masks, in the same order
+    (``dpi.mask_of(d.ids)``), which a caller splitting the same diagnoses
+    by many queries computes once. On the reasoner backend the checks run
+    on ``reasoner`` (the DPI's, built here when not passed in).
     """
     if not diagnoses:
         raise ValueError("partition needs at least one diagnosis")
     reasoner = reasoner or reasoner_for(dpi)
-    if masks is None:
-        masks = [dpi.mask_of(diag.ids) for diag in diagnoses]
     full, bit = dpi.full_mask, dpi.mask_of((query.axiom_id,))
     dplus, dminus, dzero = [], [], []
     for diag, mask in zip(diagnoses, masks):
@@ -153,7 +152,7 @@ def ent_select(
         if axiom not in anywhere or axiom in common:
             continue
         query = make_query(dpi, axiom)
-        cells = partition(dpi, diagnoses, query, reasoner, masks)
+        cells = partition(dpi, diagnoses, masks, query, reasoner)
         if not cells.dplus or not cells.dminus:
             continue
         mass = sum(weight_of[d] for d in cells.dplus) + 0.5 * sum(

@@ -26,6 +26,10 @@ def table1_diagnoses(dpi):
     return brute_force_min_diagnoses(dpi)
 
 
+def masks_of(dpi, diagnoses):
+    return [dpi.mask_of(d.ids) for d in diagnoses]
+
+
 def by_ids(diagnoses, *ids):
     wanted = frozenset(ids)
     return next(d for d in diagnoses if d.id_set == wanted)
@@ -36,7 +40,7 @@ def by_ids(diagnoses, *ids):
 def test_partition_table1_ax1(table1):
     dpi, _ = table1
     diagnoses = table1_diagnoses(dpi)
-    cells = partition(dpi, diagnoses, make_query(dpi, "ax1"))
+    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), make_query(dpi, "ax1"))
     # removing ax1 recreates conflict {ax1,ax2} for the diagnoses containing
     # ax1; the others keep ax1 in place, entailment by membership
     assert {d.id_set for d in cells.dplus} == {
@@ -54,7 +58,7 @@ def test_partition_cells_are_a_disjoint_cover(table1):
     dpi, _ = table1
     diagnoses = table1_diagnoses(dpi)
     for axiom in dpi.k_ids:
-        cells = partition(dpi, diagnoses, make_query(dpi, axiom))
+        cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), make_query(dpi, axiom))
         combined = list(cells.dplus) + list(cells.dminus) + list(cells.dzero)
         assert sorted(d.ids for d in combined) == sorted(d.ids for d in diagnoses)
 
@@ -62,14 +66,14 @@ def test_partition_cells_are_a_disjoint_cover(table1):
 def test_partition_axiom_in_no_diagnosis_is_inadmissible(ex4):
     dpi, _ = ex4
     diagnoses = brute_force_min_diagnoses(dpi)[:4]
-    cells = partition(dpi, diagnoses, make_query(dpi, "7"))
+    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), make_query(dpi, "7"))
     assert len(cells.dplus) == 4 and not cells.dminus
 
 
 def test_partition_single_diagnosis(table1):
     dpi, _ = table1
     only = [by_ids(table1_diagnoses(dpi), "ax1", "ax3")]
-    cells = partition(dpi, only, make_query(dpi, "ax2"))
+    cells = partition(dpi, only, masks_of(dpi, only), make_query(dpi, "ax2"))
     assert len(cells.dplus) + len(cells.dminus) + len(cells.dzero) == 1
 
 
@@ -81,7 +85,7 @@ def test_ent_select_table1_perfect_split(table1, table1_card):
     query = ent_select(dpi, diagnoses, table1_card)
     # ax1 and ax3 both split the mass perfectly; the id tie-break picks ax1
     assert query.axiom_id == "ax1"
-    cells = partition(dpi, diagnoses, query)
+    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
     mass = len(cells.dplus) / len(diagnoses)
     assert mass == pytest.approx(0.5)
 
@@ -99,7 +103,7 @@ def test_ent_select_prefers_balanced_query():
     diagnoses = brute_force_min_diagnoses(dpi)
     assert len(diagnoses) == 4
     query = ent_select(dpi, diagnoses, pr)
-    cells = partition(dpi, diagnoses, query)
+    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
     assert len(cells.dplus) == 2 and len(cells.dminus) == 2
     assert query.axiom_id == "1"  # tie among all four axioms, lowest id wins
 
@@ -130,7 +134,7 @@ def test_oracle_never_eliminates_actual(table1, table1_card):
     for actual in diagnoses:
         for axiom in dpi.k_ids:
             query = make_query(dpi, axiom)
-            cells = partition(dpi, diagnoses, query)
+            cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
             answer = oracle_answer(query, actual)
             eliminated = cells.dminus if answer else cells.dplus
             assert actual.id_set not in {d.id_set for d in eliminated}
@@ -152,7 +156,7 @@ def test_update_eliminates_refuted_diagnoses(table1):
     dpi, _ = table1
     diagnoses = table1_diagnoses(dpi)
     query = make_query(dpi, "ax1")
-    cells = partition(dpi, diagnoses, query)
+    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
     updated = update_dpi(dpi, query, False)
     for d in cells.dplus:
         assert not is_diagnosis(updated, d.id_set)
@@ -306,7 +310,7 @@ def test_ent_score_for_one_versus_three_split():
         pool[frozenset({"1", "5"})],
         pool[frozenset({"3", "2"})],
     ]
-    cells = partition(dpi, chosen, make_query(dpi, "3"))
+    cells = partition(dpi, chosen, masks_of(dpi, chosen), make_query(dpi, "3"))
     assert (len(cells.dplus), len(cells.dminus)) == (3, 1)
     weights = [0.25] * 4
     mass = sum(w for d, w in zip(chosen, weights) if d in cells.dplus)
@@ -325,7 +329,7 @@ def test_selected_queries_are_admissible():
             continue
         pr = cardinality_pr(dpi.k_ids)
         query = ent_select(dpi, diagnoses, pr)
-        cells = partition(dpi, diagnoses, query)
+        cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
         assert cells.dplus and cells.dminus
 
 
