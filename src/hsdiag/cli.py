@@ -65,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="factorial benchmark over a fixture directory")
     bench.add_argument("--fixtures", required=True, help="directory of .dpi files")
-    bench.add_argument("--ld", default="2,6,10,20", help="comma-separated ld values")
+    bench.add_argument(
+        "--ld", default=",".join(map(str, bench_mod.DEFAULT_LD)), help="comma-separated ld values"
+    )
     bench.add_argument("--sessions", type=positive_int, default=5)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--mode", choices=("card", "prob"), default="card")

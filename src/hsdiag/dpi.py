@@ -406,20 +406,9 @@ def brute_force_min_diagnoses(dpi: Dpi) -> list[Diagnosis]:
     sorted by attached probability descending (cardinality then id order
     when no probabilities are attached)."""
     _guard(dpi)
-    n = len(dpi.k_ids)
-    if dpi.kind == ABSTRACT:
-        member_masks = dpi.family_masks
-
-        def is_diag(mask: int) -> bool:
-            return all(m & mask for m in member_masks)
-
-    else:
-        reasoner, full = reasoner_for(dpi), dpi.full_mask
-
-        def is_diag(mask: int) -> bool:
-            return is_valid_set(dpi, full & ~mask, reasoner)
-
-    found = [tuple(dpi.k_ids[i] for i in combo) for combo in _minimal_sets(n, is_diag)]
+    reasoner, full = reasoner_for(dpi), dpi.full_mask
+    minimal = _minimal_sets(len(dpi.k_ids), lambda mask: is_valid_set(dpi, full & ~mask, reasoner))
+    found = [tuple(dpi.k_ids[i] for i in combo) for combo in minimal]
     if dpi.pr is None:
         return [Diagnosis(t) for t in found]
     scored = [(pr_of(dpi.pr, dpi.k_ids, t), t) for t in found]
@@ -430,20 +419,9 @@ def brute_force_min_diagnoses(dpi: Dpi) -> list[Diagnosis]:
 def brute_force_min_conflicts(dpi: Dpi) -> list[tuple[str, ...]]:
     """All subset-minimal conflicts, sorted by size then id order."""
     _guard(dpi)
-    n = len(dpi.k_ids)
-    if dpi.kind == ABSTRACT:
-        member_masks = dpi.family_masks
-
-        def invalid(mask: int) -> bool:
-            return any(m & mask == m for m in member_masks)
-
-    else:
-        reasoner = reasoner_for(dpi)
-
-        def invalid(mask: int) -> bool:
-            return not is_valid_set(dpi, mask, reasoner)
-
-    return [tuple(dpi.k_ids[i] for i in combo) for combo in _minimal_sets(n, invalid)]
+    reasoner = reasoner_for(dpi)
+    minimal = _minimal_sets(len(dpi.k_ids), lambda mask: not is_valid_set(dpi, mask, reasoner))
+    return [tuple(dpi.k_ids[i] for i in combo) for combo in minimal]
 
 
 def brute_force_min_hitting_sets(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .dpi import Dpi, FaultProbabilities
+from .dpi import ABSTRACT, Dpi, FaultProbabilities
 from .logic import ParseError, format_formula, parse_formula
 
 _PROP_SECTIONS = ("K", "B", "P", "N", "PR")
@@ -162,7 +162,7 @@ def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
     ids raises ``ValueError``.
     """
     out: list[str] = []
-    if dpi.kind == "abstract":
+    if dpi.kind == ABSTRACT:
         if dpi.k_ids != tuple(str(i + 1) for i in range(len(dpi.k_ids))):
             raise ValueError("the DPI format names abstract components 1..n; cannot write these ids")
         out.append("[COMPONENTS]")

@@ -24,21 +24,20 @@ de Kleer's ATMS, AIJ 1986):
 * Cores. An unsatisfiable check yields the solver's failed assumptions;
   their positive selectors form a core. ¬s_j is never among them, because
   s_j occurs only in ¬s_j ∨ lit(f_j). A core of S, or of S ∧ ¬n for a
-  negative n, is an invalid core: every superset of it is invalid. A core of
-  S ∧ ¬lit(f_a) is an entailment core of a: every superset entails a.
-  Measurements only remove models (P) or add requirements (N), so neither
-  verdict can be overturned and cores last for the reasoner's lifetime. Each
-  list keeps only its minimal masks.
+  negative n, is an invalid core: every superset of it is invalid.
+  Measurements only remove models (P) or add requirements (N), so the
+  verdict cannot be overturned and cores last for the reasoner's lifetime.
+  The list keeps only its minimal masks.
 * Witnesses. A satisfiable check yields a model; the store keeps only the
   pair (axioms whose literal the model makes true, negatives it makes
   false), never the model. For S within the first mask, setting s_i := [i ∈
-  S] in that model satisfies every clause, so it proves S consistent, S ∧ ¬n
-  satisfiable for each negative n in the second mask, and S ∧ ¬lit(f_a)
-  satisfiable for each axiom a outside the first. Only pairs that no other
-  pair proves more than are kept: one per first mask, with the second masks
-  merged. A positive measurement of a drops the witnesses whose model makes
-  lit(f_a) false (only those stop being models); a negative one keeps them
-  all, since their second masks say nothing of the new negative.
+  S] in that model satisfies every clause, so it proves S consistent and
+  S ∧ ¬n satisfiable for each negative n in the second mask. Only pairs
+  that no other pair proves more than are kept: one per first mask, with
+  the second masks merged. A positive measurement of a drops the witnesses
+  whose model makes lit(f_a) false (only those stop being models); a
+  negative one keeps them all, since their second masks say nothing of the
+  new negative.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ if TYPE_CHECKING:
 
 
 class Reasoner:
-    """Validity and entailment checks over one DPI, decided as SAT under
-    assumptions or read off the verdict store.
+    """Validity checks over one DPI, decided as SAT under assumptions or
+    read off the verdict store.
 
-    The store is readable as ``invalid_cores`` (minimal masks),
-    ``entailed_cores`` (axiom id -> minimal masks) and ``witnesses`` (first
-    mask -> second mask); ``solver_calls`` counts the solver runs.
+    The store is readable as ``invalid_cores`` (minimal masks) and
+    ``witnesses`` (first mask -> second mask); ``solver_calls`` counts the
+    solver runs.
     """
 
     def __init__(self, dpi: "Dpi"):
@@ -84,7 +83,6 @@ class Reasoner:
         self._solver = Solver(enc.clauses, enc.next_var - 1)
         self.solver_calls = 0
         self.invalid_cores: list[int] = []
-        self.entailed_cores: dict[str, list[int]] = {axiom: [] for axiom in dpi.k_ids}
         self.witnesses: dict[int, int] = {}  # true goals -> false negatives
         self._core = 0  # selector mask of the last unsatisfiable solve
 
@@ -108,12 +106,6 @@ class Reasoner:
         false_negatives |= witnesses.get(true_goals, 0)
         witnesses[true_goals] = false_negatives
         return false_negatives
-
-    @staticmethod
-    def _add_core(cores: list[int], core: int) -> None:
-        # a stored core inside the new one would have answered the check
-        cores[:] = [c for c in cores if c & core != core]
-        cores.append(core)
 
     def add_measurement(self, axiom: str, positive: bool) -> None:
         """Absorb a measurement of the sentence of ``axiom``: into P when
@@ -153,21 +145,7 @@ class Reasoner:
                     covered |= found
             else:
                 return True
-        self._add_core(self.invalid_cores, self._core)
+        # a stored core inside the new one would have answered the check
+        core = self._core
+        self.invalid_cores = [c for c in self.invalid_cores if c & core != core] + [core]
         return False
-
-    def entails(self, ids: Iterable[str] | int, axiom: str) -> bool:
-        """The axioms in ids (or a K-mask) plus B and P entail the sentence
-        of ``axiom``."""
-        mask = ids if type(ids) is int and 0 <= ids <= self._full else self._mask_of(ids)
-        cores = self.entailed_cores[axiom]
-        for c in cores:
-            if c & mask == c:
-                return True
-        goal, bit = self._goals[axiom]
-        if any(g & mask == mask and not g & bit for g in self.witnesses):
-            return False
-        if self._solve(mask, [-goal]) is not None:
-            return False
-        self._add_core(cores, self._core)
-        return True

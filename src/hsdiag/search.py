@@ -284,7 +284,6 @@ class _SearchCore:
         if ld is not None and ld < 1:
             raise ValueError(f"ld must be at least 1: {ld}")
         self.dpi = dpi
-        self.pr = pr
         self.ld = ld
         self.trace = trace
         self._names = _IdsByMask(dpi) if trace is not None else None
@@ -667,9 +666,10 @@ def _hs_loop(core: _SearchCore) -> None:
     stored = len(masks)
     labels = reuses = 0
     generated = live = peak = 1
-    # A node is [-F, card, -mask, f, mask, c_from, parent mask]. Queued masks
-    # are unique (set-equal children are dropped below), so heap comparisons
-    # never tie on the sort key and pops follow the full sort order.
+    # A node is [-F, card, -mask, f, mask, c_from, parent mask]; HS-Tree never
+    # backs up a cost, so F is f throughout. Queued masks are unique (set-equal
+    # children are dropped below), so heap comparisons never tie on the sort
+    # key and pops follow the full sort order.
     queue = [[-core.f_empty, 0, 0, core.f_empty, 0, 0, 0]]
     queued_masks = {0}
     retained: list[list] = []
@@ -703,13 +703,12 @@ def _hs_loop(core: _SearchCore) -> None:
                 break
             continue
         retained.append(node)
-        f, back = node[3], node[0]
-        f_backed, card, c_next = -back, node[1] + 1, i + 1
+        f, card, c_next = node[3], node[1] + 1, i + 1
         children = []
         for delta, bit in steps[i]:
             cf = f + delta
             cmask = mask | bit
-            children.append([-cf if cf < f_backed else back, card, -cmask, cf, cmask, c_next, mask])
+            children.append([-cf, card, -cmask, cf, cmask, c_next, mask])
         n = len(children)
         generated += n
         live += n

@@ -26,7 +26,7 @@ from .dpi import (
     normalized_logs,
     reasoner_for,
 )
-from .logic import Formula
+from .logic import Formula, entails
 from .reasoner import Reasoner
 from .search import RBFHS, SEARCHES, SearchResult, SearchStats
 
@@ -65,10 +65,9 @@ class SessionTrace:
 class NonDiscriminableError(RuntimeError):
     """No admissible single-axiom query splits the remaining diagnoses.
 
-    Cannot occur for lists of minimal diagnoses (re-adding a contained
-    axiom always refutes, a missing axiom is always entailed by
-    membership), but interactive answers can drive a session into it.
-    Carries the iterations completed so far.
+    ``ent_select`` finds no axiom held by some but not all of them only
+    when every diagnosis names the same set, which a sound search never
+    returns, whatever the answers. Carries the iterations completed so far.
     """
 
     def __init__(self, message: str, iterations: tuple[SessionIteration, ...]):
@@ -82,34 +81,30 @@ def make_query(dpi: Dpi, axiom_id: str) -> Query:
     return Query(axiom_id, sentence)
 
 
-def partition(
-    dpi: Dpi,
-    diagnoses: Sequence[Diagnosis],
-    masks: Sequence[int],
-    query: Query,
-    reasoner: Reasoner | None = None,
-) -> QueryPartition:
+def partition(dpi: Dpi, diagnoses: Sequence[Diagnosis], query: Query) -> QueryPartition:
     """Split diagnoses by the predicted measurement outcome.
 
     A diagnosis whose remaining system entails the queried sentence is
     confirmed by a positive answer (dplus); one that becomes invalid when
     the sentence is added is refuted by it (dminus); the rest are unaffected
-    (dzero). ``masks`` are the diagnoses' K-masks, in the same order
-    (``dpi.mask_of(d.ids)``), which a caller splitting the same diagnoses
-    by many queries computes once. On the reasoner backend the checks run
-    on ``reasoner`` (the DPI's, built here when not passed in).
+    (dzero). This is the logical reference for any list of diagnoses:
+    entailment runs ``logic.entails`` on B, P and the kept sentences, and
+    validity ``is_valid_set``. For minimal diagnoses it equals the
+    membership split of ``ent_select``.
     """
     if not diagnoses:
         raise ValueError("partition needs at least one diagnosis")
-    reasoner = reasoner or reasoner_for(dpi)
+    reasoner = reasoner_for(dpi)
+    known = [*dpi.background, *dpi.positive]
     full, bit = dpi.full_mask, dpi.mask_of((query.axiom_id,))
     dplus, dminus, dzero = [], [], []
-    for diag, mask in zip(diagnoses, masks):
-        rest = full & ~mask
+    for diag in diagnoses:
+        rest = full & ~dpi.mask_of(diag.ids)
         if dpi.kind == ABSTRACT:
             entailed = bool(rest & bit) or query.axiom_id in dpi.positive_ids
         else:
-            entailed = reasoner.entails(rest, query.axiom_id)
+            kept = [dpi.formula_of(a) for a in dpi.ids_of(rest)]
+            entailed = entails(known + kept, query.sentence)
         if entailed:
             dplus.append(diag)
         elif not is_valid_set(dpi, rest | bit, reasoner):
@@ -119,52 +114,42 @@ def partition(
     return QueryPartition(tuple(dplus), tuple(dminus), tuple(dzero))
 
 
-def ent_select(
-    dpi: Dpi,
-    diagnoses: Sequence[Diagnosis],
-    pr: FaultProbabilities,
-    *,
-    reasoner: Reasoner | None = None,
-) -> Query:
+def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities) -> Query:
     """Entropy-style measurement selection.
 
-    Scores each candidate axiom by how close the probability mass of the
-    predicted-positive diagnoses (plus half the unaffected mass) comes to
-    one half, i.e. by expected information gain. Ties fall to the smaller
-    unaffected cell, then the lowest axiom id; scores are quantized so that
-    mathematically equal splits tie exactly despite float noise. Only
-    admissible queries (both dplus and dminus nonempty) qualify. On the
-    reasoner backend every partition runs on ``reasoner`` (the DPI's, built
-    here when not passed in); the diagnoses' masks are computed once for
-    all partitions.
+    Scores each axiom held by some but not all diagnoses by how close the
+    probability mass of the diagnoses without it comes to one half, i.e. by
+    expected information gain. Ties fall to the lowest axiom id; scores are
+    quantized so that mathematically equal splits tie exactly despite float
+    noise.
+
+    For minimal diagnoses this membership split is ``partition``'s logical
+    one. A diagnosis D without axiom a keeps a, so K∖D entails a's sentence
+    (dplus). If a is in D, K∖(D∖{a}) is invalid since D is minimal, and K∖D
+    cannot entail a's sentence, as adding an entailed sentence leaves
+    validity as it is (dminus). No diagnosis is unaffected. An axiom that
+    every diagnosis, or none, holds splits nothing and is skipped; on the
+    abstract backend that covers the axioms answered positive
+    (``positive_ids``), which lie in no diagnosis, or in every one after
+    contradicting answers.
     """
     if len(diagnoses) < 2:
         raise ValueError("measurement selection needs at least two diagnoses")
     weights = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in diagnoses])
-    weight_of = {d: w for d, w in zip(diagnoses, weights)}
-    common = set.intersection(*(set(d.ids) for d in diagnoses))
-    anywhere = set.union(*(set(d.ids) for d in diagnoses))
-    best: tuple[float, int, int] | None = None
-    best_query: Query | None = None
-    reasoner = reasoner or reasoner_for(dpi)
     masks = [dpi.mask_of(d.ids) for d in diagnoses]
+    best: tuple[float, int] | None = None
     for idx, axiom in enumerate(dpi.k_ids):
-        if axiom not in anywhere or axiom in common:
+        bit = dpi.mask_of((axiom,))
+        # the weights of the diagnoses a positive answer keeps, in list order
+        kept = [w for w, mask in zip(weights, masks) if not mask & bit]
+        if not kept or len(kept) == len(masks):
             continue
-        query = make_query(dpi, axiom)
-        cells = partition(dpi, diagnoses, masks, query, reasoner)
-        if not cells.dplus or not cells.dminus:
-            continue
-        mass = sum(weight_of[d] for d in cells.dplus) + 0.5 * sum(
-            weight_of[d] for d in cells.dzero
-        )
-        score = (round(abs(mass - 0.5), 9), len(cells.dzero), idx)
+        score = (round(abs(sum(kept) - 0.5), 9), idx)
         if best is None or score < best:
             best = score
-            best_query = query
-    if best_query is None:
+    if best is None:
         raise ValueError("no admissible single-axiom query discriminates the diagnoses")
-    return best_query
+    return make_query(dpi, dpi.k_ids[best[1]])
 
 
 def oracle_answer(query: Query, actual: frozenset[str] | Diagnosis) -> bool:
@@ -213,8 +198,8 @@ def run_session(
     The measurement oracle answers from the designated actual diagnosis
     unless answer_fn overrides it (interactive mode). Search statistics of
     every iteration accumulate into the returned trace. The session encodes
-    its DPI once: one reasoner serves the actual's check, every search and
-    every measurement selection, and absorbs each answer in ``update_dpi``.
+    its DPI once: one reasoner serves the actual's check and every search,
+    and absorbs each answer in ``update_dpi``.
     """
     if ld < 2:
         raise ValueError("sessions need ld of at least 2 to detect isolation")
@@ -236,7 +221,7 @@ def run_session(
             iterations.append(SessionIteration(found, None, None, result.stats))
             return SessionTrace(tuple(iterations), found[0])
         try:
-            query = ent_select(current, found, pr, reasoner=reasoner)
+            query = ent_select(current, found, pr)
         except ValueError as exc:
             iterations.append(SessionIteration(found, None, None, result.stats))
             raise NonDiscriminableError(str(exc), tuple(iterations)) from exc

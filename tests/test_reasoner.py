@@ -55,17 +55,12 @@ def test_reasoner_agrees_with_truth_tables(seed):
                 any(not evaluate(n, m) for m in satisfying) for n in dpi.negative
             )
             assert reasoner.is_valid(frozenset(ids)) == valid
-            for axiom in dpi.k_ids:
-                entailed = all(evaluate(dpi.formula_of(axiom), m) for m in satisfying)
-                assert reasoner.entails(frozenset(ids), axiom) == entailed
 
 
 def assert_same_verdicts(live, fresh, k_ids):
     for size in range(len(k_ids) + 1):
         for ids in map(frozenset, itertools.combinations(k_ids, size)):
             assert live.is_valid(ids) == fresh.is_valid(ids)
-            for axiom in k_ids:
-                assert live.entails(ids, axiom) == fresh.entails(ids, axiom)
 
 
 @settings(deadline=None)  # up to five sweeps over every subset of K
@@ -112,20 +107,16 @@ def counting_solves(monkeypatch):
 @pytest.mark.parametrize("negative", [[], [And(X, Y)]], ids=["no-negatives", "negative"])
 def test_monotone_checks_make_no_solver_calls(monkeypatch, negative):
     # a superset of an invalid set and a subset of a valid set are decided by
-    # the stored core and witness alone, entailment likewise
+    # the stored core and witness alone
     dpi = Dpi.propositional([("a", X), ("b", Not(X)), ("c", Y), ("d", Or(X, Y))], negative=negative)
     reasoner = Reasoner(dpi)
     assert not reasoner.is_valid(frozenset({"a", "b"}))
     assert reasoner.is_valid(frozenset({"a", "d"}))
-    assert reasoner.entails(frozenset({"a"}), "d")
-    assert not reasoner.entails(frozenset({"b", "c"}), "a")
     calls = counting_solves(monkeypatch)
     assert not reasoner.is_valid(frozenset({"a", "b", "c"}))
     assert reasoner.is_valid(frozenset({"d"}))
-    assert reasoner.entails(frozenset({"a", "c"}), "d")
-    assert not reasoner.entails(frozenset({"c"}), "a")
     assert calls == []
-    assert reasoner.solver_calls == 4
+    assert reasoner.solver_calls == 2
 
 
 def ids_of(dpi, mask):
@@ -139,9 +130,9 @@ def covering(cores, mask):
 @settings(deadline=None)
 @given(st.integers(0, 10_000))
 def test_cores_carry_their_verdicts(seed):
-    # every invalid or entailed verdict, read off the store or freshly solved,
-    # rests on a stored core whose axioms alone give the same verdict on a
-    # fresh encoding of the current DPI, across measurements too
+    # every invalid verdict, read off the store or freshly solved, rests on a
+    # stored core whose axioms alone give the same verdict on a fresh
+    # encoding of the current DPI, across measurements too
     rng = random.Random(seed)
     dpi = random_dpi(rng)
     live = Reasoner(dpi)
@@ -159,10 +150,5 @@ def test_cores_carry_their_verdicts(seed):
                 cores = covering(live.invalid_cores, mask)
                 assert cores
                 assert not fresh.is_valid(ids_of(dpi, cores[0]))
-            for axiom in dpi.k_ids:
-                if live.entails(ids, axiom):
-                    cores = covering(live.entailed_cores[axiom], mask)
-                    assert cores
-                    assert fresh.entails(ids_of(dpi, cores[0]), axiom)
-        for cores in (live.invalid_cores, *live.entailed_cores.values()):
-            assert all(a & b != a for a in cores for b in cores if a != b)  # minimal
+        cores = live.invalid_cores
+        assert all(a & b != a for a in cores for b in cores if a != b)  # minimal

@@ -13,21 +13,21 @@ from hsdiag import (
     ent_select,
     gen_random_dpi,
     is_diagnosis,
+    log_pr_of,
     make_query,
+    normalized_logs,
     oracle_answer,
     parse_formula,
     partition,
+    rbf_hs,
     run_session,
     update_dpi,
 )
+from conftest import random_propositional_dpi
 
 
 def table1_diagnoses(dpi):
     return brute_force_min_diagnoses(dpi)
-
-
-def masks_of(dpi, diagnoses):
-    return [dpi.mask_of(d.ids) for d in diagnoses]
 
 
 def by_ids(diagnoses, *ids):
@@ -40,7 +40,7 @@ def by_ids(diagnoses, *ids):
 def test_partition_table1_ax1(table1):
     dpi, _ = table1
     diagnoses = table1_diagnoses(dpi)
-    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), make_query(dpi, "ax1"))
+    cells = partition(dpi, diagnoses, make_query(dpi, "ax1"))
     # removing ax1 recreates conflict {ax1,ax2} for the diagnoses containing
     # ax1; the others keep ax1 in place, entailment by membership
     assert {d.id_set for d in cells.dplus} == {
@@ -58,7 +58,7 @@ def test_partition_cells_are_a_disjoint_cover(table1):
     dpi, _ = table1
     diagnoses = table1_diagnoses(dpi)
     for axiom in dpi.k_ids:
-        cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), make_query(dpi, axiom))
+        cells = partition(dpi, diagnoses, make_query(dpi, axiom))
         combined = list(cells.dplus) + list(cells.dminus) + list(cells.dzero)
         assert sorted(d.ids for d in combined) == sorted(d.ids for d in diagnoses)
 
@@ -66,14 +66,14 @@ def test_partition_cells_are_a_disjoint_cover(table1):
 def test_partition_axiom_in_no_diagnosis_is_inadmissible(ex4):
     dpi, _ = ex4
     diagnoses = brute_force_min_diagnoses(dpi)[:4]
-    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), make_query(dpi, "7"))
+    cells = partition(dpi, diagnoses, make_query(dpi, "7"))
     assert len(cells.dplus) == 4 and not cells.dminus
 
 
 def test_partition_single_diagnosis(table1):
     dpi, _ = table1
     only = [by_ids(table1_diagnoses(dpi), "ax1", "ax3")]
-    cells = partition(dpi, only, masks_of(dpi, only), make_query(dpi, "ax2"))
+    cells = partition(dpi, only, make_query(dpi, "ax2"))
     assert len(cells.dplus) + len(cells.dminus) + len(cells.dzero) == 1
 
 
@@ -85,7 +85,7 @@ def test_ent_select_table1_perfect_split(table1, table1_card):
     query = ent_select(dpi, diagnoses, table1_card)
     # ax1 and ax3 both split the mass perfectly; the id tie-break picks ax1
     assert query.axiom_id == "ax1"
-    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
+    cells = partition(dpi, diagnoses, query)
     mass = len(cells.dplus) / len(diagnoses)
     assert mass == pytest.approx(0.5)
 
@@ -103,9 +103,79 @@ def test_ent_select_prefers_balanced_query():
     diagnoses = brute_force_min_diagnoses(dpi)
     assert len(diagnoses) == 4
     query = ent_select(dpi, diagnoses, pr)
-    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
+    cells = partition(dpi, diagnoses, query)
     assert len(cells.dplus) == 2 and len(cells.dminus) == 2
     assert query.axiom_id == "1"  # tie among all four axioms, lowest id wins
+
+
+def test_ent_select_rejects_diagnoses_that_name_the_same_set(table1, table1_card):
+    # every axiom is held by both or by neither: no query discriminates them
+    dpi, _ = table1
+    same = [Diagnosis(("ax1", "ax3")), Diagnosis(("ax1", "ax3"))]
+    with pytest.raises(ValueError, match="discriminates"):
+        ent_select(dpi, same, table1_card)
+
+
+def partition_select(dpi, diagnoses, pr):
+    """Measurement selection scored on the logical partition: the positive
+    mass plus half the unaffected mass, ties to the smaller unaffected cell,
+    then the lowest axiom id; only axioms with both dplus and dminus
+    nonempty qualify."""
+    weights = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in diagnoses])
+    best = None
+    for idx, axiom in enumerate(dpi.k_ids):
+        cells = partition(dpi, diagnoses, make_query(dpi, axiom))
+        if not cells.dplus or not cells.dminus:
+            continue
+        mass = sum(w for d, w in zip(diagnoses, weights) if d in cells.dplus) + 0.5 * sum(
+            w for d, w in zip(diagnoses, weights) if d in cells.dzero
+        )
+        score = (round(abs(mass - 0.5), 9), len(cells.dzero), idx)
+        if best is None or score < best[0]:
+            best = (score, axiom)
+    return best[1] if best else None
+
+
+@pytest.mark.parametrize("backend", ["reasoner", "abstract"])
+def test_membership_selection_matches_the_logical_partition(backend):
+    # for minimal diagnoses an axiom held by some but not all of them splits
+    # them by membership: dplus without it, dminus with it, dzero empty; and
+    # ent_select picks what a scoring on partition picks. Sessions take
+    # ent_select's query or a random axiom, answered at random, so abstract
+    # DPIs also meet axioms answered positive and contradicting answers.
+    rng = random.Random(1515)
+    partitions = selections = 0
+    for seed in range(300):
+        if backend == "reasoner":
+            dpi = random_propositional_dpi(rng, max_axioms=8, max_atoms=4)
+        else:
+            dpi = gen_random_dpi(9, 5, 3, seed)
+        if rng.random() < 0.5:
+            pr = cardinality_pr(dpi.k_ids)
+        else:
+            values = {a: rng.uniform(0.01, 0.45) for a in dpi.k_ids}
+            pr = FaultProbabilities(values, cost_adjusted=True)
+        ld = rng.randint(2, 8)
+        for _ in range(4):
+            diagnoses = rbf_hs(dpi, pr, ld).diagnoses
+            if len(diagnoses) < 2:
+                break
+            for axiom in dpi.k_ids:
+                holders = tuple(d for d in diagnoses if axiom in d.id_set)
+                if not holders or len(holders) == len(diagnoses):
+                    continue
+                cells = partition(dpi, diagnoses, make_query(dpi, axiom))
+                assert cells.dplus == tuple(d for d in diagnoses if axiom not in d.id_set)
+                assert cells.dminus == holders
+                assert cells.dzero == ()
+                partitions += 1
+            query = ent_select(dpi, diagnoses, pr)
+            assert query.axiom_id == partition_select(dpi, diagnoses, pr)
+            selections += 1
+            if rng.random() < 0.3:
+                query = make_query(dpi, rng.choice(dpi.k_ids))
+            dpi = update_dpi(dpi, query, rng.random() < 0.5)
+    assert partitions >= 300 and selections >= 100
 
 
 def test_ent_select_weighs_diagnoses_whose_probability_underflows():
@@ -134,7 +204,7 @@ def test_oracle_never_eliminates_actual(table1, table1_card):
     for actual in diagnoses:
         for axiom in dpi.k_ids:
             query = make_query(dpi, axiom)
-            cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
+            cells = partition(dpi, diagnoses, query)
             answer = oracle_answer(query, actual)
             eliminated = cells.dminus if answer else cells.dplus
             assert actual.id_set not in {d.id_set for d in eliminated}
@@ -156,7 +226,7 @@ def test_update_eliminates_refuted_diagnoses(table1):
     dpi, _ = table1
     diagnoses = table1_diagnoses(dpi)
     query = make_query(dpi, "ax1")
-    cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
+    cells = partition(dpi, diagnoses, query)
     updated = update_dpi(dpi, query, False)
     for d in cells.dplus:
         assert not is_diagnosis(updated, d.id_set)
@@ -310,7 +380,7 @@ def test_ent_score_for_one_versus_three_split():
         pool[frozenset({"1", "5"})],
         pool[frozenset({"3", "2"})],
     ]
-    cells = partition(dpi, chosen, masks_of(dpi, chosen), make_query(dpi, "3"))
+    cells = partition(dpi, chosen, make_query(dpi, "3"))
     assert (len(cells.dplus), len(cells.dminus)) == (3, 1)
     weights = [0.25] * 4
     mass = sum(w for d, w in zip(chosen, weights) if d in cells.dplus)
@@ -329,13 +399,11 @@ def test_selected_queries_are_admissible():
             continue
         pr = cardinality_pr(dpi.k_ids)
         query = ent_select(dpi, diagnoses, pr)
-        cells = partition(dpi, diagnoses, masks_of(dpi, diagnoses), query)
+        cells = partition(dpi, diagnoses, query)
         assert cells.dplus and cells.dminus
 
 
 def test_session_random_propositional_instances_recover_actuals():
-    from conftest import random_propositional_dpi
-
     rng = random.Random(616)
     recovered = 0
     for _ in range(30):
