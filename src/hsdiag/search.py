@@ -302,8 +302,8 @@ class _SearchCore:
         self.conflict_list: list[tuple[str, ...]] = []
         self.conflict_masks: list[int] = []  # parallel to conflict_list
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_list
-        self._live_masks: set[int] = set()  # debug, RBF-HS only
-        self._parent_of: dict[int, int | None] | None = None  # debug, ordered RBF-HS only
+        self._live_masks: set[int] = set()  # debug, RBF-HS and ordered HS-Tree
+        self._parent_of: dict[int, int | None] | None = None  # debug, ordered runs only
         self._learned: dict[int, float] | None = None  # debug, RBF-HS with a learned-cost table
         # Per-axiom (delta, bit): a child's cost extends the parent sum by one
         # log term, which keeps equal-probability nodes bitwise equal, and its
@@ -326,17 +326,19 @@ class _SearchCore:
     # -- debug and trace ---------------------------------------------------
 
     def _track(self, nodes: list[list], parent: int | None) -> None:
-        """Debug (RBF-HS): no two live nodes are set-equal, and in an
-        ordered run every node set is generated from one parent set for the
-        whole run (``parent`` is None for the root). HS-Tree may create a
-        duplicate child briefly before its queue check drops it."""
+        """Debug: no two live nodes are set-equal, and in an ordered run
+        every node set is generated from one parent set for the whole run
+        (``parent`` is None for the root). Ordered HS-Tree never untracks,
+        so no set is built twice in its run; HS-Tree with ``ordered=False``
+        is not tracked, as it may create a duplicate child briefly before
+        its queue check drops it."""
         for node in nodes:
             mask = node[4]
-            assert mask not in self._live_masks, f"duplicate live node {self.dpi.ids_of(mask)}"
-            self._live_masks.add(mask)
             if self._parent_of is not None:
                 first = self._parent_of.setdefault(mask, parent)
                 assert first == parent, f"{self.dpi.ids_of(mask)} generated from two parent sets"
+            assert mask not in self._live_masks, f"duplicate live node {self.dpi.ids_of(mask)}"
+            self._live_masks.add(mask)
 
     def _untrack(self, nodes: list[list]) -> None:
         self._live_masks.difference_update([node[4] for node in nodes])
@@ -647,36 +649,49 @@ def hs_tree(
     trace: list[TraceEvent] | None = None,
     debug: bool = False,
     reasoner: Reasoner | None = None,
+    ordered: bool = True,
 ) -> SearchResult:
     """Reiter-style best-first hitting-set tree.
 
-    Open nodes sit in a binary heap ordered like the RBF-HS sort; labeling
-    and the conflict store are those of rbf_hs, the only additions being
-    the duplicate check against queued nodes and full tree retention
-    (expanded inner nodes stay in memory until the search ends, which is what
-    the peak-node metric measures). ``reasoner`` is shared as in rbf_hs.
+    Open nodes sit in a binary heap ordered like the RBF-HS sort; labeling,
+    the conflict store and ``ordered`` are those of rbf_hs, the only
+    addition being full tree retention (expanded inner nodes stay in memory
+    until the search ends, which is what the peak-node metric measures).
+    ``reasoner`` is shared as in rbf_hs. The ordered tree builds every node
+    set once, so no two queued nodes are set-equal; ``ordered=False``
+    expands every member of every conflict, as the paper's algorithm does,
+    and drops a child set-equal to a queued node. Both return the same
+    list in the same order, since the heap pops in the full sort order.
+    With ``debug``, an ordered run also asserts that no node set is built
+    twice.
     """
-    return _run(_hs_loop, HSTREE, dpi, pr, ld, trace, debug, reasoner)
+    return _run(lambda core: _hs_loop(core, ordered), HSTREE, dpi, pr, ld, trace, debug, reasoner)
 
 
-def _hs_loop(core: _SearchCore) -> None:
+def _hs_loop(core: _SearchCore, ordered: bool) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
     stored = len(masks)
     labels = reuses = 0
     generated = live = peak = 1
-    # A node is [-F, card, -mask, f, mask, c_from, parent mask]; HS-Tree never
-    # backs up a cost, so F is f throughout. Queued masks are unique (set-equal
-    # children are dropped below), so heap comparisons never tie on the sort
-    # key and pops follow the full sort order.
-    queue = [[-core.f_empty, 0, 0, core.f_empty, 0, 0, 0]]
-    queued_masks = {0}
+    # A node is [-F, card, -mask, f, mask, c_from, parent mask, forbidden
+    # mask]; HS-Tree never backs up a cost, so F is f throughout. Queued
+    # masks are unique (the ordered tree builds each set once, the paper's
+    # expansion drops set-equal children below), so heap comparisons never
+    # tie on the sort key and pops follow the full sort order.
+    root = [-core.f_empty, 0, 0, core.f_empty, 0, 0, 0, 0]
+    queue = [root]
+    queued_masks = None if ordered else {0}
     retained: list[list] = []
+    if debug and ordered:
+        core._parent_of = {}
+        core._track([root], None)
     while queue:
         node = heappop(queue)
         mask = node[4]
-        queued_masks.discard(mask)
+        if queued_masks is not None:
+            queued_masks.discard(mask)
         labels += 1
         i = _CLOSED
         for d in diags_with[mask ^ node[6]]:
@@ -697,6 +712,9 @@ def _hs_loop(core: _SearchCore) -> None:
                 i = core._new_conflict(node)
                 if i >= 0:
                     stored += 1
+        forbid = node[7]  # 0 throughout for ordered=False
+        if i >= 0 and not masks[i] & ~forbid:  # a dead end: no child may be built
+            i = _CLOSED
         if i < 0:
             live -= 1
             if i == _VALID and core.record_diagnosis(node):
@@ -704,11 +722,15 @@ def _hs_loop(core: _SearchCore) -> None:
             continue
         retained.append(node)
         f, card, c_next = node[3], node[1] + 1, i + 1
+        # a child may never add a member of the conflict before its own axiom
+        conflict = masks[i] if ordered else 0
         children = []
         for delta, bit in steps[i]:
+            if bit & forbid:
+                continue
             cf = f + delta
             cmask = mask | bit
-            children.append([-cf, card, -cmask, cf, cmask, c_next, mask])
+            children.append([-cf, card, -cmask, cf, cmask, c_next, mask, forbid | conflict & -(bit << 1)])
         n = len(children)
         generated += n
         live += n
@@ -716,6 +738,12 @@ def _hs_loop(core: _SearchCore) -> None:
             peak = live
         if tracing:
             core._expanded(node, i, children)
+        if queued_masks is None:
+            if debug:
+                core._track(children, mask)
+            for child in children:
+                heappush(queue, child)
+            continue
         for child in children:
             if child[4] in queued_masks:
                 live -= 1  # set-equal to a queued node

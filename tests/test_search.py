@@ -97,6 +97,22 @@ def test_ex4_hs_tree_same_ordered_list(ex4):
     assert [d.ids for d in result.diagnoses] == EX4_ORDER
 
 
+def test_ex4_hs_tree_ordered_instrumentation_golden(ex4):
+    # the default tree builds no forbidden child and queues no duplicate:
+    # same list and labels as the paper's expansion, fewer nodes
+    dpi, pr = ex4
+    result = hs_tree(dpi, pr, 4, debug=True)
+    assert [d.ids for d in result.diagnoses] == EX4_ORDER
+    s = result.stats
+    assert s.peak_live_nodes == 12  # first verified run, frozen
+    assert s.nodes_generated == 15
+    assert s.label_calls == 10
+    assert s.conflict_computations == 8
+    assert s.conflict_reuses == 3
+    paper = hs_tree(dpi, pr, 4, debug=True, ordered=False).stats
+    assert (paper.peak_live_nodes, paper.nodes_generated, paper.label_calls) == (16, 20, 10)
+
+
 def test_ex4_memory_direction(ex4):
     dpi, pr = ex4
     rbf, hst = run_both(dpi, pr, 4, debug=True)
@@ -236,6 +252,28 @@ def test_random_instances_ordered_and_paper_tree(ordered):
                 c_max = max(len(c) for c in result.conflicts)
                 assert result.stats.peak_live_nodes <= (c_max + 1) * (len(dpi.k_ids) + 1)
                 assert result.stats.peak_learned_costs <= (c_max + 1) * (len(dpi.k_ids) + 1)
+
+
+def test_ordered_hs_tree_keeps_the_paper_list_with_fewer_nodes():
+    # with debug=True an ordered run also asserts that no node set is built
+    # twice; the heap pops in the full sort order, so the lists match the
+    # paper's expansion exactly, and in prob mode ordered RBF-HS's bitwise
+    rng = random.Random(16)
+    for seed in range(150):
+        comps = rng.randint(3, 12)
+        dpi = gen_random_dpi(comps, rng.randint(1, 8), rng.randint(1, min(5, comps)), seed)
+        prob = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+        for pr in (prob, cardinality_pr(dpi.k_ids)):
+            for ld in (None, 1, 3, 10):
+                ordered = hs_tree(dpi, pr, ld, debug=True)
+                paper = hs_tree(dpi, pr, ld, debug=True, ordered=False)
+                ids = [d.ids for d in ordered.diagnoses]
+                assert ids == [d.ids for d in paper.diagnoses]
+                assert ordered.stats.label_calls <= paper.stats.label_calls
+                assert ordered.stats.nodes_generated <= paper.stats.nodes_generated
+                if pr is prob:
+                    rbf = rbf_hs(dpi, pr, ld, debug=True)
+                    assert [(d.ids, d.pr) for d in ordered.diagnoses] == [(d.ids, d.pr) for d in rbf.diagnoses]
 
 
 def test_learned_costs_keep_the_list_when_the_ring_wraps():

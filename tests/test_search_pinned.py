@@ -8,9 +8,9 @@ from the search before its node sets became int masks,
 ``search_pinned_large.json`` (|K| 20 to 24, where HS-Tree's heap holds
 hundreds of nodes with many ties in card mode) before nodes became sort-key
 lists; any change to node order, tie-break, conflict reuse or trace text
-shows up here. Their ``rbfhs`` entries run the paper's expansion
-(``ordered=False``); the ``rbfhs-ordered`` entries, added later, run the
-default ordered tree.
+shows up here. Their ``rbfhs`` and ``hstree`` entries run the paper's
+expansion (``ordered=False``); the ``rbfhs-ordered`` and, added after them,
+``hstree-ordered`` entries run the default ordered tree.
 
 Regenerate a corpus (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_search_pinned.py small > tests/search_pinned.json``
@@ -33,7 +33,12 @@ CORPORA = {
     "small": (HERE / "search_pinned.json", range(20)),
     "large": (HERE / "search_pinned_large.json", range(20, 28)),
 }
-SEARCHES = {"rbfhs": partial(rbf_hs, ordered=False), "hstree": hs_tree, "rbfhs-ordered": rbf_hs}
+SEARCHES = {
+    "rbfhs": partial(rbf_hs, ordered=False),
+    "hstree": partial(hs_tree, ordered=False),
+    "rbfhs-ordered": rbf_hs,
+    "hstree-ordered": hs_tree,
+}
 MODES = ("prob", "card")
 COUNTERS = (
     "peak_live_nodes",
