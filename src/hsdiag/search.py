@@ -54,9 +54,10 @@ The hints are the parent's conflict index + 1 and the parent's mask (e is
 the child's mask xor it; the root has 0 and 0). Ordered branching leaves
 them as they are: it only builds fewer children. In RBF-HS they are fields
 of the frame the child belongs to, so its nodes stay five entries long; an
-HS-Tree node carries them as entries 5 and 6, after its mask, where no
-comparison reaches them. With ``debug`` every label is checked against a
-full scan of D and a conflict scan from index 0.
+HS-Tree node carries them as entries 5 and 6, after its mask, and its
+forbidden mask (see below) as entry 7, where no comparison reaches them.
+With ``debug`` every label is checked against a full scan of D and a
+conflict scan from index 0.
 
 Each search is one loop with the label written inline. The hot path runs
 on the loop's locals: the closure test over the per-axiom list of the
@@ -66,21 +67,26 @@ kept as local ints until the loop ends. The cold paths are ``_SearchCore``
 methods: a fresh conflict, recording a diagnosis and, behind ``if``
 guards, the trace lines and the ``debug`` cross-checks.
 
-RBF-HS branches as Wotawa's ordered hitting-set tree by default. A child
-that adds axiom e of its parent's conflict C may never add a member of C
-that comes before e in K order (a higher bit), so a node's forbidden mask
-is its parent's forbidden mask plus those members of C, and 0 at the root.
-Children whose bit is forbidden are never built, and a node whose conflict
-lies inside its forbidden mask is a dead end: it backs up the sentinel
-like a closed leaf. Every node set is then built along one path only,
-while every minimal diagnosis H keeps its path: at each node on it take
-the first member of C ∩ H in K order, which is never forbidden, since the
-forbidden members of C lie before it and are not in H. Pruning only drops
-nodes, so the search stays best first, and its live nodes stay within the
-same bound, (c_max + 1)(|K| + 1) for the largest conflict size c_max: one
-child list per frame, at most |K| frames deep, plus the root.
-``ordered=False`` holds the forbidden mask at 0, which is the paper's
-expansion of every member of every conflict.
+Both searches branch as Wotawa's ordered hitting-set tree by default. A
+child that adds axiom e of its parent's conflict C may never add a member
+of C that comes before e in K order (a higher bit), so a node's forbidden
+mask is its parent's forbidden mask plus those members of C, and 0 at the
+root. Children whose bit is forbidden are never built, and a node whose
+conflict lies inside its forbidden mask is a dead end: RBF-HS backs up the
+sentinel for it, HS-Tree drops it, each like a closed leaf. Every node set
+is then built along one path only, whatever conflict each node on it was
+labeled with, while every minimal diagnosis H keeps its path: at each node
+on it take the first member of C ∩ H in K order, which is never forbidden,
+since the forbidden members of C lie before it and are not in H. Pruning
+only drops nodes, so both searches stay best first; RBF-HS's live nodes
+stay within the same bound, (c_max + 1)(|K| + 1) for the largest conflict
+size c_max: one child list per frame, at most |K| frames deep, plus the
+root. HS-Tree builds no set twice, so its queue needs no duplicate check;
+its heap pops in the full sort order, so it returns the same list as with
+``ordered=False``, ld prefixes included, unless two costs differ only by
+the rounding of sums taken along other paths. ``ordered=False`` holds
+the forbidden mask at 0, which is the paper's expansion of every member of
+every conflict, where HS-Tree drops a child set-equal to a queued node.
 
 The ordered tree also keeps what the subtrees it forgets have learned, in
 one table from K-mask to negated backed-up F, as SMA* (Russell, ECAI 1992)
@@ -661,9 +667,10 @@ def hs_tree(
     set once, so no two queued nodes are set-equal; ``ordered=False``
     expands every member of every conflict, as the paper's algorithm does,
     and drops a child set-equal to a queued node. Both return the same
-    list in the same order, since the heap pops in the full sort order.
-    With ``debug``, an ordered run also asserts that no node set is built
-    twice.
+    list in the same order, since the heap pops in the full sort order,
+    unless two costs differ only in their last bits: a cost is summed along
+    the path that built its set. With ``debug``, an ordered run also
+    asserts that no node set is built twice.
     """
     return _run(lambda core: _hs_loop(core, ordered), HSTREE, dpi, pr, ld, trace, debug, reasoner)
 
