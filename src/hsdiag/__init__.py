@@ -49,7 +49,6 @@ from .search import (
     rbf_hs,
 )
 from .sequential import (
-    NonDiscriminableError,
     Query,
     QueryPartition,
     SessionIteration,

@@ -18,7 +18,7 @@ import csv
 import io
 import zlib
 import random
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,8 +34,6 @@ from .dpi import (
 from .dpifile import load_dpi_file
 from .search import COUNTERS, HSTREE, RBFHS, SEARCHES, SearchStats, rbf_hs
 from .sequential import SessionTrace, run_session
-
-SUMMARY_HEADER = "dpi,ld,memory_factor,time_factor"
 
 DEFAULT_LD = (2, 6, 10, 20)
 
@@ -62,13 +60,6 @@ class BenchRow:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        csv.writer(out, lineterminator="").writerow(
-            (repr if f.type == "float" else str)(getattr(self, f.name)) for f in fields(self)
-        )
-        return out.getvalue()
-
     @classmethod
     def from_csv(cls, line: str) -> "BenchRow":
         parts = next(csv.reader(io.StringIO(line)))
@@ -83,8 +74,17 @@ _PARSE = {"str": str, "int": int, "float": float}
 CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
+def csv_line(row) -> str:
+    """A dataclass row as one CSV line without its line end: the fields in
+    order, a float as its repr, and quotes around a field that holds a
+    comma, a quote or a line break."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(astuple(row))
+    return out.getvalue()
+
+
 def write_rows(rows: Iterable[BenchRow]) -> str:
-    return "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
+    return "\n".join([CSV_HEADER, *map(csv_line, rows)]) + "\n"
 
 
 def read_rows(text: str) -> list[BenchRow]:
@@ -210,8 +210,8 @@ class SummaryRow:
     memory_factor: float
     time_factor: float
 
-    def to_csv(self) -> str:
-        return f"{self.dpi},{self.ld},{self.memory_factor!r},{self.time_factor!r}"
+
+SUMMARY_HEADER = ",".join(f.name for f in fields(SummaryRow))
 
 
 def summarize(rows: Sequence[BenchRow]) -> list[SummaryRow]:
@@ -236,4 +236,4 @@ def summarize(rows: Sequence[BenchRow]) -> list[SummaryRow]:
 
 
 def write_summary(rows: Sequence[SummaryRow]) -> str:
-    return "\n".join([SUMMARY_HEADER] + [r.to_csv() for r in rows]) + "\n"
+    return "\n".join([SUMMARY_HEADER, *map(csv_line, rows)]) + "\n"

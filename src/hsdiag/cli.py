@@ -27,7 +27,7 @@ from .dpi import (
 from .dpifile import load_dpi_file
 from .reasoner import Reasoner
 from .search import COUNTERS, RBFHS, SEARCHES, SearchResult
-from .sequential import NonDiscriminableError, run_session
+from .sequential import run_session
 
 
 def positive_int(text: str) -> int:
@@ -134,13 +134,19 @@ def _print_diagnoses(result: SearchResult, dpi: Dpi, pr: FaultProbabilities) -> 
 
 
 def _append_csv(path: str, rows) -> None:
+    """Append stats rows to a CSV file, first writing the header to a new
+    or blank file; a file with another header is refused, since rows
+    appended under it would not line up with its columns."""
     target = Path(path)
-    text = "".join(r.to_csv() + "\n" for r in rows)
-    if target.exists() and target.read_text(encoding="utf-8").strip():
-        with target.open("a", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    text = "".join(bench_mod.csv_line(r) + "\n" for r in rows)
+    existing = target.read_text(encoding="utf-8") if target.exists() else ""
+    if not existing.strip():
         target.write_text(bench_mod.CSV_HEADER + "\n" + text, encoding="utf-8")
+        return
+    if existing.strip().splitlines()[0] != bench_mod.CSV_HEADER:
+        raise ValueError(f"{path}: existing header differs from {bench_mod.CSV_HEADER!r}")
+    with target.open("a", encoding="utf-8") as fh:
+        fh.write(text if existing.endswith("\n") else "\n" + text)
 
 
 def _interactive_answer(query) -> bool:
@@ -193,12 +199,6 @@ def cmd_sequential(args) -> int:
                 answer_fn=answer_fn,
                 check_actual=args.oracle != "interactive",
             )
-        except NonDiscriminableError as exc:
-            records.extend(_iteration_records(session, exc.iterations))
-            records.append({"session": session, "failed": str(exc)})
-            print(f"session {session}: failed: {exc}", file=sys.stderr)
-            status = 1
-            continue
         except (ValueError, RuntimeError) as exc:
             print(f"session {session}: failed: {exc}", file=sys.stderr)
             status = 1
@@ -237,7 +237,7 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
     print(f"{len(rows)} rows, {len(failures)} failed cells", file=sys.stderr)
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_check(args) -> int:

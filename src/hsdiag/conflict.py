@@ -32,10 +32,6 @@ class NoConflict:
 class MinimalConflict:
     ids: tuple[str, ...]
 
-    @property
-    def id_set(self) -> frozenset[str]:
-        return frozenset(self.ids)
-
 
 ConflictOutcome = EmptyConflict | NoConflict | MinimalConflict
 

@@ -5,7 +5,9 @@ assumptions.
 This is the theorem prover behind conflict detection. It is deliberately
 small and deterministic: atom numbering, clause emission order and the DPLL
 branching rule are all fixed, so identical inputs always take identical
-decision paths.
+decision paths. One table, ``_BINARY``, owns the binary operators: their
+tokens, precedence and associativity for the parser and the printer, and
+the definitional clauses of each for the CNF encoder.
 """
 
 from __future__ import annotations
@@ -81,17 +83,24 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-# The binary operators, loosest first: (token, node class, right-associative).
-# The parser, the printer and the atom walk all read this table; `!` binds
+# The binary operators, loosest first: (token, node class, right-associative,
+# definition). A definition gives, in the order the encoder adds them, the
+# clauses that make variable v equivalent to ``a op b``. The parser, the
+# printer, the atom walk and the CNF encoder all read this table; `!` binds
 # tighter than every entry.
-_BINARY = (("<->", Iff, True), ("->", Implies, True), ("|", Or, False), ("&", And, False))
-_BINARY_CLASSES = tuple(ctor for _, ctor, _ in _BINARY)
+_BINARY = (
+    ("<->", Iff, True, lambda v, a, b: ((-v, -a, b), (-v, a, -b), (v, a, b), (v, -a, -b))),
+    ("->", Implies, True, lambda v, a, b: ((-v, -a, b), (v, a), (v, -b))),
+    ("|", Or, False, lambda v, a, b: ((-v, a, b), (v, -a), (v, -b))),
+    ("&", And, False, lambda v, a, b: ((-v, a), (-v, b), (v, -a, -b))),
+)
+_DEFINITION = {ctor: define for _, ctor, _, define in _BINARY}  # node class -> definition
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-_LEVEL = {token: i for i, (token, _, _) in enumerate(_BINARY)}  # token -> table index
+_LEVEL = {token: i for i, (token, *_) in enumerate(_BINARY)}  # token -> table index
 
 _TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><->|->|[!&|()])|(?P<ws>\s+)")
 
@@ -147,7 +156,7 @@ class _Parser:
         f = self.unary()
         while _LEVEL.get(self.peek()[0], -1) >= level:
             i = _LEVEL[self.take()[0]]
-            _, ctor, right = _BINARY[i]
+            _, ctor, right, _ = _BINARY[i]
             f = ctor(f, self.binary(i if right else i + 1))
         return f
 
@@ -185,7 +194,7 @@ def parse_formula(text: str) -> Formula:
 # the table index + 1, and the side an operator associates to keeps it as
 # its floor. A node is parenthesised when its precedence is below the floor.
 _PRINT = {ctor: (token, i + 1, i + 1 + right, i + 2 - right)
-          for i, (token, ctor, right) in enumerate(_BINARY)}
+          for i, (token, ctor, right, _) in enumerate(_BINARY)}
 _NOT_FLOOR = len(_BINARY) + 1  # above every binary operator
 
 
@@ -271,27 +280,9 @@ class _Encoder:
         else:
             a = self.lit(f.lhs)
             b = self.lit(f.rhs)
-            v = self.fresh()
-            if isinstance(f, And):
-                self.add((-v, a))
-                self.add((-v, b))
-                self.add((v, -a, -b))
-            elif isinstance(f, Or):
-                self.add((-v, a, b))
-                self.add((v, -a))
-                self.add((v, -b))
-            elif isinstance(f, Implies):
-                self.add((-v, -a, b))
-                self.add((v, a))
-                self.add((v, -b))
-            elif isinstance(f, Iff):
-                self.add((-v, -a, b))
-                self.add((-v, a, -b))
-                self.add((v, a, b))
-                self.add((v, -a, -b))
-            else:  # pragma: no cover
-                raise TypeError(f"not a formula: {f!r}")
-            out = v
+            out = self.fresh()
+            for clause in _DEFINITION[type(f)](out, a, b):
+                self.add(clause)
         self.cache[f] = out
         return out
 
@@ -301,7 +292,7 @@ def _collect_atoms(f: Formula, into: set[str]) -> None:
         into.add(f.name)
     elif isinstance(f, Not):
         _collect_atoms(f.operand, into)
-    elif isinstance(f, _BINARY_CLASSES):
+    elif type(f) in _DEFINITION:
         _collect_atoms(f.lhs, into)
         _collect_atoms(f.rhs, into)
 

@@ -62,19 +62,6 @@ class SessionTrace:
         return sum(1 for it in self.iterations if it.query is not None)
 
 
-class NonDiscriminableError(RuntimeError):
-    """No admissible single-axiom query splits the remaining diagnoses.
-
-    ``ent_select`` finds no axiom held by some but not all of them only
-    when every diagnosis names the same set, which a sound search never
-    returns, whatever the answers. Carries the iterations completed so far.
-    """
-
-    def __init__(self, message: str, iterations: tuple[SessionIteration, ...]):
-        super().__init__(message)
-        self.iterations = iterations
-
-
 def make_query(dpi: Dpi, axiom_id: str) -> Query:
     dpi.index_of(axiom_id)  # validates the id
     sentence = dpi.formula_of(axiom_id) if dpi.kind != ABSTRACT else None
@@ -200,6 +187,10 @@ def run_session(
     every iteration accumulate into the returned trace. The session encodes
     its DPI once: one reasoner serves the actual's check and every search,
     and absorbs each answer in ``update_dpi``.
+
+    Whatever the answers, no axiom is queried twice, so a session ends
+    within |K| queries; only a DPI without any diagnosis raises
+    RuntimeError, at its first search.
     """
     if ld < 2:
         raise ValueError("sessions need ld of at least 2 to detect isolation")
@@ -220,11 +211,7 @@ def run_session(
         if len(found) == 1:
             iterations.append(SessionIteration(found, None, None, result.stats))
             return SessionTrace(tuple(iterations), found[0])
-        try:
-            query = ent_select(current, found, pr)
-        except ValueError as exc:
-            iterations.append(SessionIteration(found, None, None, result.stats))
-            raise NonDiscriminableError(str(exc), tuple(iterations)) from exc
+        query = ent_select(current, found, pr)
         answer = answer_fn(query) if answer_fn else oracle_answer(query, actual_ids)
         iterations.append(SessionIteration(found, query, answer, result.stats))
         current = update_dpi(current, query, answer, reasoner=reasoner)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -5,7 +7,17 @@ from pathlib import Path
 import pytest
 
 from hsdiag import Dpi, DpiFileError, dumps, gen_random_dpi, load_dpi_file, loads, parse_formula
-from hsdiag.bench import BenchRow, CSV_HEADER, read_rows, stats_row, write_rows
+from hsdiag.bench import (
+    BenchRow,
+    CSV_HEADER,
+    SUMMARY_HEADER,
+    SummaryRow,
+    csv_line,
+    read_rows,
+    stats_row,
+    write_rows,
+    write_summary,
+)
 from hsdiag.cli import main
 from hsdiag.reasoner import Reasoner
 from hsdiag.search import COUNTERS, SearchStats
@@ -77,6 +89,31 @@ def test_load_rejects_conflict_naming_a_component_twice():
     with pytest.raises(DpiFileError, match="names a component twice") as exc:
         loads("[COMPONENTS]\n3\n[CONFLICTS]\n2 3\n1 1 2\n")
     assert exc.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("[K]\nax1: A\n[K]\nax2: B\n", 3, r"section \[K\] repeated"),
+        ("[K]\nax1: A\n[COMPONENTS]\n2\n", None, "mixes propositional"),
+        ("[PR]\n1: 0.1\n", None, r"needs a \[K\] or a \[COMPONENTS\] section"),
+        ("[K]\nax1 A\n", 2, "K line must read 'id: formula'"),
+        ("[K]\n: A\n", 2, "empty axiom id"),
+        ("[K]\n[B]\nA\n", None, r"section \[K\] is empty"),
+        ("[COMPONENTS]\n[CONFLICTS]\n", None, "must hold exactly one integer line"),
+        ("[COMPONENTS]\nthree\n", 2, "component count is not an integer: 'three'"),
+        ("[COMPONENTS]\n0\n", 2, "component count must be positive: 0"),
+        ("[K]\nax1: A\n[PR]\nax1 0.1\n", 4, "PR line must read 'id: value'"),
+        ("[K]\nax1: A\n[PR]\nax2: 0.1\n", 4, "probability for unknown axiom 'ax2'"),
+        ("[K]\nax1: A\n[PR]\nax1: 0.1\nax1: 0.2\n", 5, "duplicate probability for 'ax1'"),
+        ("[K]\nax1: A\n[PR]\nax1: high\n", 4, "probability is not a number: 'high'"),
+    ],
+)
+def test_load_rejects_malformed_input_at_its_line(text, line, message):
+    with pytest.raises(DpiFileError, match=message) as exc:
+        loads(text, source="x.dpi")
+    assert exc.value.line == line
+    assert str(exc.value).startswith("x.dpi: " if line is None else f"x.dpi:{line}: ")
 
 
 @pytest.mark.parametrize(
@@ -175,9 +212,15 @@ def test_bench_rows_round_trip():
 
 def test_bench_row_with_comma_in_name_round_trips():
     row = make_row(dpi="a,b")
-    assert row.to_csv().startswith('"a,b",rbfhs,')
+    assert csv_line(row).startswith('"a,b",rbfhs,')
     assert read_rows(write_rows([row])) == [row]
-    assert make_row().to_csv() == "t,rbfhs,4,0,1.25,9,27,21,8,6,3,4"
+    assert csv_line(make_row()) == "t,rbfhs,4,0,1.25,9,27,21,8,6,3,4"
+
+
+def test_summary_row_with_comma_in_name_keeps_four_columns():
+    text = write_summary([SummaryRow("a,b", 2, 1.5, 0.1), SummaryRow("t", 6, 2.0, 1 / 3)])
+    assert text == f'{SUMMARY_HEADER}\n"a,b",2,1.5,0.1\nt,6,2.0,0.3333333333333333\n'
+    assert [len(r) for r in csv.reader(io.StringIO(text))] == [4, 4, 4]
 
 
 def test_bench_header_exact():
@@ -297,6 +340,26 @@ def test_diag_trace_and_stats(tmp_path, capsys):
     assert rows[0].dpi == "ex4" and rows[0].diagnoses_found == 4
 
 
+@pytest.mark.parametrize(
+    "command", [["diag"], ["sequential", "--actual", "ax1,ax3"]], ids=["diag", "sequential"]
+)
+def test_stats_csv_appends_only_under_the_stats_header(tmp_path, capsys, command):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(CSV_HEADER)  # no line end: the first row must not join the header
+    argv = [*command, "--dpi", table1_path(), "--ld", "4", "--stats-csv", str(stats)]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert len(read_rows(stats.read_text())) == 2
+    # a file written before the peak_learned_costs column existed
+    old = CSV_HEADER.replace(",peak_learned_costs", "") + "\nt,rbfhs,4,0,1.25,9,27,21,8,6,4\n"
+    stats.write_text(old)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: {stats}: existing header differs from")
+    assert stats.read_text() == old
+
+
 def test_diag_normalized_column_sums_to_one(capsys):
     main(["diag", "--dpi", ex4_path(), "--mode", "prob", "--ld", "4"])
     out = capsys.readouterr().out
@@ -406,6 +469,44 @@ def test_bench_empty_directory(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--fixtures", str(tmp_path), "--out", str(out)]) == 0
     assert out.read_text() == CSV_HEADER + "\n"
+
+
+def test_bench_exits_1_when_a_cell_failed(tmp_path, capsys):
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    (fixtures / "bad.dpi").write_text("[K]\nax1: A &\n")
+    (fixtures / "good.dpi").write_text(dumps(gen_random_dpi(8, 4, 3, 1)))
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "--fixtures", str(fixtures), "--ld", "2", "--sessions", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("cell failed: bad * ld=0 session=0: bad.dpi:2: ")
+    assert err[-1] == "2 rows, 1 failed cells"
+    assert {row.dpi for row in read_rows(out.read_text())} == {"good"}
+
+
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        (
+            "[K]\nax1: " + "!" * 1200 + "x\n",
+            ["diag", "--dpi", "{dpi}", "--ld", "2"],
+            "input is nested too deeply (Python recursion limit reached)",
+        ),
+        (dumps(Dpi.abstract(21, [["1"]])), ["check", "--dpi", "{dpi}"], "check needs |K| <= 20"),
+        (
+            "",
+            ["bench", "--fixtures", "{dir}", "--ld", "0", "--out", "{dir}/o.csv"],
+            "ld values must be positive: 0",
+        ),
+    ],
+    ids=["deeply-negated-axiom", "check-above-20-axioms", "bench-ld-0"],
+)
+def test_cli_reports_bad_input_in_one_error_line(tmp_path, capsys, text, args, message):
+    dpi = tmp_path / "input.dpi"
+    dpi.write_text(text)
+    assert main([a.format(dpi=dpi, dir=tmp_path) for a in args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bench_factorial_and_determinism(tmp_path, capsys):

@@ -305,6 +305,24 @@ def test_abstract_constructor_rejects_non_antichain():
         Dpi.abstract(4, [["1", "2"], ["1", "2", "3"]])
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(kind="other", k_ids=("a",)), "unknown backend kind: 'other'"),
+        (dict(kind="reasoner", k_ids=("a",)), "one formula per axiom id"),
+        (dict(kind="reasoner", k_ids=("a", "b"), formulas=(Atom("x"),)), "one formula per axiom id"),
+        (dict(kind="abstract", k_ids=("1", "2")), "abstract DPI needs a conflict family"),
+        (
+            dict(kind="abstract", k_ids=("1", "2"), conflict_family=(("1", "3"),)),
+            r"conflict mentions unknown ids: \['3'\]",
+        ),
+    ],
+)
+def test_dpi_constructor_rejects_inconsistent_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Dpi(**fields)
+
+
 def test_conflict_naming_an_id_twice_rejected():
     # its mask would have no single bit per member, and both searches looped
     with pytest.raises(ValueError, match="names an id twice"):

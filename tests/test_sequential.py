@@ -2,6 +2,7 @@ import gc
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hsdiag import (
     Diagnosis,
@@ -23,6 +24,7 @@ from hsdiag import (
     run_session,
     update_dpi,
 )
+from hsdiag.search import SEARCHES
 from conftest import random_propositional_dpi
 
 
@@ -428,3 +430,45 @@ def test_answer_fn_override_reproduces_simulated_run(table1, table1_card):
     )
     assert replayed.final.id_set == simulated.final.id_set
     assert replayed.query_count == simulated.query_count
+
+
+@given(
+    kind=st.sampled_from(["abstract", "propositional"]),
+    seed=st.integers(0, 10**6),
+    algo=st.sampled_from(sorted(SEARCHES)),
+    ld=st.integers(2, 5),
+    prob=st.booleans(),
+    answers=st.lists(st.booleans(), min_size=9, max_size=9),  # |K| <= 9 below
+)
+@example(kind="propositional", seed=7, algo="rbfhs", ld=2, prob=False, answers=[True] * 9)
+def test_session_ends_within_k_queries_whatever_the_answers(kind, seed, algo, ld, prob, answers):
+    # A positive answer on an axiom drops it from every minimal diagnosis
+    # and a negative one puts it in all of them, so no axiom is queried
+    # twice, and each answer keeps at least one diagnosis. A session thus
+    # ends within |K| queries with one diagnosis, or finds none at the start
+    # when no diagnosis exists.
+    rng = random.Random(seed)
+    if kind == "abstract":
+        components = rng.randint(1, 9)
+        dpi = gen_random_dpi(components, rng.randint(0, 7), rng.randint(1, components), seed)
+    else:
+        dpi = random_propositional_dpi(rng, max_axioms=7, max_atoms=4)
+    if prob:
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.45) for a in dpi.k_ids}, cost_adjusted=True)
+    else:
+        pr = cardinality_pr(dpi.k_ids)
+    queried = []
+
+    def answer_fn(query):
+        queried.append(query.axiom_id)
+        return answers[len(queried) - 1]
+
+    try:
+        trace = run_session(dpi, pr, ld, (), algo, answer_fn=answer_fn, check_actual=False)
+    except RuntimeError as exc:
+        assert str(exc) == "every diagnosis candidate was eliminated"
+        assert queried == [] and not is_diagnosis(dpi, dpi.k_ids)
+        return
+    assert len(trace.iterations[-1].diagnoses) == 1
+    assert trace.query_count == len(queried) <= len(dpi.k_ids)
+    assert len(set(queried)) == len(queried)
