@@ -33,7 +33,7 @@ from .dpi import (
 )
 from .dpifile import load_dpi_file
 from .search import COUNTERS, HSTREE, RBFHS, SEARCHES, SearchStats, rbf_hs
-from .sequential import SessionTrace, run_session
+from .sequential import SessionTrace, check_session_ld, run_session
 
 DEFAULT_LD = (2, 6, 10, 20)
 
@@ -181,6 +181,8 @@ def run_bench(
     mode: str = "card",
 ) -> tuple[list[BenchRow], list[CellFailure]]:
     """Full factorial over fixtures x algorithms x ld x sessions."""
+    for ld in ld_values:
+        check_session_ld(ld)
     rows: list[BenchRow] = []
     failures: list[CellFailure] = []
     for path in sorted(Path(fixture_dir).glob("*.dpi")):

@@ -27,7 +27,7 @@ from .dpi import (
 from .dpifile import load_dpi_file
 from .reasoner import Reasoner
 from .search import COUNTERS, RBFHS, SEARCHES, SearchResult
-from .sequential import run_session
+from .sequential import check_session_ld, run_session
 
 
 def positive_int(text: str) -> int:
@@ -177,6 +177,7 @@ def _iteration_records(session: int, iterations) -> list[dict]:
 
 
 def cmd_sequential(args) -> int:
+    check_session_ld(args.ld)
     dpi, pr = _load(args)
     name = Path(args.dpi).stem
     if args.actual:
@@ -220,8 +221,6 @@ def cmd_sequential(args) -> int:
 
 def cmd_bench(args) -> int:
     ld_values = tuple(int(part) for part in str(args.ld).split(","))
-    if any(ld < 1 for ld in ld_values):
-        raise ValueError(f"ld values must be positive: {args.ld}")
     rows, failures = bench_mod.run_bench(
         args.fixtures, ld_values, args.sessions, args.seed, args.mode
     )

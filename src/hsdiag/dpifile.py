@@ -158,8 +158,11 @@ def _build_probabilities(sections, k_ids: list[str], source: str) -> FaultProbab
 def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
     """Serialize a DPI (and optional probabilities) back to the text format.
 
-    The format names abstract components 1..n, so an abstract DPI with other
-    ids raises ``ValueError``.
+    The format names abstract components 1..n, and ``loads`` reads a
+    propositional axiom id up to the first ``:`` of its line, strips it and
+    cuts the line at ``#``; so an abstract DPI with other ids, or an axiom
+    id that is empty, holds ``:``, ``#`` or a line break, or has surrounding
+    whitespace, raises ``ValueError``.
     """
     out: list[str] = []
     if dpi.kind == ABSTRACT:
@@ -173,6 +176,9 @@ def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
     else:
         out.append("[K]")
         for axiom_id, formula in zip(dpi.k_ids, dpi.formulas):
+            # every line break is whitespace, so strip() catches one at an end
+            if axiom_id != axiom_id.strip() or len(axiom_id.splitlines()) != 1 or {":", "#"} & set(axiom_id):
+                raise ValueError(f"the DPI format cannot write axiom id {axiom_id!r}")
             out.append(f"{axiom_id}: {format_formula(formula)}")
         for name, group in (("B", dpi.background), ("P", dpi.positive), ("N", dpi.negative)):
             out.append(f"[{name}]")

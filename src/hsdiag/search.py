@@ -55,7 +55,8 @@ the child's mask xor it; the root has 0 and 0). Ordered branching leaves
 them as they are: it only builds fewer children. In RBF-HS they are fields
 of the frame the child belongs to, so its nodes stay five entries long; an
 HS-Tree node carries them as entries 5 and 6, after its mask, and its
-forbidden mask (see below) as entry 7, where no comparison reaches them.
+parent's forbidden mask (see below) as entry 7, where no comparison reaches
+them.
 With ``debug`` every label is checked against a full scan of D and a
 conflict scan from index 0.
 
@@ -67,26 +68,27 @@ kept as local ints until the loop ends. The cold paths are ``_SearchCore``
 methods: a fresh conflict, recording a diagnosis and, behind ``if``
 guards, the trace lines and the ``debug`` cross-checks.
 
-Both searches branch as Wotawa's ordered hitting-set tree by default. A
+Both searches branch as Wotawa's ordered hitting-set tree (IPL 2001). A
 child that adds axiom e of its parent's conflict C may never add a member
 of C that comes before e in K order (a higher bit), so a node's forbidden
 mask is its parent's forbidden mask plus those members of C, and 0 at the
-root. Children whose bit is forbidden are never built, and a node whose
-conflict lies inside its forbidden mask is a dead end: RBF-HS backs up the
-sentinel for it, HS-Tree drops it, each like a closed leaf. Every node set
-is then built along one path only, whatever conflict each node on it was
-labeled with, while every minimal diagnosis H keeps its path: at each node
-on it take the first member of C ∩ H in K order, which is never forbidden,
-since the forbidden members of C lie before it and are not in H. Pruning
-only drops nodes, so both searches stay best first; RBF-HS's live nodes
-stay within the same bound, (c_max + 1)(|K| + 1) for the largest conflict
-size c_max: one child list per frame, at most |K| frames deep, plus the
-root. HS-Tree builds no set twice, so its queue needs no duplicate check;
-its heap pops in the full sort order, so it returns the same list as with
-``ordered=False``, ld prefixes included, unless two costs differ only by
-the rounding of sums taken along other paths. ``ordered=False`` holds
-the forbidden mask at 0, which is the paper's expansion of every member of
-every conflict, where HS-Tree drops a child set-equal to a queued node.
+root; both loops compute it with one expression when the node is labeled.
+Children whose bit is forbidden are never built, and a node whose conflict
+lies inside its forbidden mask is a dead end: RBF-HS backs up the sentinel
+for it, HS-Tree drops it, each like a closed leaf. Every node set is then
+built along one path only, whatever conflict each node on it was labeled
+with, while every minimal diagnosis H keeps its path: at each node on it
+take the first member of C ∩ H in K order, which is never forbidden, since
+the forbidden members of C lie before it and are not in H. Pruning only
+drops nodes, so both searches stay best first; RBF-HS's live nodes stay
+within the same bound, (c_max + 1)(|K| + 1) for the largest conflict size
+c_max: one child list per frame, at most |K| frames deep, plus the root.
+HS-Tree builds no set twice, so its queue needs no duplicate check; its
+heap pops in the full sort order, so it returns the list of the paper's
+expansion of every member of every conflict, ld prefixes included, unless
+two costs differ only by the rounding of sums taken along other paths.
+``rbf_hs(..., ordered=False)`` holds the forbidden mask at 0, which is the
+paper's RBF-HS.
 
 The ordered tree also keeps what the subtrees it forgets have learned, in
 one table from K-mask to negated backed-up F, as SMA* (Russell, ECAI 1992)
@@ -308,8 +310,8 @@ class _SearchCore:
         self.conflict_list: list[tuple[str, ...]] = []
         self.conflict_masks: list[int] = []  # parallel to conflict_list
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_list
-        self._live_masks: set[int] = set()  # debug, RBF-HS and ordered HS-Tree
-        self._parent_of: dict[int, int | None] | None = None  # debug, ordered runs only
+        self._live_masks: set[int] = set()  # debug
+        self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
         self._learned: dict[int, float] | None = None  # debug, RBF-HS with a learned-cost table
         # Per-axiom (delta, bit): a child's cost extends the parent sum by one
         # log term, which keeps equal-probability nodes bitwise equal, and its
@@ -334,10 +336,8 @@ class _SearchCore:
     def _track(self, nodes: list[list], parent: int | None) -> None:
         """Debug: no two live nodes are set-equal, and in an ordered run
         every node set is generated from one parent set for the whole run
-        (``parent`` is None for the root). Ordered HS-Tree never untracks,
-        so no set is built twice in its run; HS-Tree with ``ordered=False``
-        is not tracked, as it may create a duplicate child briefly before
-        its queue check drops it."""
+        (``parent`` is None for the root). HS-Tree never untracks, so no
+        set is built twice in its run."""
         for node in nodes:
             mask = node[4]
             if self._parent_of is not None:
@@ -479,23 +479,16 @@ def rbf_hs(
     is encoded before the timer starts, so ``wall_time`` never includes
     encoding (``encode_s`` holds it).
 
-    ``ordered`` (the default) branches as Wotawa's ordered hitting-set tree:
-    a child that adds axiom e of its parent's conflict never adds a member
-    of that conflict before e in K order, so every node set is reached by
-    one path and no order of building it is searched twice. The returned
-    diagnoses are the same, and so is their order except among diagnoses
-    of equal cost. ``ordered=False`` expands every member of every
-    conflict, as the paper's algorithm does, and reproduces its traces and
-    counters. With ``debug``, an ordered run also asserts that every node
-    set keeps one parent set for the run.
-
-    The ordered tree with unequal fault probabilities keeps the backed-up
-    F of the children it discards in a learned-cost table of at most as
-    many entries as the live-node bound, and restores them when their
-    parent is expanded again, so it rebuilds fewer subtrees;
-    ``peak_learned_costs`` reports its size. With ``debug`` every recorded
-    diagnosis is checked against the learned F of each node set on its
-    path.
+    ``ordered`` (the default) branches as Wotawa's ordered hitting-set tree
+    and, with unequal fault probabilities, keeps the learned-cost table,
+    both as the module docstring describes; ``peak_learned_costs`` reports
+    the table's size. The returned diagnoses are the same either way, and
+    so is their order except among diagnoses of equal cost.
+    ``ordered=False`` expands every member of every conflict, as the
+    paper's algorithm does, and reproduces its traces and counters. With
+    ``debug``, an ordered run also asserts that every node set keeps one
+    parent set for the run, and that no learned F on a recorded
+    diagnosis's path lies below its cost.
     """
     return _run(lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner)
 
@@ -553,10 +546,9 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                 if i >= 0:
                     stored += 1
         if i >= 0 and ordered:
-            # the members of the parent's conflict before the new axiom e
-            # (higher bits); 0 at the root, where e and the conflict are 0
-            e = mask ^ pmask
-            forbid = pforbid | masks[c_next - 1] & -(e << 1)
+            # the members of the parent's conflict before the new axiom
+            # (higher bits); 0 at the root, where the new axiom is 0
+            forbid = pforbid | masks[c_next - 1] & -((mask ^ pmask) << 1)
             if not masks[i] & ~forbid:  # a dead end: no child may be built
                 i = _CLOSED
         else:
@@ -655,59 +647,47 @@ def hs_tree(
     trace: list[TraceEvent] | None = None,
     debug: bool = False,
     reasoner: Reasoner | None = None,
-    ordered: bool = True,
 ) -> SearchResult:
     """Reiter-style best-first hitting-set tree.
 
     Open nodes sit in a binary heap ordered like the RBF-HS sort; labeling,
-    the conflict store and ``ordered`` are those of rbf_hs, the only
-    addition being full tree retention (expanded inner nodes stay in memory
-    until the search ends, which is what the peak-node metric measures).
-    ``reasoner`` is shared as in rbf_hs. The ordered tree builds every node
-    set once, so no two queued nodes are set-equal; ``ordered=False``
-    expands every member of every conflict, as the paper's algorithm does,
-    and drops a child set-equal to a queued node. Both return the same
-    list in the same order, since the heap pops in the full sort order,
-    unless two costs differ only in their last bits: a cost is summed along
-    the path that built its set. With ``debug``, an ordered run also
-    asserts that no node set is built twice.
+    the conflict store and the ordered branching are those of rbf_hs, the
+    only addition being full tree retention (expanded inner nodes stay in
+    memory until the search ends, which is what the peak-node metric
+    measures). ``reasoner`` is shared as in rbf_hs. With ``debug``, a run
+    also asserts that no node set is built twice.
     """
-    return _run(lambda core: _hs_loop(core, ordered), HSTREE, dpi, pr, ld, trace, debug, reasoner)
+    return _run(_hs_loop, HSTREE, dpi, pr, ld, trace, debug, reasoner)
 
 
-def _hs_loop(core: _SearchCore, ordered: bool) -> None:
+def _hs_loop(core: _SearchCore) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
     stored = len(masks)
     labels = reuses = 0
     generated = live = peak = 1
-    # A node is [-F, card, -mask, f, mask, c_from, parent mask, forbidden
-    # mask]; HS-Tree never backs up a cost, so F is f throughout. Queued
-    # masks are unique (the ordered tree builds each set once, the paper's
-    # expansion drops set-equal children below), so heap comparisons never
-    # tie on the sort key and pops follow the full sort order.
+    # A node is [-F, card, -mask, f, mask, c_next, parent mask, parent's
+    # forbidden mask]; HS-Tree never backs up a cost, so F is f throughout.
+    # Queued masks are unique, so pops follow the full sort order.
     root = [-core.f_empty, 0, 0, core.f_empty, 0, 0, 0, 0]
     queue = [root]
-    queued_masks = None if ordered else {0}
     retained: list[list] = []
-    if debug and ordered:
+    if debug:
         core._parent_of = {}
         core._track([root], None)
     while queue:
         node = heappop(queue)
-        mask = node[4]
-        if queued_masks is not None:
-            queued_masks.discard(mask)
+        mask, c_next, pmask = node[4], node[5], node[6]
         labels += 1
         i = _CLOSED
-        for d in diags_with[mask ^ node[6]]:
+        for d in diags_with[mask ^ pmask]:
             if d & mask == d:
                 if checked:
                     core._closed(node, d)
                 break
         else:
-            i = node[5]
+            i = c_next
             while i < stored:
                 if not masks[i] & mask:
                     reuses += 1
@@ -719,9 +699,12 @@ def _hs_loop(core: _SearchCore, ordered: bool) -> None:
                 i = core._new_conflict(node)
                 if i >= 0:
                     stored += 1
-        forbid = node[7]  # 0 throughout for ordered=False
-        if i >= 0 and not masks[i] & ~forbid:  # a dead end: no child may be built
-            i = _CLOSED
+        if i >= 0:
+            # the parent's forbidden mask plus the members of the parent's
+            # conflict before the new axiom (higher bits), as in _rbf_loop
+            forbid = node[7] | masks[c_next - 1] & -((mask ^ pmask) << 1)
+            if not masks[i] & ~forbid:  # a dead end: no child may be built
+                i = _CLOSED
         if i < 0:
             live -= 1
             if i == _VALID and core.record_diagnosis(node):
@@ -729,15 +712,13 @@ def _hs_loop(core: _SearchCore, ordered: bool) -> None:
             continue
         retained.append(node)
         f, card, c_next = node[3], node[1] + 1, i + 1
-        # a child may never add a member of the conflict before its own axiom
-        conflict = masks[i] if ordered else 0
         children = []
         for delta, bit in steps[i]:
             if bit & forbid:
                 continue
             cf = f + delta
             cmask = mask | bit
-            children.append([-cf, card, -cmask, cf, cmask, c_next, mask, forbid | conflict & -(bit << 1)])
+            children.append([-cf, card, -cmask, cf, cmask, c_next, mask, forbid])
         n = len(children)
         generated += n
         live += n
@@ -745,18 +726,10 @@ def _hs_loop(core: _SearchCore, ordered: bool) -> None:
             peak = live
         if tracing:
             core._expanded(node, i, children)
-        if queued_masks is None:
-            if debug:
-                core._track(children, mask)
-            for child in children:
-                heappush(queue, child)
-            continue
+        if debug:
+            core._track(children, mask)
         for child in children:
-            if child[4] in queued_masks:
-                live -= 1  # set-equal to a queued node
-                continue
             heappush(queue, child)
-            queued_masks.add(child[4])
     live -= len(queue) + len(retained)
     if debug:
         assert live == 0, f"{live} nodes leaked"

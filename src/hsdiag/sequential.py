@@ -170,6 +170,12 @@ def update_dpi(
     return replace(dpi, conflict_family=family)
 
 
+def check_session_ld(ld: int) -> None:
+    """A session ends when its search returns one diagnosis, as ld 1 always does."""
+    if ld < 2:
+        raise ValueError(f"sessions need ld of at least 2 to detect isolation: {ld}")
+
+
 def run_session(
     dpi: Dpi,
     pr: FaultProbabilities,
@@ -192,8 +198,7 @@ def run_session(
     within |K| queries; only a DPI without any diagnosis raises
     RuntimeError, at its first search.
     """
-    if ld < 2:
-        raise ValueError("sessions need ld of at least 2 to detect isolation")
+    check_session_ld(ld)
     if algo not in SEARCHES:
         raise ValueError(f"unknown algorithm: {algo!r}")
     search = SEARCHES[algo]

@@ -147,11 +147,14 @@ def test_dump_load_round_trip(table1, ex4, tmp_path):
     for dpi, pr in (table1, ex4):
         text = dumps(dpi, pr)
         again, pr_again = loads(text)
+        assert dumps(again, pr_again) == text
         assert again.k_ids == dpi.k_ids
         assert again.kind == dpi.kind
         if dpi.kind == "reasoner":
             assert again.formulas == dpi.formulas
-            assert again.negative == dpi.negative
+            assert (again.background, again.positive, again.negative) == (
+                dpi.background, dpi.positive, dpi.negative
+            )
         else:
             assert again.conflict_family == dpi.conflict_family
         assert pr_again.values == pr.values
@@ -191,6 +194,25 @@ def test_dumps_rejects_abstract_ids_the_format_cannot_name():
         dumps(Dpi.abstract(["c0", "c1"], [("c0", "c1")]))
     with pytest.raises(ValueError, match="1..n"):
         dumps(Dpi.abstract(["2", "1"], [("1", "2")]))
+
+
+@pytest.mark.parametrize(
+    "axiom_id",
+    ["a:b", "a#b", "", "a\nb", "a\u2028b", " a", "a\t"],
+    ids=["colon", "hash", "empty", "newline", "line-separator", "leading-space", "trailing-tab"],
+)
+def test_dumps_rejects_axiom_ids_loads_cannot_read(axiom_id):
+    # loads reads an id up to the line's first ':', strips it and cuts the
+    # line at '#', so each of these would come back refused or renamed
+    dpi = Dpi.propositional([(axiom_id, parse_formula("x")), ("ok", parse_formula("y"))])
+    with pytest.raises(ValueError, match="cannot write axiom id"):
+        dumps(dpi)
+
+
+def test_dumps_writes_ids_with_inner_spaces_and_punctuation():
+    dpi = Dpi.propositional([("gate 1", parse_formula("x")), ("g.2-b[0]", parse_formula("!x"))])
+    again, _ = loads(dumps(dpi))
+    assert again.k_ids == dpi.k_ids
 
 
 # --- BenchRow CSV ----------------------------------------------------------------
@@ -497,10 +519,20 @@ def test_bench_exits_1_when_a_cell_failed(tmp_path, capsys):
         (
             "",
             ["bench", "--fixtures", "{dir}", "--ld", "0", "--out", "{dir}/o.csv"],
-            "ld values must be positive: 0",
+            "sessions need ld of at least 2 to detect isolation: 0",
+        ),
+        (
+            (FIXTURES / "ex4.dpi").read_text(),
+            ["bench", "--fixtures", "{dir}", "--ld", "2,1", "--out", "{dir}/o.csv"],
+            "sessions need ld of at least 2 to detect isolation: 1",
+        ),
+        (
+            (FIXTURES / "ex4.dpi").read_text(),
+            ["sequential", "--dpi", "{dpi}", "--ld", "1", "--sessions", "2"],
+            "sessions need ld of at least 2 to detect isolation: 1",
         ),
     ],
-    ids=["deeply-negated-axiom", "check-above-20-axioms", "bench-ld-0"],
+    ids=["deeply-negated-axiom", "check-above-20-axioms", "bench-ld-0", "bench-ld-1", "sequential-ld-1"],
 )
 def test_cli_reports_bad_input_in_one_error_line(tmp_path, capsys, text, args, message):
     dpi = tmp_path / "input.dpi"

@@ -8,13 +8,17 @@ from the search before its node sets became int masks,
 ``search_pinned_large.json`` (|K| 20 to 24, where HS-Tree's heap holds
 hundreds of nodes with many ties in card mode) before nodes became sort-key
 lists; any change to node order, tie-break, conflict reuse or trace text
-shows up here. Their ``rbfhs`` and ``hstree`` entries run the paper's
-expansion (``ordered=False``); the ``rbfhs-ordered`` and, added after them,
-``hstree-ordered`` entries run the default ordered tree.
+shows up here. Their ``rbfhs`` entries run RBF-HS's paper expansion
+(``ordered=False``); the ``rbfhs-ordered`` and, added after them,
+``hstree-ordered`` entries run the ordered tree, which is HS-Tree's only
+expansion. The ``hstree`` entries were recorded from HS-Tree's paper
+expansion, which the package no longer has: they pin the list that the
+ordered HS-Tree must still return, the ids exactly and the probabilities up
+to the rounding of sums taken along other paths.
 
 Regenerate a corpus (only for a deliberate behaviour change) with
-``PYTHONPATH=src python tests/test_search_pinned.py small > tests/search_pinned.json``
-(or ``large > tests/search_pinned_large.json``).
+``PYTHONPATH=src python tests/test_search_pinned.py small`` (or ``large``),
+which rewrites its file and copies the ``hstree`` entries as they are.
 """
 
 import hashlib
@@ -35,10 +39,11 @@ CORPORA = {
 }
 SEARCHES = {
     "rbfhs": partial(rbf_hs, ordered=False),
-    "hstree": partial(hs_tree, ordered=False),
+    "hstree": hs_tree,
     "rbfhs-ordered": rbf_hs,
     "hstree-ordered": hs_tree,
 }
+PAPER_LIST_ONLY = "hstree"  # recorded from a search that cannot run again
 MODES = ("prob", "card")
 COUNTERS = (
     "peak_live_nodes",
@@ -100,11 +105,18 @@ def pinned():
     return {k: v for path, _ in CORPORA.values() for k, v in json.loads(path.read_text()).items()}
 
 
+def test_corpus_covers_every_case(pinned):
+    assert sorted(pinned) == sorted(case_id(*c) for c in CASES)
+
+
 @pytest.mark.parametrize("mode,seed,algo", CASES, ids=[case_id(*c) for c in CASES])
 def test_search_matches_pinned(pinned, mode, seed, algo):
     expected = pinned[case_id(mode, seed, algo)]
     got = record(mode, seed, algo)
     assert got["diagnoses"] == expected["diagnoses"]
+    if algo == PAPER_LIST_ONLY:
+        assert got["pr"] == pytest.approx(expected["pr"], rel=1e-12, abs=0)
+        return
     assert got["pr"] == expected["pr"]  # exact: same float arithmetic
     assert got["stats"] == expected["stats"]
     assert got["conflicts"] == expected["conflicts"]
@@ -113,15 +125,23 @@ def test_search_matches_pinned(pinned, mode, seed, algo):
 
 @pytest.mark.parametrize("mode,seed,algo", CASES, ids=[case_id(*c) for c in CASES])
 def test_trace_on_and_off_agree(mode, seed, algo):
+    # the hstree cases run the search of the hstree-ordered ones, so they
+    # check it without debug, as perfbench runs it
+    debug = algo != PAPER_LIST_ONLY
     dpi, pr, ld = instance(mode, seed)
     trace = []
-    on = SEARCHES[algo](dpi, pr, ld, trace=trace, debug=True)
-    off = SEARCHES[algo](dpi, pr, ld, trace=None, debug=True)
+    on = SEARCHES[algo](dpi, pr, ld, trace=trace, debug=debug)
+    off = SEARCHES[algo](dpi, pr, ld, trace=None, debug=debug)
     assert trace
     assert outcome(on) == outcome(off)
 
 
 if __name__ == "__main__":
-    _, seeds = CORPORA[sys.argv[1]]
-    lines = [f"{json.dumps(case_id(*c))}: {json.dumps(record(*c))}" for c in cases(seeds)]
-    print("{\n" + ",\n".join(lines) + "\n}")
+    path, seeds = CORPORA[sys.argv[1]]
+    kept = json.loads(path.read_text())
+    lines = [
+        f"{json.dumps(case_id(*c))}: "
+        + json.dumps(kept[case_id(*c)] if c[2] == PAPER_LIST_ONLY else record(*c))
+        for c in cases(seeds)
+    ]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
