@@ -138,7 +138,7 @@ def pick_probabilities(dpi: Dpi, file_pr: FaultProbabilities | None, mode: str) 
         # Pre-adjusted vectors (all below 0.5) are taken as given; scaling
         # them again would reshuffle the diagnosis ranking.
         if all(p < 0.5 for p in file_pr.values.values()):
-            return file_pr.as_cost_adjusted()
+            return file_pr
         return cost_adjust(file_pr, 0.25)
     raise ValueError(f"unknown probability mode: {mode!r}")
 
@@ -181,6 +181,8 @@ def run_bench(
     mode: str = "card",
 ) -> tuple[list[BenchRow], list[CellFailure]]:
     """Full factorial over fixtures x algorithms x ld x sessions."""
+    if not Path(fixture_dir).is_dir():
+        raise ValueError(f"fixture path is not a directory: {fixture_dir}")
     for ld in ld_values:
         check_session_ld(ld)
     rows: list[BenchRow] = []

@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EOFError) as exc:  # EOFError: the interactive oracle's input ended
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .logic import Formula
@@ -36,14 +36,11 @@ class FaultProbabilities:
     """Per-axiom failure probabilities in the open interval (0, 1)."""
 
     values: Mapping[str, float]
-    cost_adjusted: bool = False
 
     def __post_init__(self):
         for axiom, p in self.values.items():
             if not 0.0 < p < 1.0:
                 raise ValueError(f"probability of {axiom!r} out of (0,1): {p}")
-            if self.cost_adjusted and p >= 0.5:
-                raise ValueError(f"cost-adjusted probability of {axiom!r} not below 0.5: {p}")
 
     def __getitem__(self, axiom: str) -> float:
         try:
@@ -52,8 +49,12 @@ class FaultProbabilities:
             raise ValueError(f"missing probability entry for {axiom!r}") from None
 
     def as_cost_adjusted(self) -> "FaultProbabilities":
-        """Flag values that already sit below 0.5 as cost-adjusted."""
-        return FaultProbabilities(dict(self.values), cost_adjusted=True)
+        """Self, after checking that every value lies below 0.5, as both
+        searches need: adding an axiom to a node set must lower its probability."""
+        for axiom, p in self.values.items():
+            if p >= 0.5:
+                raise ValueError(f"search requires cost-adjusted probabilities (all below 0.5): {axiom!r} is {p}")
+        return self
 
 
 def cost_adjust(pr: FaultProbabilities, c: float) -> FaultProbabilities:
@@ -64,7 +65,7 @@ def cost_adjust(pr: FaultProbabilities, c: float) -> FaultProbabilities:
     """
     if not 0.0 < c < 0.5:
         raise ValueError(f"adjustment constant must be in (0, 0.5): {c}")
-    return FaultProbabilities({a: c * p for a, p in pr.values.items()}, cost_adjusted=True)
+    return FaultProbabilities({a: c * p for a, p in pr.values.items()})
 
 
 def cardinality_pr(k_ids: Iterable[str], c: float = 1 / 3) -> FaultProbabilities:
@@ -72,7 +73,7 @@ def cardinality_pr(k_ids: Iterable[str], c: float = 1 / 3) -> FaultProbabilities
     cardinality order."""
     if not 0.0 < c < 0.5:
         raise ValueError(f"uniform constant must be in (0, 0.5): {c}")
-    return FaultProbabilities({a: c for a in k_ids}, cost_adjusted=True)
+    return FaultProbabilities({a: c for a in k_ids})
 
 
 def _selection(k_ids: Iterable[str], x: Iterable[str]) -> tuple[set[str], list[str]]:
@@ -160,7 +161,6 @@ def antichain_reduce(members: Iterable[Iterable[str]]) -> tuple[tuple[str, ...],
 class Dpi:
     """A diagnosis problem instance ⟨K, B, P, N⟩ plus optional probabilities."""
 
-    kind: str
     k_ids: tuple[str, ...]
     formulas: tuple[Formula, ...] | None = None
     background: frozenset[Formula] = frozenset()
@@ -169,14 +169,18 @@ class Dpi:
     conflict_family: tuple[tuple[str, ...], ...] | None = None
     positive_ids: frozenset[str] = frozenset()
     pr: FaultProbabilities | None = None
+    # the backend, REASONER or ABSTRACT: the DPI holds formulas or a conflict family
+    kind: str = field(default=REASONER, init=False, repr=False, compare=False)
     # the abstract conflict family as K-masks, derived from conflict_family
     family_masks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
     # the K-mask of all of K: every in-range mask is a submask of it
     full_mask: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in (REASONER, ABSTRACT):
-            raise ValueError(f"unknown backend kind: {self.kind!r}")
+        if (self.formulas is None) == (self.conflict_family is None):
+            held = "neither formulas nor" if self.formulas is None else "both formulas and"
+            raise ValueError(f"DPI holds {held} a conflict family")
+        object.__setattr__(self, "kind", REASONER if self.conflict_family is None else ABSTRACT)
         if len(set(self.k_ids)) != len(self.k_ids):
             dupes = sorted({a for a in self.k_ids if self.k_ids.count(a) > 1})
             raise ValueError(f"duplicate axiom ids: {dupes}")
@@ -185,11 +189,9 @@ class Dpi:
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         if self.kind == REASONER:
-            if self.formulas is None or len(self.formulas) != len(self.k_ids):
+            if len(self.formulas) != len(self.k_ids):
                 raise ValueError("reasoner DPI needs one formula per axiom id")
         else:
-            if self.conflict_family is None:
-                raise ValueError("abstract DPI needs a conflict family")
             masks = []
             for member in self.conflict_family:
                 members = set(member)
@@ -216,7 +218,6 @@ class Dpi:
     ) -> "Dpi":
         ids = tuple(a for a, _ in k)
         return cls(
-            kind=REASONER,
             k_ids=ids,
             formulas=tuple(f for _, f in k),
             background=frozenset(background),
@@ -237,7 +238,6 @@ class Dpi:
         else:
             ids = tuple(components)
         return cls(
-            kind=ABSTRACT,
             k_ids=ids,
             conflict_family=tuple(tuple(m) for m in conflicts),
             pr=pr,
@@ -288,13 +288,6 @@ class Dpi:
         if self.kind != ABSTRACT:
             raise ValueError("only abstract DPIs carry a conflict family")
         return tuple(frozenset(m) for m in self.conflict_family)
-
-    def with_measurement(self, sentence: Formula, positive: bool) -> "Dpi":
-        if self.kind != REASONER:
-            raise ValueError("formula measurements need the reasoner backend")
-        if positive:
-            return replace(self, positive=self.positive | {sentence})
-        return replace(self, negative=self.negative | {sentence})
 
 
 def reasoner_for(dpi: Dpi) -> Reasoner | None:

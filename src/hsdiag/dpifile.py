@@ -26,6 +26,13 @@ class DpiFileError(ValueError):
         self.line = line
 
 
+def _valid_axiom_id(axiom_id: str) -> bool:
+    """The id rule of ``loads`` and ``dumps``: one stripped, non-empty line
+    without ``:`` (ends the id), ``#`` (a comment) or ``,`` (CLI id lists)."""
+    return (axiom_id == axiom_id.strip() and len(axiom_id.splitlines()) == 1
+            and not {":", "#", ","} & set(axiom_id))
+
+
 def load_dpi_file(path: str | Path) -> tuple[Dpi, FaultProbabilities | None]:
     p = Path(path)
     return loads(p.read_text(encoding="utf-8"), source=p.name)
@@ -77,8 +84,8 @@ def _build_propositional(sections, source: str) -> Dpi:
         if ":" not in line:
             raise DpiFileError("K line must read 'id: formula'", source, lineno)
         axiom_id, body = (part.strip() for part in line.split(":", 1))
-        if not axiom_id:
-            raise DpiFileError("empty axiom id", source, lineno)
+        if not _valid_axiom_id(axiom_id):
+            raise DpiFileError(f"invalid axiom id {axiom_id!r}" if axiom_id else "empty axiom id", source, lineno)
         if axiom_id in seen:
             raise DpiFileError(f"duplicate axiom id {axiom_id!r}", source, lineno)
         seen.add(axiom_id)
@@ -158,11 +165,9 @@ def _build_probabilities(sections, k_ids: list[str], source: str) -> FaultProbab
 def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
     """Serialize a DPI (and optional probabilities) back to the text format.
 
-    The format names abstract components 1..n, and ``loads`` reads a
-    propositional axiom id up to the first ``:`` of its line, strips it and
-    cuts the line at ``#``; so an abstract DPI with other ids, or an axiom
-    id that is empty, holds ``:``, ``#`` or a line break, or has surrounding
-    whitespace, raises ``ValueError``.
+    The format names abstract components 1..n, so an abstract DPI with
+    other ids raises ``ValueError``, as does an axiom id that breaks
+    ``_valid_axiom_id``.
     """
     out: list[str] = []
     if dpi.kind == ABSTRACT:
@@ -176,8 +181,7 @@ def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
     else:
         out.append("[K]")
         for axiom_id, formula in zip(dpi.k_ids, dpi.formulas):
-            # every line break is whitespace, so strip() catches one at an end
-            if axiom_id != axiom_id.strip() or len(axiom_id.splitlines()) != 1 or {":", "#"} & set(axiom_id):
+            if not _valid_axiom_id(axiom_id):
                 raise ValueError(f"the DPI format cannot write axiom id {axiom_id!r}")
             out.append(f"{axiom_id}: {format_formula(formula)}")
         for name, group in (("B", dpi.background), ("P", dpi.positive), ("N", dpi.negative)):

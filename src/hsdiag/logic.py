@@ -5,7 +5,8 @@ assumptions.
 This is the theorem prover behind conflict detection. It is deliberately
 small and deterministic: atom numbering, clause emission order and the DPLL
 branching rule are all fixed, so identical inputs always take identical
-decision paths. One table, ``_BINARY``, owns the binary operators: their
+decision paths. One node class, ``Binary``, declares the shape of every
+binary operator, and one table, ``_BINARY``, owns the operators: their
 tokens, precedence and associativity for the parser and the printer, and
 the definitional clauses of each for the CNF encoder.
 """
@@ -56,27 +57,27 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
+    """A binary node; a subclass names the operator, and ``==`` compares it."""
+
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+class And(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+class Or(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    lhs: Formula
-    rhs: Formula
+class Implies(Binary):
+    pass
+
+
+class Iff(Binary):
+    pass
 
 
 TRUE = Const(True)
@@ -86,8 +87,8 @@ FALSE = Const(False)
 # The binary operators, loosest first: (token, node class, right-associative,
 # definition). A definition gives, in the order the encoder adds them, the
 # clauses that make variable v equivalent to ``a op b``. The parser, the
-# printer, the atom walk and the CNF encoder all read this table; `!` binds
-# tighter than every entry.
+# printer and the CNF encoder all read this table; `!` binds tighter than
+# every entry.
 _BINARY = (
     ("<->", Iff, True, lambda v, a, b: ((-v, -a, b), (-v, a, -b), (v, a, b), (v, -a, -b))),
     ("->", Implies, True, lambda v, a, b: ((-v, -a, b), (v, a), (v, -b))),
@@ -292,7 +293,7 @@ def _collect_atoms(f: Formula, into: set[str]) -> None:
         into.add(f.name)
     elif isinstance(f, Not):
         _collect_atoms(f.operand, into)
-    elif type(f) in _DEFINITION:
+    elif isinstance(f, Binary):
         _collect_atoms(f.lhs, into)
         _collect_atoms(f.rhs, into)
 

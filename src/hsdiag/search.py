@@ -21,8 +21,8 @@ highest bit. Between two sets of equal cardinality the larger mask is the
 one whose K-ordered id sequence is smaller, which makes
 ``(-F, cardinality, -mask)`` the full sort key. Subset and disjointness
 tests are one ``&`` each, and conflict extraction takes the node's mask;
-id tuples are built only for recorded diagnoses, and trace text only when
-a trace event is read.
+id tuples are built only for recorded diagnoses and the result's conflicts,
+and trace text only when a trace event is read.
 
 A node is the list ``[-F, card, -mask, f, mask]``: backed-up log cost F
 (only ever decreases), cardinality, node set, and static log cost f. Its
@@ -206,14 +206,14 @@ class _CostText(dict):
         return text
 
 
-# Trace text of one detail part, by its type, given the search's cost memo:
-# a float is a log cost shown linear, a tuple an id list, a list a list of
-# log costs.
+# Trace text of one detail part, by its type, given the search's
+# :class:`_IdsByMask`: a float is a log cost shown linear, an int a K-mask
+# shown as its ids, a list a list of log costs.
 _TEXT = {
-    str: lambda text, costs: text,
-    float: lambda log_cost, costs: costs[log_cost],
-    tuple: lambda ids, costs: ",".join(ids),
-    list: lambda log_costs, costs: ",".join(map(costs.__getitem__, log_costs)),
+    str: lambda text, names: text,
+    float: lambda log_cost, names: names.costs[log_cost],
+    int: lambda mask, names: ",".join(names[mask]),
+    list: lambda log_costs, names: ",".join(map(names.costs.__getitem__, log_costs)),
 }
 
 
@@ -252,8 +252,8 @@ class TraceEvent(tuple):
 
     @property
     def detail(self) -> str:
-        costs = self[1].costs
-        return "".join([_TEXT[type(part)](part, costs) for part in self[3]])
+        names = self[1]
+        return "".join([_TEXT[type(part)](part, names) for part in self[3]])
 
     def line(self) -> str:
         return f"{self[0]} [{','.join(self.ids)}] {self.detail}".rstrip()
@@ -287,8 +287,7 @@ class _SearchCore:
         debug: bool,
         reasoner: Reasoner | None,
     ):
-        if not pr.cost_adjusted:
-            raise ValueError("search requires cost-adjusted probabilities (all below 0.5)")
+        pr.as_cost_adjusted()
         if ld is not None and ld < 1:
             raise ValueError(f"ld must be at least 1: {ld}")
         self.dpi = dpi
@@ -306,10 +305,8 @@ class _SearchCore:
         self._solver_calls_before = reasoner.solver_calls if reasoner else 0
         self.checker = ValidityChecker(dpi, reasoner)
         self.diagnoses: list[Diagnosis] = []
-        self.diag_masks: list[int] = []  # parallel to diagnoses
-        self.conflict_list: list[tuple[str, ...]] = []
-        self.conflict_masks: list[int] = []  # parallel to conflict_list
-        self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_list
+        self.conflict_masks: list[int] = []
+        self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_masks
         self._live_masks: set[int] = set()  # debug
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
         self._learned: dict[int, float] | None = None  # debug, RBF-HS with a learned-cost table
@@ -321,9 +318,7 @@ class _SearchCore:
         }
         # Equal fault probabilities: every cost is a cardinality level, and
         # the ordered RBF-HS tree keeps no learned-cost table.
-        deltas = (delta for delta, _ in self._step.values())
-        first = next(deltas, 0.0)
-        self.equal_costs = all(delta == first for delta in deltas)
+        self.equal_costs = len({delta for delta, _ in self._step.values()}) <= 1
         # axiom bit (0 at the root, which adds none) -> masks in D holding it
         self._diags_with: dict[int, list[int]] = {bit: [] for _, bit in self._step.values()}
         self._diags_with[0] = []
@@ -358,7 +353,7 @@ class _SearchCore:
         a full scan of D and a conflict scan from index 0 (``len(store)``
         stands for "no stored conflict is disjoint")."""
         masks = self.conflict_masks
-        if any(d & mask == d for d in self.diag_masks):
+        if any(d & mask == d for ds in self._diags_with.values() for d in ds):
             full = _CLOSED
         else:
             full = next((i for i, c in enumerate(masks) if not c & mask), len(masks))
@@ -372,30 +367,33 @@ class _SearchCore:
         if self.debug:
             self._check_label(node[4], i)
         if self.trace is not None:
-            self._emit_label(node, "conflict-reuse {", self.conflict_list[i], "}")
+            self._emit_label(node, "conflict-reuse {", self.conflict_masks[i], "}")
 
     def _expanded(self, node: list, i: int, children: list[list]) -> None:
         """EXPAND and INHERIT lines of a node expanded on conflict i."""
-        self.emit("EXPAND", node[4], ("conflict={", self.conflict_list[i], "} f=[", [c[3] for c in children], "]"))
+        self.emit("EXPAND", node[4], ("conflict={", self.conflict_masks[i], "} f=[", [c[3] for c in children], "]"))
         for child in children:
             if child[0] != -child[3]:  # F inherited or learned: only below a node expanded before
                 self.emit("INHERIT", child[4], ("F=", -child[0]))
 
     # -- cold paths of the label ---------------------------------------------
 
-    def add_conflict(self, ids: tuple[str, ...]) -> None:
-        self.conflict_list.append(ids)
+    def add_conflict(self, ids: tuple[str, ...]) -> int:
+        """Store a conflict and return its mask; its steps, so its children,
+        follow K order (higher bits first) whatever order ``ids`` lists."""
+        steps = [self._step[a] for a in ids]
+        steps.sort(key=itemgetter(1), reverse=True)
+        self.conflict_steps.append(steps)
         self.conflict_masks.append(self.dpi.mask_of(ids))
-        self.conflict_steps.append([self._step[a] for a in ids])
+        return self.conflict_masks[-1]
 
     def _closed(self, node: list, closer: int) -> None:
-        """A closed label; ``closer`` is the first diagnosis in D inside
-        the node, since the per-axiom lists keep D's order."""
+        """A closed label; ``closer`` is the mask of the first diagnosis in
+        D inside the node, since the per-axiom lists keep D's order."""
         if self.debug:
             self._check_label(node[4], _CLOSED)
         if self.trace is not None:
-            ids = self.diagnoses[self.diag_masks.index(closer)].ids
-            self._emit_label(node, "closed superset-of={", ids, "}")
+            self._emit_label(node, "closed superset-of={", closer, "}")
 
     def _new_conflict(self, node: list) -> int:
         """A label no stored conflict answers: the index of a freshly
@@ -410,9 +408,9 @@ class _SearchCore:
                 self._emit_label(node, "valid")
             return _VALID
         if isinstance(outcome, MinimalConflict):
-            self.add_conflict(outcome.ids)
+            conflict = self.add_conflict(outcome.ids)
             if self.trace is not None:
-                self._emit_label(node, "conflict-new {", outcome.ids, "}")
+                self._emit_label(node, "conflict-new {", conflict, "}")
             return len(self.conflict_masks) - 1
         raise RuntimeError("empty conflict inside the search tree")  # handled up front
 
@@ -422,7 +420,6 @@ class _SearchCore:
         mask = node[4]
         ids = self.dpi.ids_of(mask)
         self.diagnoses.append(Diagnosis(ids, _linear(node[3])))
-        self.diag_masks.append(mask)
         for a in ids:
             self._diags_with[self._step[a][1]].append(mask)
         if self.trace is not None:
@@ -438,7 +435,8 @@ class _SearchCore:
     def result(self, algorithm: str) -> SearchResult:
         if self.reasoner is not None:
             self.stats.solver_calls = self.reasoner.solver_calls - self._solver_calls_before
-        return SearchResult(algorithm, self.diagnoses, self.stats, tuple(self.conflict_list))
+        conflicts = tuple(map(self.dpi.ids_of, self.conflict_masks))
+        return SearchResult(algorithm, self.diagnoses, self.stats, conflicts)
 
 
 def _run(loop, algorithm: str, dpi, pr, ld, trace, debug, reasoner) -> SearchResult:
@@ -451,7 +449,6 @@ def _run(loop, algorithm: str, dpi, pr, ld, trace, debug, reasoner) -> SearchRes
     core.stats.conflict_computations += 1
     if isinstance(outcome, NoConflict):
         core.diagnoses.append(Diagnosis((), _linear(core.f_empty)))
-        core.diag_masks.append(0)
     elif isinstance(outcome, MinimalConflict):
         core.add_conflict(outcome.ids)
         loop(core)

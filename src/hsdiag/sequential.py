@@ -157,7 +157,9 @@ def update_dpi(
     if dpi.kind != ABSTRACT:
         if reasoner is not None:
             reasoner.add_measurement(query.axiom_id, answer)
-        return dpi.with_measurement(query.sentence, answer)
+        if answer:
+            return replace(dpi, positive=dpi.positive | {query.sentence})
+        return replace(dpi, negative=dpi.negative | {query.sentence})
     axiom = query.axiom_id
     if answer:
         family = antichain_reduce(

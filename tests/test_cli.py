@@ -5,8 +5,18 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from hsdiag import Dpi, DpiFileError, dumps, gen_random_dpi, load_dpi_file, loads, parse_formula
+from hsdiag import (
+    Dpi,
+    DpiFileError,
+    FaultProbabilities,
+    dumps,
+    gen_random_dpi,
+    load_dpi_file,
+    loads,
+    parse_formula,
+)
 from hsdiag.bench import (
     BenchRow,
     CSV_HEADER,
@@ -19,6 +29,7 @@ from hsdiag.bench import (
     write_summary,
 )
 from hsdiag.cli import main
+from hsdiag.dpifile import _valid_axiom_id
 from hsdiag.reasoner import Reasoner
 from hsdiag.search import COUNTERS, SearchStats
 
@@ -107,6 +118,7 @@ def test_load_rejects_conflict_naming_a_component_twice():
         ("[K]\nax1: A\n[PR]\nax2: 0.1\n", 4, "probability for unknown axiom 'ax2'"),
         ("[K]\nax1: A\n[PR]\nax1: 0.1\nax1: 0.2\n", 5, "duplicate probability for 'ax1'"),
         ("[K]\nax1: A\n[PR]\nax1: high\n", 4, "probability is not a number: 'high'"),
+        ("[K]\nax1: A\na,b: B\n", 3, "invalid axiom id 'a,b'"),
     ],
 )
 def test_load_rejects_malformed_input_at_its_line(text, line, message):
@@ -116,27 +128,32 @@ def test_load_rejects_malformed_input_at_its_line(text, line, message):
     assert str(exc.value).startswith("x.dpi: " if line is None else f"x.dpi:{line}: ")
 
 
+def run_cli(args, cwd, stdin=""):
+    """The CLI in a child process, as a user runs it, reading ``stdin``."""
+    import os
+    import subprocess
+    import sys
+
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "hsdiag.cli", *args],
+        input=stdin, capture_output=True, text=True, cwd=cwd, env=env, timeout=30,
+    )
+
+
 @pytest.mark.parametrize(
     "args", [["diag", "--ld", "3"], ["diag", "--algo", "hstree", "--ld", "3"], ["check"]]
 )
 def test_cli_rejects_conflict_naming_a_component_twice(tmp_path, args):
     # both searches used to loop without end on this file, and check to
     # print a traceback
-    import os
-    import subprocess
-    import sys
-
     path = tmp_path / "dup.dpi"
     path.write_text("[COMPONENTS]\n3\n[CONFLICTS]\n1 1 2\n")
-    repo = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "hsdiag.cli", *args, "--dpi", str(path)],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=30,
-    )
+    proc = run_cli([*args, "--dpi", str(path)], tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: dup.dpi:4: conflict names a component twice: ['1', '1', '2']"
@@ -198,15 +215,25 @@ def test_dumps_rejects_abstract_ids_the_format_cannot_name():
 
 @pytest.mark.parametrize(
     "axiom_id",
-    ["a:b", "a#b", "", "a\nb", "a\u2028b", " a", "a\t"],
-    ids=["colon", "hash", "empty", "newline", "line-separator", "leading-space", "trailing-tab"],
+    ["a:b", "a#b", "", "a\nb", "a\u2028b", " a", "a\t", "a,b"],
+    ids=["colon", "hash", "empty", "newline", "line-separator", "leading-space", "trailing-tab", "comma"],
 )
 def test_dumps_rejects_axiom_ids_loads_cannot_read(axiom_id):
     # loads reads an id up to the line's first ':', strips it and cuts the
-    # line at '#', so each of these would come back refused or renamed
+    # line at '#', so each of these but the last would come back refused or
+    # renamed; the CLI splits id lists on ',', so loads refuses that too
     dpi = Dpi.propositional([(axiom_id, parse_formula("x")), ("ok", parse_formula("y"))])
     with pytest.raises(ValueError, match="cannot write axiom id"):
         dumps(dpi)
+
+
+@given(st.text(min_size=1, max_size=12))
+def test_every_id_the_rule_accepts_survives_dumps_and_loads(axiom_id):
+    assume(_valid_axiom_id(axiom_id))
+    dpi = Dpi.propositional([(axiom_id, parse_formula("x"))])
+    again, pr = loads(dumps(dpi, FaultProbabilities({axiom_id: 0.25})))
+    assert again.k_ids == (axiom_id,)
+    assert pr.values == {axiom_id: 0.25}
 
 
 def test_dumps_writes_ids_with_inner_spaces_and_punctuation():
@@ -468,6 +495,14 @@ def test_sequential_interactive_scripted_stdin(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == sim_out
 
 
+def test_sequential_interactive_input_ended(tmp_path):
+    # an empty stdin used to end in an EOFError traceback
+    proc = run_cli(["sequential", "--dpi", str(FIXTURES / "ex4.dpi"), "--mode", "prob",
+                    "--oracle", "interactive", "--actual", "1,4"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: EOF when reading a line"]
+
+
 def test_sequential_invalid_actual(capsys):
     assert main(["sequential", "--dpi", table1_path(), "--actual", "ax1"]) == 1
     assert "not a minimal diagnosis" in capsys.readouterr().err
@@ -491,6 +526,20 @@ def test_bench_empty_directory(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--fixtures", str(tmp_path), "--out", str(out)]) == 0
     assert out.read_text() == CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_bench_refuses_a_fixtures_path_that_is_not_a_directory(tmp_path, capsys, kind):
+    # both used to write a header-only CSV and exit 0
+    fixtures = tmp_path / "fx"
+    if kind == "file":
+        fixtures.write_text(dumps(gen_random_dpi(8, 4, 3, 1)))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--fixtures", str(fixtures), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: fixture path is not a directory: {fixtures}"
+    ]
+    assert not out.exists()
 
 
 def test_bench_exits_1_when_a_cell_failed(tmp_path, capsys):

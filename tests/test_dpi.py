@@ -126,7 +126,7 @@ def test_pr_of_sums_to_one():
 def test_cost_adjust_scales_and_flags():
     pr = FaultProbabilities({"a": 0.8, "b": 0.4})
     adj = cost_adjust(pr, 0.25)
-    assert adj.cost_adjusted
+    assert adj.as_cost_adjusted() is adj
     assert adj["a"] == pytest.approx(0.2)
     assert adj["b"] == pytest.approx(0.1)
     assert adj["a"] / adj["b"] == pytest.approx(pr["a"] / pr["b"])
@@ -144,8 +144,8 @@ def test_probability_domain_validation():
         FaultProbabilities({"a": 1.2})
     with pytest.raises(ValueError):
         FaultProbabilities({"a": 0.0})
-    with pytest.raises(ValueError):
-        FaultProbabilities({"a": 0.6}, cost_adjusted=True)
+    with pytest.raises(ValueError, match="cost-adjusted"):
+        FaultProbabilities({"a": 0.6}).as_cost_adjusted()
 
 
 def test_cardinality_pr_orders_by_size():
@@ -308,12 +308,15 @@ def test_abstract_constructor_rejects_non_antichain():
 @pytest.mark.parametrize(
     "fields, message",
     [
-        (dict(kind="other", k_ids=("a",)), "unknown backend kind: 'other'"),
-        (dict(kind="reasoner", k_ids=("a",)), "one formula per axiom id"),
-        (dict(kind="reasoner", k_ids=("a", "b"), formulas=(Atom("x"),)), "one formula per axiom id"),
-        (dict(kind="abstract", k_ids=("1", "2")), "abstract DPI needs a conflict family"),
+        (dict(k_ids=("a",)), "neither formulas nor a conflict family"),
+        (dict(k_ids=("a",), formulas=()), "one formula per axiom id"),
+        (dict(k_ids=("a", "b"), formulas=(Atom("x"),)), "one formula per axiom id"),
         (
-            dict(kind="abstract", k_ids=("1", "2"), conflict_family=(("1", "3"),)),
+            dict(k_ids=("1",), formulas=(Atom("x"),), conflict_family=(("1",),)),
+            "both formulas and a conflict family",
+        ),
+        (
+            dict(k_ids=("1", "2"), conflict_family=(("1", "3"),)),
             r"conflict mentions unknown ids: \['3'\]",
         ),
     ],

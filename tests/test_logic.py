@@ -20,7 +20,7 @@ from hsdiag import (
     parse_formula,
     to_clause_set,
 )
-from hsdiag.logic import Solver
+from hsdiag.logic import Binary, Solver
 from conftest import random_formula
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -127,6 +127,14 @@ def test_invalid_atom_name_rejected():
 def test_deep_parentheses_parse():
     # two parser frames per parenthesis
     assert parse_formula("(" * 300 + "x" + ")" * 300) == Atom("x")
+
+
+def test_binary_operators_share_one_node_declaration():
+    nodes = [And(A, B), Or(A, B), Implies(A, B), Iff(A, B)]
+    assert all(isinstance(f, Binary) and (f.lhs, f.rhs) == (A, B) for f in nodes)
+    # equal operands, unequal operators: equality compares classes too
+    assert len(set(nodes)) == 4
+    assert And(A, B) == And(A, B) and And(A, B) != Or(A, B)
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,37 @@ def test_ld_validation(ex4):
         rbf_hs(dpi, FaultProbabilities({a: 0.6 for a in dpi.k_ids}), 2)
 
 
+@pytest.mark.parametrize("search", [rbf_hs, hs_tree])
+def test_probabilities_below_half_need_no_flag(ex4, search):
+    # the values themselves make probabilities fit for the search
+    dpi, _ = ex4
+    result = search(dpi, FaultProbabilities({a: 0.1 for a in dpi.k_ids}), 2)
+    assert len(result.diagnoses) == 2
+
+
+@pytest.mark.parametrize("search", [rbf_hs, hs_tree])
+@pytest.mark.parametrize("high", [0.5, 0.9])
+def test_probability_of_half_or_above_refused(ex4, search, high):
+    dpi, _ = ex4
+    values = {a: 0.1 for a in dpi.k_ids}
+    values[dpi.k_ids[-1]] = high
+    with pytest.raises(ValueError, match="cost-adjusted"):
+        search(dpi, FaultProbabilities(values), 2)
+
+
+@pytest.mark.parametrize("search", [rbf_hs, hs_tree])
+def test_conflict_listed_out_of_k_order_is_named_in_k_order(search):
+    dpi = Dpi.abstract(4, [("4", "2"), ("3", "1")])
+    trace = []
+    result = search(dpi, cardinality_pr(dpi.k_ids), None, trace=trace, debug=True)
+    assert result.conflicts == (("2", "4"), ("1", "3"))
+    assert sorted(d.ids for d in result.diagnoses) == [("1", "2"), ("1", "4"), ("2", "3"), ("3", "4")]
+    lines = [e.line() for e in trace]
+    assert lines[0].startswith("LABEL [] conflict-reuse {2,4}")
+    assert lines[1].startswith("EXPAND [] conflict={2,4}")
+    assert any(line.startswith("LABEL [2] conflict-new {1,3}") for line in lines)
+
+
 def test_singleton_conflict_gets_dummy_sibling():
     # single-element conflicts produce one child; the dummy keeps the
     # two-children invariant of the recursion
@@ -217,7 +248,7 @@ def test_random_abstract_agreement_with_random_pr():
     for seed in range(40):
         dpi = gen_random_dpi(8, 4, 4, seed)
         pr = FaultProbabilities(
-            {a: rng.uniform(0.02, 0.49) for a in dpi.k_ids}, cost_adjusted=True
+            {a: rng.uniform(0.02, 0.49) for a in dpi.k_ids}
         )
         rbf, hst = agreement_case(dpi, pr)
         # with strictly separated probabilities the two emission orders match
@@ -234,7 +265,7 @@ def test_random_instances_ordered_and_paper_tree(ordered):
     for seed in range(120):
         comps = rng.randint(3, 12)
         dpi = gen_random_dpi(comps, rng.randint(1, 8), rng.randint(1, min(5, comps)), seed)
-        prob = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+        prob = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids})
         card = cardinality_pr(dpi.k_ids)
         rbf = rbf_hs(dpi, prob, None, debug=True, ordered=ordered)
         assert [d.ids for d in rbf.diagnoses] == [d.ids for d in hs_tree(dpi, prob, None).diagnoses]
@@ -260,7 +291,7 @@ def test_ordered_hs_tree_keeps_the_paper_list():
     for seed in range(150):
         comps = rng.randint(3, 12)
         dpi = gen_random_dpi(comps, rng.randint(1, 8), rng.randint(1, min(5, comps)), seed)
-        prob = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+        prob = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids})
         position = {a: i for i, a in enumerate(dpi.k_ids)}
         oracle = sorted(
             (d.ids for d in brute_force_min_diagnoses(dpi)),
@@ -283,7 +314,7 @@ def test_learned_costs_keep_the_list_when_the_ring_wraps():
     at_cap = 0
     for seed in range(140):
         dpi = gen_random_dpi(14, 9, 4, seed)
-        pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids})
         result = rbf_hs(dpi, pr, None, debug=True)
         ids = [d.ids for d in result.diagnoses]
         assert ids == [d.ids for d in hs_tree(dpi, pr, None).diagnoses]
@@ -300,7 +331,7 @@ def test_no_learned_costs_with_equal_probabilities_or_the_paper_tree():
         dpi = gen_random_dpi(14, 9, 4, seed)
         card = cardinality_pr(dpi.k_ids)
         prob = FaultProbabilities(
-            {a: 0.01 + 0.02 * (i % 5) for i, a in enumerate(dpi.k_ids)}, cost_adjusted=True
+            {a: 0.01 + 0.02 * (i % 5) for i, a in enumerate(dpi.k_ids)}
         )
         for result in (
             rbf_hs(dpi, card, None),
@@ -333,7 +364,7 @@ def test_resumed_labels_agree_with_labels_from_scratch(components, conflicts, ma
         pr = cardinality_pr(dpi.k_ids)
     else:
         rng = random.Random(seed)
-        pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids})
     oracle = {d.id_set: pr_of(pr, dpi.k_ids, d.ids) for d in brute_force_min_diagnoses(dpi)}
     expected = len(oracle) if ld is None else min(ld, len(oracle))
     for search in (rbf_hs, hs_tree):

@@ -65,7 +65,7 @@ def instance(mode: str, seed: int):
     if mode == "card":
         return dpi, cardinality_pr(dpi.k_ids), ld
     rng = random.Random(1000 + seed)
-    pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True)
+    pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids})
     return dpi, pr, ld
 
 

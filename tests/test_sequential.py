@@ -156,7 +156,7 @@ def test_membership_selection_matches_the_logical_partition(backend):
             pr = cardinality_pr(dpi.k_ids)
         else:
             values = {a: rng.uniform(0.01, 0.45) for a in dpi.k_ids}
-            pr = FaultProbabilities(values, cost_adjusted=True)
+            pr = FaultProbabilities(values)
         ld = rng.randint(2, 8)
         for _ in range(4):
             diagnoses = rbf_hs(dpi, pr, ld).diagnoses
@@ -454,7 +454,7 @@ def test_session_ends_within_k_queries_whatever_the_answers(kind, seed, algo, ld
     else:
         dpi = random_propositional_dpi(rng, max_axioms=7, max_atoms=4)
     if prob:
-        pr = FaultProbabilities({a: rng.uniform(0.01, 0.45) for a in dpi.k_ids}, cost_adjusted=True)
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.45) for a in dpi.k_ids})
     else:
         pr = cardinality_pr(dpi.k_ids)
     queried = []

@@ -59,7 +59,7 @@ def random_cases():
         dpi = random_propositional_dpi(random.Random(seed), max_axioms=10)
         rng = random.Random(1000 + seed)
         file_pr = FaultProbabilities(
-            {a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}, cost_adjusted=True
+            {a: rng.uniform(0.01, 0.3) for a in dpi.k_ids}
         )
         actual = random.Random(2000 + seed).choice(hs_tree(dpi, file_pr, RANDOM_LD).diagnoses)
         for mode in MODES:
