@@ -1,6 +1,6 @@
 """hsdiag: linear-space best-first diagnosis search over hitting-set trees."""
 
-from .conflict import EmptyConflict, MinimalConflict, NoConflict, find_min_conflict, quickxplain
+from .conflict import find_min_conflict, quickxplain
 from .dpi import (
     Diagnosis,
     Dpi,

@@ -183,8 +183,12 @@ def run_bench(
     """Full factorial over fixtures x algorithms x ld x sessions."""
     if not Path(fixture_dir).is_dir():
         raise ValueError(f"fixture path is not a directory: {fixture_dir}")
+    seen = set()
     for ld in ld_values:
         check_session_ld(ld)
+        if ld in seen:  # every cell of it would be written twice
+            raise ValueError(f"repeated ld value: {ld}")
+        seen.add(ld)
     rows: list[BenchRow] = []
     failures: list[CellFailure] = []
     for path in sorted(Path(fixture_dir).glob("*.dpi")):

@@ -180,8 +180,9 @@ def cmd_sequential(args) -> int:
     check_session_ld(args.ld)
     dpi, pr = _load(args)
     name = Path(args.dpi).stem
-    if args.actual:
-        actuals = [frozenset(part.strip() for part in args.actual.split(","))]
+    if args.actual is not None:
+        named = args.actual.split(",") if args.actual else []  # "" names the empty diagnosis
+        actuals = [frozenset(part.strip() for part in named)]
     else:
         actuals = [
             d.id_set

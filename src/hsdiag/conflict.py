@@ -1,39 +1,20 @@
 """Minimal-conflict extraction.
 
-``find_min_conflict`` implements the contract the searches rely on: it
-returns an empty-conflict marker when the background alone is already
-invalid, a no-conflict marker when the full assumption set is valid, and a
-subset-minimal conflict otherwise. The reasoner backend extracts the
-conflict with QuickXplain over the validity predicate, on K-masks from the
-exclusion set to the last check; the abstract backend reads it off the
-attached family (the first stored member avoiding the exclusion set), which
-keeps walkthrough reproductions exact.
+``find_min_conflict`` implements the contract the searches rely on, on
+K-masks: it returns ``None`` when K minus the exclusion set is valid, ``0``
+when the empty set is a conflict (the background alone is invalid, so no
+diagnosis exists), and the mask of a subset-minimal conflict otherwise. The
+reasoner backend extracts the conflict with QuickXplain over the validity
+predicate, on K-masks from the exclusion set to the last check; the
+abstract backend reads it off the attached family (the first stored member
+avoiding the exclusion set), which keeps walkthrough reproductions exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dpi import ABSTRACT, Dpi, ValidityChecker
-
-
-@dataclass(frozen=True)
-class EmptyConflict:
-    """The empty set is a conflict: B and P alone are invalid, no diagnosis exists."""
-
-
-@dataclass(frozen=True)
-class NoConflict:
-    """The assumption set is valid; the empty set is the only minimal diagnosis."""
-
-
-@dataclass(frozen=True)
-class MinimalConflict:
-    ids: tuple[str, ...]
-
-
-ConflictOutcome = EmptyConflict | NoConflict | MinimalConflict
+from .dpi import ABSTRACT, Dpi, ValidityChecker, bits_of
 
 
 def quickxplain(
@@ -42,21 +23,20 @@ def quickxplain(
     candidates: Sequence[str] | int,
     *,
     checker: ValidityChecker | None = None,
-) -> tuple[str, ...]:
-    """Subset-minimal conflict within candidates, relative to background.
+) -> int | tuple[str, ...]:
+    """Subset-minimal conflict within candidates, relative to background,
+    in the candidates' form: a K-mask for a K-mask, ids for ids.
 
     Preconditions: background is valid, background plus candidates is not.
     Splits at ceil(len/2) and keeps the candidate order: K order for a
     K-mask, whose bits are split from the highest down, and the caller's
-    order for a sequence of ids, in which the result is also returned. Every
-    check passes a K-mask, so the result is deterministic for a fixed K
-    ordering.
+    order for a sequence of ids, which the result keeps. Every check passes
+    a K-mask, so the result is deterministic for a fixed K ordering.
     """
     checker = checker or ValidityChecker(dpi)
     base = dpi.mask_of(background)
     if isinstance(candidates, int):
-        mask = dpi.mask_of(candidates)
-        bits = [1 << i for i in reversed(range(mask.bit_length())) if mask >> i & 1]
+        bits = list(bits_of(dpi.mask_of(candidates)))
         named = None
     else:
         named = {dpi.mask_of((a,)): a for a in candidates}  # sums need distinct bits
@@ -67,7 +47,7 @@ def quickxplain(
         raise ValueError("quickxplain precondition: background plus candidates must be invalid")
     found = _qx(checker, base, False, bits)
     if named is None:
-        return dpi.ids_of(sum(found))
+        return sum(found)
     return tuple(map(named.__getitem__, found))
 
 
@@ -91,25 +71,22 @@ def find_min_conflict(
     exclude: Iterable[str] | int = (),
     *,
     checker: ValidityChecker | None = None,
-) -> ConflictOutcome:
-    """Minimal conflict for the DPI restricted to K minus the exclusion set
-    (ids or a K-mask).
+) -> int | None:
+    """K-mask of a minimal conflict for the DPI restricted to K minus the
+    exclusion set (ids or a K-mask): ``0`` if the empty set is a conflict,
+    ``None`` if there is none.
 
     The exclusion set stands in for the sub-instance built during search,
     avoiding a DPI copy per tree node.
     """
     excluded = dpi.mask_of(exclude)
     if dpi.kind == ABSTRACT:
-        if 0 in dpi.family_masks:
-            return EmptyConflict()
-        for member, ordered in zip(dpi.family_masks, dpi.conflict_family):
-            if not member & excluded:
-                return MinimalConflict(ordered)
-        return NoConflict()
+        # an empty member is the family's only one (it is an antichain)
+        return next((m for m in dpi.family_masks if not m & excluded), None)
     checker = checker or ValidityChecker(dpi)
     if not checker.is_valid(0):
-        return EmptyConflict()
+        return 0
     rest = dpi.full_mask & ~excluded
     if checker.is_valid(rest):
-        return NoConflict()
-    return MinimalConflict(quickxplain(dpi, 0, rest, checker=checker))
+        return None
+    return quickxplain(dpi, 0, rest, checker=checker)

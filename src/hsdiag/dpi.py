@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .logic import Formula
 from .reasoner import Reasoner
@@ -288,6 +288,14 @@ class Dpi:
         if self.kind != ABSTRACT:
             raise ValueError("only abstract DPIs carry a conflict family")
         return tuple(frozenset(m) for m in self.conflict_family)
+
+
+def bits_of(mask: int) -> Iterator[int]:
+    """The set bits of a K-mask, highest first: in K order."""
+    while mask:
+        bit = 1 << (mask.bit_length() - 1)
+        yield bit
+        mask ^= bit
 
 
 def reasoner_for(dpi: Dpi) -> Reasoner | None:

@@ -166,9 +166,12 @@ def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
     """Serialize a DPI (and optional probabilities) back to the text format.
 
     The format names abstract components 1..n, so an abstract DPI with
-    other ids raises ``ValueError``, as does an axiom id that breaks
-    ``_valid_axiom_id``.
+    other ids raises ``ValueError``, as do an axiom id that breaks
+    ``_valid_axiom_id`` and axioms answered positive (``positive_ids``),
+    which the format has no section for.
     """
+    if dpi.positive_ids:
+        raise ValueError("the DPI format cannot write axioms answered positive (positive_ids)")
     out: list[str] = []
     if dpi.kind == ABSTRACT:
         if dpi.k_ids != tuple(str(i + 1) for i in range(len(dpi.k_ids))):

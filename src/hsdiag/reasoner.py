@@ -71,8 +71,9 @@ class Reasoner:
         self._selectors: list[tuple[int, int]] = []
         self._goal_codes: list[tuple[int, int]] = []
         self._goals: dict[str, tuple[int, int]] = {}  # axiom -> (goal literal, K bit)
-        for axiom, f in zip(dpi.k_ids, dpi.formulas):
-            bit = dpi.mask_of((axiom,))
+        top = len(dpi.k_ids) - 1
+        for i, (axiom, f) in enumerate(zip(dpi.k_ids, dpi.formulas)):
+            bit = 1 << (top - i)  # axiom i of K is bit n-1-i
             goal = enc.lit(f)
             self._goals[axiom] = (goal, bit)
             selector = enc.fresh()

@@ -20,9 +20,10 @@ Node, conflict and diagnosis sets are the DPI's K-masks
 highest bit. Between two sets of equal cardinality the larger mask is the
 one whose K-ordered id sequence is smaller, which makes
 ``(-F, cardinality, -mask)`` the full sort key. Subset and disjointness
-tests are one ``&`` each, and conflict extraction takes the node's mask;
-id tuples are built only for recorded diagnoses and the result's conflicts,
-and trace text only when a trace event is read.
+tests are one ``&`` each. Conflict extraction takes the node's mask and
+returns the conflict's mask, which the store keeps as it comes; id tuples
+are built only for recorded diagnoses and the result's conflicts, and trace
+text only when a trace event is read.
 
 A node is the list ``[-F, card, -mask, f, mask]``: backed-up log cost F
 (only ever decreases), cardinality, node set, and static log cost f. Its
@@ -150,8 +151,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from .conflict import MinimalConflict, NoConflict, find_min_conflict
-from .dpi import Diagnosis, Dpi, FaultProbabilities, ValidityChecker, reasoner_for
+from .conflict import find_min_conflict
+from .dpi import Diagnosis, Dpi, FaultProbabilities, ValidityChecker, bits_of, reasoner_for
 from .reasoner import Reasoner
 
 INF = float("inf")
@@ -310,21 +311,25 @@ class _SearchCore:
         self._live_masks: set[int] = set()  # debug
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
         self._learned: dict[int, float] | None = None  # debug, RBF-HS with a learned-cost table
-        # Per-axiom (delta, bit): a child's cost extends the parent sum by one
-        # log term, which keeps equal-probability nodes bitwise equal, and its
-        # mask adds the axiom's K bit.
-        self._step = {
-            a: (math.log(pr[a]) - math.log(1.0 - pr[a]), dpi.mask_of((a,))) for a in dpi.k_ids
-        }
+        # Axiom bit -> (delta, bit), in K order, axiom i of K being bit
+        # n-1-i: a child's cost extends the parent sum by one log term, which
+        # keeps equal-probability nodes bitwise equal, and its mask adds the
+        # bit.
+        self._step: dict[int, tuple[float, int]] = {}
+        self.f_empty = 0.0
+        top = len(dpi.k_ids) - 1
+        for i, a in enumerate(dpi.k_ids):
+            bit = 1 << (top - i)
+            p = pr[a]
+            log_ok = math.log(1.0 - p)
+            self._step[bit] = (math.log(p) - log_ok, bit)
+            self.f_empty += log_ok
         # Equal fault probabilities: every cost is a cardinality level, and
         # the ordered RBF-HS tree keeps no learned-cost table.
         self.equal_costs = len({delta for delta, _ in self._step.values()}) <= 1
         # axiom bit (0 at the root, which adds none) -> masks in D holding it
-        self._diags_with: dict[int, list[int]] = {bit: [] for _, bit in self._step.values()}
+        self._diags_with: dict[int, list[int]] = {bit: [] for bit in self._step}
         self._diags_with[0] = []
-        self.f_empty = 0.0
-        for a in dpi.k_ids:
-            self.f_empty += math.log(1.0 - pr[a])
 
     # -- debug and trace ---------------------------------------------------
 
@@ -378,14 +383,11 @@ class _SearchCore:
 
     # -- cold paths of the label ---------------------------------------------
 
-    def add_conflict(self, ids: tuple[str, ...]) -> int:
-        """Store a conflict and return its mask; its steps, so its children,
-        follow K order (higher bits first) whatever order ``ids`` lists."""
-        steps = [self._step[a] for a in ids]
-        steps.sort(key=itemgetter(1), reverse=True)
-        self.conflict_steps.append(steps)
-        self.conflict_masks.append(self.dpi.mask_of(ids))
-        return self.conflict_masks[-1]
+    def add_conflict(self, mask: int) -> None:
+        """Store a conflict's mask; its steps, so its children, follow K
+        order (higher bits first)."""
+        self.conflict_steps.append(list(map(self._step.__getitem__, bits_of(mask))))
+        self.conflict_masks.append(mask)
 
     def _closed(self, node: list, closer: int) -> None:
         """A closed label; ``closer`` is the mask of the first diagnosis in
@@ -401,18 +403,16 @@ class _SearchCore:
         mask = node[4]
         if self.debug:
             self._check_label(mask, len(self.conflict_masks))
-        outcome = find_min_conflict(self.dpi, exclude=mask, checker=self.checker)
+        conflict = find_min_conflict(self.dpi, exclude=mask, checker=self.checker)
         self.stats.conflict_computations += 1
-        if isinstance(outcome, NoConflict):
+        if conflict is None:
             if self.trace is not None:
                 self._emit_label(node, "valid")
             return _VALID
-        if isinstance(outcome, MinimalConflict):
-            conflict = self.add_conflict(outcome.ids)
-            if self.trace is not None:
-                self._emit_label(node, "conflict-new {", conflict, "}")
-            return len(self.conflict_masks) - 1
-        raise RuntimeError("empty conflict inside the search tree")  # handled up front
+        self.add_conflict(conflict)
+        if self.trace is not None:
+            self._emit_label(node, "conflict-new {", conflict, "}")
+        return len(self.conflict_masks) - 1
 
     def record_diagnosis(self, node: list) -> bool:
         """Add a valid node to D; True once ld diagnoses are found, when the
@@ -420,8 +420,8 @@ class _SearchCore:
         mask = node[4]
         ids = self.dpi.ids_of(mask)
         self.diagnoses.append(Diagnosis(ids, _linear(node[3])))
-        for a in ids:
-            self._diags_with[self._step[a][1]].append(mask)
+        for bit in bits_of(mask):
+            self._diags_with[bit].append(mask)
         if self.trace is not None:
             self.emit("DIAG", mask, ("pr=", node[3]))
         if self._learned:  # admissible: no learned F on its path lies below it
@@ -442,15 +442,16 @@ class _SearchCore:
 def _run(loop, algorithm: str, dpi, pr, ld, trace, debug, reasoner) -> SearchResult:
     """The part both algorithms share: the timer and the trivial cases. The
     first conflict is computed here and seeds the store; ``loop`` runs only
-    when there is one."""
+    when there is one. It is never empty inside the tree: the empty set is a
+    conflict of every node or of none."""
     core = _SearchCore(dpi, pr, ld, trace, debug, reasoner)
     started = time.perf_counter()
-    outcome = find_min_conflict(dpi, checker=core.checker)
+    conflict = find_min_conflict(dpi, checker=core.checker)
     core.stats.conflict_computations += 1
-    if isinstance(outcome, NoConflict):
+    if conflict is None:
         core.diagnoses.append(Diagnosis((), _linear(core.f_empty)))
-    elif isinstance(outcome, MinimalConflict):
-        core.add_conflict(outcome.ids)
+    elif conflict:  # 0, the empty conflict: no diagnosis exists
+        core.add_conflict(conflict)
         loop(core)
     core.stats.wall_time = time.perf_counter() - started
     return core.result(algorithm)

@@ -125,8 +125,9 @@ def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities)
     weights = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in diagnoses])
     masks = [dpi.mask_of(d.ids) for d in diagnoses]
     best: tuple[float, int] | None = None
-    for idx, axiom in enumerate(dpi.k_ids):
-        bit = dpi.mask_of((axiom,))
+    n = len(dpi.k_ids)
+    for idx in range(n):
+        bit = 1 << (n - 1 - idx)  # axiom idx of K
         # the weights of the diagnoses a positive answer keeps, in list order
         kept = [w for w, mask in zip(weights, masks) if not mask & bit]
         if not kept or len(kept) == len(masks):

@@ -15,7 +15,9 @@ from hsdiag import (
     gen_random_dpi,
     load_dpi_file,
     loads,
+    make_query,
     parse_formula,
+    update_dpi,
 )
 from hsdiag.bench import (
     BenchRow,
@@ -234,6 +236,15 @@ def test_every_id_the_rule_accepts_survives_dumps_and_loads(axiom_id):
     again, pr = loads(dumps(dpi, FaultProbabilities({axiom_id: 0.25})))
     assert again.k_ids == (axiom_id,)
     assert pr.values == {axiom_id: 0.25}
+
+
+def test_dumps_refuses_axioms_answered_positive():
+    # the format has no section for them, so loads would drop them
+    dpi = Dpi.abstract(3, [("1", "3"), ("2", "3")])
+    updated = update_dpi(dpi, make_query(dpi, "3"), True)
+    assert updated.positive_ids == {"3"}
+    with pytest.raises(ValueError, match="answered positive"):
+        dumps(updated)
 
 
 def test_dumps_writes_ids_with_inner_spaces_and_punctuation():
@@ -508,6 +519,16 @@ def test_sequential_invalid_actual(capsys):
     assert "not a minimal diagnosis" in capsys.readouterr().err
 
 
+def test_sequential_empty_actual_names_the_empty_diagnosis(capsys):
+    # an empty --actual used to run a sampled session instead
+    assert main(["sequential", "--dpi", table1_path(), "--ld", "4", "--actual", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "session 0: failed: designated actual [] is not a minimal diagnosis"
+    ]
+    assert "final=" not in captured.out
+
+
 # --- bench command ----------------------------------------------------------------------
 
 def test_load_rejects_content_before_section():
@@ -539,6 +560,14 @@ def test_bench_refuses_a_fixtures_path_that_is_not_a_directory(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         f"error: fixture path is not a directory: {fixtures}"
     ]
+    assert not out.exists()
+
+
+def test_bench_refuses_a_repeated_ld_value(tmp_path, capsys):
+    # `--ld 2,2` used to write every cell twice
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--fixtures", str(FIXTURES), "--ld", "2,2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: repeated ld value: 2"]
     assert not out.exists()
 
 
