@@ -30,10 +30,12 @@ A node is the list ``[-F, card, -mask, f, mask]``: backed-up log cost F
 first three entries are the sort key, so ``list.sort``, ``insort`` and
 ``heapq`` compare nodes natively with no key function. Sibling masks are
 unique and so are the masks in HS-Tree's queue, which means a comparison
-never reaches the fourth entry. A child's F starts at ``min(f, F_parent)``:
-a node expanded before passes its backed-up cost down (in the ordered
-RBF-HS tree also what its children learned, see below). Backing up a cost
-writes entry 0. The RBF-HS dummy sibling is ``[inf, 0, 0, -inf, None]``: F
+never reaches the fourth entry. A child's F starts at its own bound f + h
+(h from the disjoint-conflict bound below, 0 where nothing is packed); in
+RBF-HS at ``min(f + h, F_parent)``: a node expanded before passes its
+backed-up cost down (in the ordered RBF-HS tree also what its children
+learned, see below), and a parent's F below its children's bound passes
+down as pathmax. Backing up a cost writes entry 0. The RBF-HS dummy sibling is ``[inf, 0, 0, -inf, None]``: F
 is the minus-infinity sentinel, so it sorts after every sibling of finite
 cost.
 
@@ -91,14 +93,42 @@ two costs differ only by the rounding of sums taken along other paths.
 ``rbf_hs(..., ordered=False)`` holds the forbidden mask at 0, which is the
 paper's RBF-HS.
 
+Both ordered searches rank a child by an admissible bound on every
+diagnosis below it, the disjoint-core bound of core-guided MaxSAT (Davies &
+Bacchus, CP 2011) used as in conflict-directed A* (Williams & Ragno, DAM
+2007). When a node is expanded on stored conflict i, the label's conflict
+scan goes on past i, where every stored conflict disjoint from the node
+lies: those before the resume point hit the parent, and those between it
+and i were just scanned. Greedily, in store order, it packs the conflicts
+disjoint from the node, from conflict i and from one another; h is the sum
+of each packed conflict's largest log step (``add_conflict`` stores it once
+per conflict), and k their number. Every child gets F = f + h: a child adds
+one member of conflict i, so each packed conflict is disjoint from it, and
+a diagnosis below it must hit each packed conflict with an axiom of its
+own, outside the child, which costs at most that conflict's largest step,
+while any further axiom only lowers the cost. So no diagnosis below the
+child costs more than f + h, and a valid child has nothing packed, so its F
+is its f: HS-Tree, whose heap is keyed on F, still pops every diagnosis in
+the full sort order, and RBF-HS stays best first. F must never fall below
+a diagnosis's f through rounding. With equal probabilities (card mode) F is
+taken from a table of the level values f_empty + cδ, summed one step at a
+time as nodes sum them, so F is exactly the level at card + k, the cost of
+the cheapest set a diagnosis below the child could be. In prob mode h is
+raised by a relative 1e-12 (``_PAD``) of the magnitude of the children's
+f + h; a pad in card mode would move F off the levels, and RBFS would then
+switch between siblings whose F differ only by it. Packing takes one
+``&`` per stored conflict past i per expansion. ``ordered=False`` keeps
+h = 0, so the paper's tree, its counters and the walkthrough traces stay as
+the paper gives them.
+
 The ordered tree also keeps what the subtrees it forgets have learned, in
 one table from K-mask to negated backed-up F, as SMA* (Russell, ECAI 1992)
 and HBF-HS (Rodler, AIJ 2022) do. It is written only when a level is left,
 for each child whose F lies strictly below the best sibling's F, which is
-the F the parent now holds and passes down, and below the child's own f:
-what inheriting from the parent cannot restore. It is read only when a node
-expanded before (F below f) is expanded again: a child's F is then
-``min(f, F_parent, table[mask])``. The table is exact because in the ordered
+the F the parent now holds and passes down, and below the child's own bound
+f + h: what inheriting from the parent cannot restore. It is read only when
+a node expanded before (F below its own bound) is expanded again: a child's
+F is then ``min(f + h, F_parent, table[mask])``. The table is exact because in the ordered
 tree a mask has one path and one forbidden mask, and D and the conflict
 store only grow: a subtree only shrinks, so its learned F stays an upper
 bound on its best diagnosis not yet found. Its cap is the live-node
@@ -112,10 +142,11 @@ kept for ``ordered=False``, whose node sets have many paths.
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
 members is searched like any other. A frame is ``(siblings, -bound,
-c_next, mask, forbidden)``: the children of one expanded node sorted best
-first, the negated bound the node was entered with, its conflict index +
-1, its mask and its forbidden mask; a child's forbidden mask follows from
-these and its new axiom, so nodes stay five entries long. The current
+c_next, mask, forbidden, h)``: the children of one expanded node sorted
+best first, the negated bound the node was entered with, its conflict index
++ 1, its mask, its forbidden mask and the h all its children share; a
+child's forbidden mask and own bound follow from these and its new axiom
+and f, so nodes stay five entries long. The current
 frame lives in locals. Expanding a node pushes the current frame and makes
 the node's frame current; the loop then labels the best sibling while its
 F reaches the bound, with the runner-up's F (or the frame's bound, if
@@ -127,16 +158,17 @@ the best F is written into the parent's best sibling (entry 0), which is
 re-sorted the same way. The root is labeled from a bottom frame with no
 siblings, whose pop ends the search. Trace events come in the order of the
 recursive formulation: LABEL, EXPAND and INHERIT (one per child whose F
-starts below its f, inherited or learned) when a node is labeled,
+starts below its own bound, inherited or learned) when a node is labeled,
 BACKTRACK when a non-root level is left, and nothing while the search
 stops after its ld-th diagnosis.
 
 Memory the search keeps besides its live nodes (``peak_live_nodes``): the
 RBF-HS learned-cost table and its deque of keys, at most (c_max + 1)(|K| +
 1) entries each (``peak_learned_costs``), so RBF-HS stays in linear space;
-the RBF-HS frame stack, one 5-tuple per level, O(depth), whose sibling
+the RBF-HS frame stack, one 6-tuple per level, O(depth), whose sibling
 lists are live nodes already counted; the conflict store, with one
-``(delta, bit)`` list per conflict; D; and the per-axiom diagnosis lists,
+``(delta, bit)`` list and one largest step per conflict; the card-mode
+level table, |K| + 1 floats; D; and the per-axiom diagnosis lists,
 whose total length is the summed size of the diagnoses found, at most ld *
 |K|: bounded by the output, not by the tree.
 """
@@ -164,6 +196,12 @@ HSTREE = "hstree"
 # label verdicts other than a conflict's store index
 _CLOSED = -1
 _VALID = -2
+
+# Relative raise of the prob-mode bound f + h of the children of a node of
+# cost f: h grows by _PAD times |f + h + steepest step|, which bounds
+# |f_child + h|, so the raise lies far above the rounding of the sums that
+# give a diagnosis below a child its cost.
+_PAD = 1e-12
 
 
 @dataclass(slots=True)
@@ -308,8 +346,10 @@ class _SearchCore:
         self.diagnoses: list[Diagnosis] = []
         self.conflict_masks: list[int] = []
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_masks
+        self.conflict_tops: dict[int, float] = {}  # conflict mask -> its largest step
         self._live_masks: set[int] = set()  # debug
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
+        self._given: dict[int, float] = {}  # debug, ordered trees: each node set's F when last generated
         self._learned: dict[int, float] | None = None  # debug, RBF-HS with a learned-cost table
         # Axiom bit -> (delta, bit), in K order, axiom i of K being bit
         # n-1-i: a child's cost extends the parent sum by one log term, which
@@ -325,8 +365,18 @@ class _SearchCore:
             self._step[bit] = (math.log(p) - log_ok, bit)
             self.f_empty += log_ok
         # Equal fault probabilities: every cost is a cardinality level, and
-        # the ordered RBF-HS tree keeps no learned-cost table.
+        # the ordered RBF-HS tree keeps no learned-cost table. The levels are
+        # summed one step at a time, as nodes sum them, so a node of
+        # cardinality c costs exactly levels[c].
         self.equal_costs = len({delta for delta, _ in self._step.values()}) <= 1
+        self.steepest = min((delta for delta, _ in self._step.values()), default=0.0)
+        self.levels: list[float] = []
+        if self.equal_costs:
+            level = self.f_empty
+            self.levels.append(level)
+            for delta, _ in self._step.values():
+                level += delta
+                self.levels.append(level)
         # axiom bit (0 at the root, which adds none) -> masks in D holding it
         self._diags_with: dict[int, list[int]] = {bit: [] for bit in self._step}
         self._diags_with[0] = []
@@ -337,12 +387,17 @@ class _SearchCore:
         """Debug: no two live nodes are set-equal, and in an ordered run
         every node set is generated from one parent set for the whole run
         (``parent`` is None for the root). HS-Tree never untracks, so no
-        set is built twice in its run."""
+        set is built twice in its run. An ordered run keeps the F each node
+        set was given, for :meth:`record_diagnosis`; in card mode every F
+        is a level value."""
         for node in nodes:
             mask = node[4]
             if self._parent_of is not None:
                 first = self._parent_of.setdefault(mask, parent)
                 assert first == parent, f"{self.dpi.ids_of(mask)} generated from two parent sets"
+                self._given[mask] = -node[0]
+            if self.levels:
+                assert -node[0] in self.levels, f"F of {self.dpi.ids_of(mask)} is no level: {-node[0]!r}"
             assert mask not in self._live_masks, f"duplicate live node {self.dpi.ids_of(mask)}"
             self._live_masks.add(mask)
 
@@ -374,19 +429,25 @@ class _SearchCore:
         if self.trace is not None:
             self._emit_label(node, "conflict-reuse {", self.conflict_masks[i], "}")
 
-    def _expanded(self, node: list, i: int, children: list[list]) -> None:
-        """EXPAND and INHERIT lines of a node expanded on conflict i."""
+    def _expanded(self, node: list, i: int, children: list[list], h: float, k: int) -> None:
+        """EXPAND and INHERIT lines of a node expanded on conflict i that
+        packed k conflicts whose largest steps sum to h (padded)."""
         self.emit("EXPAND", node[4], ("conflict={", self.conflict_masks[i], "} f=[", [c[3] for c in children], "]"))
         for child in children:
-            if child[0] != -child[3]:  # F inherited or learned: only below a node expanded before
+            # F below the child's own bound, inherited or learned: only
+            # below a node expanded before
+            own = self.levels[child[1] + k] if self.levels else child[3] + h
+            if child[0] != -own:
                 self.emit("INHERIT", child[4], ("F=", -child[0]))
 
     # -- cold paths of the label ---------------------------------------------
 
     def add_conflict(self, mask: int) -> None:
         """Store a conflict's mask; its steps, so its children, follow K
-        order (higher bits first)."""
-        self.conflict_steps.append(list(map(self._step.__getitem__, bits_of(mask))))
+        order (higher bits first), and its largest step, for the bound."""
+        steps = list(map(self._step.__getitem__, bits_of(mask)))
+        self.conflict_steps.append(steps)
+        self.conflict_tops[mask] = max(steps)[0]
         self.conflict_masks.append(mask)
 
     def _closed(self, node: list, closer: int) -> None:
@@ -424,11 +485,15 @@ class _SearchCore:
             self._diags_with[bit].append(mask)
         if self.trace is not None:
             self.emit("DIAG", mask, ("pr=", node[3]))
-        if self._learned:  # admissible: no learned F on its path lies below it
+        if self._parent_of is not None:
+            # admissible: no F given on its path, bounded, inherited or
+            # learned, and no learned F lies below it
             m = mask
             while m is not None:
-                learned_f = -self._learned.get(m, NEG_INF)
-                assert node[3] <= learned_f, f"{ids} above the learned F of {self.dpi.ids_of(m)}"
+                assert node[3] <= self._given[m], f"{ids} above the F given to {self.dpi.ids_of(m)}"
+                if self._learned:
+                    learned_f = -self._learned.get(m, NEG_INF)
+                    assert node[3] <= learned_f, f"{ids} above the learned F of {self.dpi.ids_of(m)}"
                 m = self._parent_of[m]
         return self.ld is not None and len(self.diagnoses) >= self.ld
 
@@ -477,16 +542,17 @@ def rbf_hs(
     is encoded before the timer starts, so ``wall_time`` never includes
     encoding (``encode_s`` holds it).
 
-    ``ordered`` (the default) branches as Wotawa's ordered hitting-set tree
-    and, with unequal fault probabilities, keeps the learned-cost table,
-    both as the module docstring describes; ``peak_learned_costs`` reports
-    the table's size. The returned diagnoses are the same either way, and
-    so is their order except among diagnoses of equal cost.
-    ``ordered=False`` expands every member of every conflict, as the
-    paper's algorithm does, and reproduces its traces and counters. With
-    ``debug``, an ordered run also asserts that every node set keeps one
-    parent set for the run, and that no learned F on a recorded
-    diagnosis's path lies below its cost.
+    ``ordered`` (the default) branches as Wotawa's ordered hitting-set tree,
+    ranks children by the disjoint-conflict bound and, with unequal fault
+    probabilities, keeps the learned-cost table, all as the module
+    docstring describes; ``peak_learned_costs`` reports the table's size.
+    The returned diagnoses are the same either way, and so is their order
+    except among diagnoses of equal cost. ``ordered=False`` expands every
+    member of every conflict, as the paper's algorithm does, and reproduces
+    its traces and counters. With ``debug``, an ordered run also asserts
+    that every node set keeps one parent set for the run, and that no F
+    given to a node on a recorded diagnosis's path, and no learned F there,
+    lies below its cost; in card mode, that every F is a level value.
     """
     return _run(lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner)
 
@@ -495,6 +561,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
+    tops, levels, steepest = core.conflict_tops, core.levels, core.steepest
     stored = len(masks)
     labels = reuses = 0
     generated = live = peak = 1
@@ -514,10 +581,10 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             core._learned = learned
         core._track([node], None)
     # The current frame: the expanded node's children sorted best first, its
-    # negated bound, its conflict index + 1, its mask and its forbidden mask.
-    # The root is labeled from a bottom frame with no children, whose pop
-    # ends the search.
-    siblings, nbound, c_next, pmask, pforbid = None, INF, 0, 0, 0
+    # negated bound, its conflict index + 1, its mask, its forbidden mask and
+    # the h of its children's bound. The root is labeled from a bottom frame
+    # with no children, whose pop ends the search.
+    siblings, nbound, c_next, pmask, pforbid, ph = None, INF, 0, 0, 0, 0.0
     stack = []
     while node is not None:
         # -- label `node`, a child of the current frame (the root expands:
@@ -552,16 +619,39 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
         else:
             forbid = 0
         if i >= 0:  # expand it and go down: its frame becomes the current one
-            f, back = node[3], node[0]
-            f_backed, card = -back, node[1] + 1
+            f, back, card = node[3], node[0], node[1] + 1
+            # the disjoint-conflict bound: pack the stored conflicts disjoint
+            # from the node, from conflict i and from one another, all past i
+            h, k = 0.0, 0
+            if ordered and i + 1 < stored:
+                used = mask | masks[i]
+                for c in masks[i + 1:]:
+                    if not c & used:
+                        used |= c
+                        h += tops[c]
+                        k += 1
+            # F = min(f + h, F_parent), negated; in card mode f + h is the
+            # level at card + k, in prob mode h is raised by the pad
             children = []
-            for delta, bit in steps[i]:
-                if bit & forbid:
-                    continue
-                cf = f + delta
-                cmask = mask | bit
-                children.append([-cf if cf < f_backed else back, card, -cmask, cf, cmask])
-            if learned and f_backed < f:  # expanded before: its children may have learned
+            if levels:
+                nf = -levels[card + k]
+                if nf < back:
+                    nf = back
+                for delta, bit in steps[i]:
+                    if not bit & forbid:
+                        cmask = mask | bit
+                        children.append([nf, card, -cmask, f + delta, cmask])
+            else:
+                if h:
+                    h -= (f + h + steepest) * _PAD
+                for delta, bit in steps[i]:
+                    if not bit & forbid:
+                        cf = f + delta
+                        nf = -cf - h
+                        cmask = mask | bit
+                        children.append([nf if nf > back else back, card, -cmask, cf, cmask])
+            # F below f + h: expanded before, so its children may have learned
+            if learned and -back < f + ph:
                 for child in children:
                     learned_nf = learned.get(child[4], NEG_INF)
                     if learned_nf > child[0]:
@@ -569,7 +659,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             if debug:
                 core._track(children, mask)
             if tracing:
-                core._expanded(node, i, children)
+                core._expanded(node, i, children, h, k)
             n = len(children)
             if n == 1:
                 children.append([INF, 0, 0, NEG_INF, None])  # the dummy sibling
@@ -579,8 +669,8 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             if live > peak:
                 peak = live
             children.sort()
-            stack.append((siblings, nbound, c_next, pmask, pforbid))
-            siblings, nbound, c_next, pmask, pforbid = children, node_nbound, i + 1, mask, forbid
+            stack.append((siblings, nbound, c_next, pmask, pforbid, ph))
+            siblings, nbound, c_next, pmask, pforbid, ph = children, node_nbound, i + 1, mask, forbid, h
         elif i == _VALID and core.record_diagnosis(node):
             # ld diagnoses found: stop with no further work; stack[0] is the
             # bottom frame
@@ -604,12 +694,13 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                 core._untrack(siblings)
             if learning:
                 # keep the F of each child below the best F (which the parent
-                # passes down) and below its own f; sentinels sort last
+                # passes down) and below its own bound f + h; sentinels sort
+                # last
                 for child in siblings:
                     nf = child[0]
                     if nf == INF:
                         break
-                    if nf != backed and nf != -child[3]:
+                    if nf != backed and nf != -(child[3] + ph):
                         cmask = child[4]
                         if cmask not in learned:
                             if len(ring) >= cap:
@@ -621,7 +712,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                         learned[cmask] = nf
             if pmask and tracing:  # not the root
                 core.emit("BACKTRACK", pmask, ("F=", -backed, " bound=", -nbound))
-            siblings, nbound, c_next, pmask, pforbid = stack.pop()
+            siblings, nbound, c_next, pmask, pforbid, ph = stack.pop()
             if siblings is None:
                 node = None
                 break
@@ -648,12 +739,13 @@ def hs_tree(
 ) -> SearchResult:
     """Reiter-style best-first hitting-set tree.
 
-    Open nodes sit in a binary heap ordered like the RBF-HS sort; labeling,
-    the conflict store and the ordered branching are those of rbf_hs, the
-    only addition being full tree retention (expanded inner nodes stay in
-    memory until the search ends, which is what the peak-node metric
-    measures). ``reasoner`` is shared as in rbf_hs. With ``debug``, a run
-    also asserts that no node set is built twice.
+    Open nodes sit in a binary heap ordered like the RBF-HS sort, keyed on
+    the disjoint-conflict bound F = f + h; labeling, the conflict store and
+    the ordered branching are those of rbf_hs, the only addition being full
+    tree retention (expanded inner nodes stay in memory until the search
+    ends, which is what the peak-node metric measures). ``reasoner`` is
+    shared as in rbf_hs. With ``debug``, a run also asserts that no node
+    set is built twice, and makes rbf_hs's checks of F.
     """
     return _run(_hs_loop, HSTREE, dpi, pr, ld, trace, debug, reasoner)
 
@@ -662,12 +754,14 @@ def _hs_loop(core: _SearchCore) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
+    tops, levels, steepest = core.conflict_tops, core.levels, core.steepest
     stored = len(masks)
     labels = reuses = 0
     generated = live = peak = 1
     # A node is [-F, card, -mask, f, mask, c_next, parent mask, parent's
-    # forbidden mask]; HS-Tree never backs up a cost, so F is f throughout.
-    # Queued masks are unique, so pops follow the full sort order.
+    # forbidden mask]; HS-Tree never backs up a cost, so F is the bound it
+    # was built with throughout. Queued masks are unique, so pops follow the
+    # full sort order.
     root = [-core.f_empty, 0, 0, core.f_empty, 0, 0, 0, 0]
     queue = [root]
     retained: list[list] = []
@@ -710,20 +804,38 @@ def _hs_loop(core: _SearchCore) -> None:
             continue
         retained.append(node)
         f, card, c_next = node[3], node[1] + 1, i + 1
+        # the disjoint-conflict bound, as in _rbf_loop
+        h, k = 0.0, 0
+        if c_next < stored:
+            used = mask | masks[i]
+            for c in masks[c_next:]:
+                if not c & used:
+                    used |= c
+                    h += tops[c]
+                    k += 1
+        # F = f + h, negated, as in _rbf_loop
         children = []
-        for delta, bit in steps[i]:
-            if bit & forbid:
-                continue
-            cf = f + delta
-            cmask = mask | bit
-            children.append([-cf, card, -cmask, cf, cmask, c_next, mask, forbid])
+        if levels:
+            nf = -levels[card + k]
+            for delta, bit in steps[i]:
+                if not bit & forbid:
+                    cmask = mask | bit
+                    children.append([nf, card, -cmask, f + delta, cmask, c_next, mask, forbid])
+        else:
+            if h:
+                h -= (f + h + steepest) * _PAD
+            for delta, bit in steps[i]:
+                if not bit & forbid:
+                    cf = f + delta
+                    cmask = mask | bit
+                    children.append([-cf - h, card, -cmask, cf, cmask, c_next, mask, forbid])
         n = len(children)
         generated += n
         live += n
         if live > peak:
             peak = live
         if tracing:
-            core._expanded(node, i, children)
+            core._expanded(node, i, children, h, k)
         if debug:
             core._track(children, mask)
         for child in children:

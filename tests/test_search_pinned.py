@@ -14,7 +14,11 @@ shows up here. Their ``rbfhs`` entries run RBF-HS's paper expansion
 expansion. The ``hstree`` entries were recorded from HS-Tree's paper
 expansion, which the package no longer has: they pin the list that the
 ordered HS-Tree must still return, the ids exactly and the probabilities up
-to the rounding of sums taken along other paths.
+to the rounding of sums taken along other paths. The ordered entries were
+recorded again when both searches began to rank children by the
+disjoint-conflict bound: their counters, conflicts and trace digests moved,
+their lists did not, except that card-mode RBF-HS lists may order
+diagnoses of equal cost differently.
 
 Regenerate a corpus (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_search_pinned.py small`` (or ``large``),

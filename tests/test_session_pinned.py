@@ -9,7 +9,10 @@ of a first HS-Tree list as the actual, and 20 random propositional DPIs
 one actual drawn from their HS-Tree list. The file was recorded from the
 sessions that encoded a fresh reasoner for every iteration's DPI, before one
 reasoner began to serve a whole session; a check verdict that differs from a
-fresh encoding's changes a query, a list or a counter here.
+fresh encoding's changes a query, a list or a counter here. Its counters,
+and the order of equal-cost diagnoses in card-mode RBF-HS lists, were
+recorded again when both searches began to rank children by the
+disjoint-conflict bound; every query and answer stayed.
 
 Regenerate (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_session_pinned.py > tests/session_pinned.json``.
