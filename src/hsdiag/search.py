@@ -346,7 +346,7 @@ class _SearchCore:
         self.diagnoses: list[Diagnosis] = []
         self.conflict_masks: list[int] = []
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_masks
-        self.conflict_tops: dict[int, float] = {}  # conflict mask -> its largest step
+        self.conflict_tops: list[float] = []  # each conflict's largest step, parallel too
         self._live_masks: set[int] = set()  # debug
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
         self._given: dict[int, float] = {}  # debug, ordered trees: each node set's F when last generated
@@ -368,8 +368,9 @@ class _SearchCore:
         # the ordered RBF-HS tree keeps no learned-cost table. The levels are
         # summed one step at a time, as nodes sum them, so a node of
         # cardinality c costs exactly levels[c].
-        self.equal_costs = len({delta for delta, _ in self._step.values()}) <= 1
-        self.steepest = min((delta for delta, _ in self._step.values()), default=0.0)
+        deltas = {delta for delta, _ in self._step.values()}
+        self.equal_costs = len(deltas) <= 1
+        self.steepest = min(deltas, default=0.0)  # for the prob-mode pad
         self.levels: list[float] = []
         if self.equal_costs:
             level = self.f_empty
@@ -447,7 +448,7 @@ class _SearchCore:
         order (higher bits first), and its largest step, for the bound."""
         steps = list(map(self._step.__getitem__, bits_of(mask)))
         self.conflict_steps.append(steps)
-        self.conflict_tops[mask] = max(steps)[0]
+        self.conflict_tops.append(max(steps)[0])
         self.conflict_masks.append(mask)
 
     def _closed(self, node: list, closer: int) -> None:
@@ -486,8 +487,8 @@ class _SearchCore:
         if self.trace is not None:
             self.emit("DIAG", mask, ("pr=", node[3]))
         if self._parent_of is not None:
-            # admissible: no F given on its path, bounded, inherited or
-            # learned, and no learned F lies below it
+            # admissible: neither the F given to a node on its path nor a
+            # learned F there lies below it
             m = mask
             while m is not None:
                 assert node[3] <= self._given[m], f"{ids} above the F given to {self.dpi.ids_of(m)}"
@@ -623,12 +624,12 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             # the disjoint-conflict bound: pack the stored conflicts disjoint
             # from the node, from conflict i and from one another, all past i
             h, k = 0.0, 0
-            if ordered and i + 1 < stored:
+            if ordered:
                 used = mask | masks[i]
-                for c in masks[i + 1:]:
-                    if not c & used:
-                        used |= c
-                        h += tops[c]
+                for j in range(i + 1, stored):
+                    if not masks[j] & used:
+                        used |= masks[j]
+                        h += tops[j]
                         k += 1
             # F = min(f + h, F_parent), negated; in card mode f + h is the
             # level at card + k, in prob mode h is raised by the pad
@@ -806,13 +807,12 @@ def _hs_loop(core: _SearchCore) -> None:
         f, card, c_next = node[3], node[1] + 1, i + 1
         # the disjoint-conflict bound, as in _rbf_loop
         h, k = 0.0, 0
-        if c_next < stored:
-            used = mask | masks[i]
-            for c in masks[c_next:]:
-                if not c & used:
-                    used |= c
-                    h += tops[c]
-                    k += 1
+        used = mask | masks[i]
+        for j in range(c_next, stored):
+            if not masks[j] & used:
+                used |= masks[j]
+                h += tops[j]
+                k += 1
         # F = f + h, negated, as in _rbf_loop
         children = []
         if levels:
