@@ -2,14 +2,14 @@
 
 One BenchRow summarizes one session cell (dpi, algorithm, ld, session
 index): counters are summed over the session's searches, the peak node
-count and the peak learned-cost table size are maxima, and diagnoses_found
-reports the largest single-search yield. The summary aggregates the two
-comparison families: factor of memory saved, peak(hstree) / (peak(rbfhs) +
-its learned costs), and factor of extra time spent, runtime(rbfhs) /
-runtime(hstree), averaged over paired sessions. The two RBF-HS maxima may
-come from different searches of a session, or from different moments of
-one search, so their sum is an upper bound on RBF-HS memory and the memory
-factor a lower bound.
+count, the peak learned-cost table size and the peak of held diagnoses are
+maxima, and diagnoses_found reports the largest single-search yield. The
+summary aggregates the two comparison families: factor of memory saved,
+peak(hstree) / (peak(rbfhs) + its learned costs + its held diagnoses), and
+factor of extra time spent, runtime(rbfhs) / runtime(hstree), averaged over
+paired sessions. The three RBF-HS maxima may come from different searches
+of a session, or from different moments of one search, so their sum is an
+upper bound on RBF-HS memory and the memory factor a lower bound.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class BenchRow:
     conflict_computations: int
     conflict_reuses: int
     peak_learned_costs: int
+    peak_held_diagnoses: int
     diagnoses_found: int
 
     def __post_init__(self):
@@ -103,9 +104,9 @@ def stats_row(
     diagnoses_found: int,
 ) -> BenchRow:
     """One row over the searches of a cell: times and counters summed, the
-    two peaks the maximum."""
+    three peaks the maximum."""
     counts = {c: sum(getattr(s, c) for s in stats) for c in COUNTERS}
-    for peak in ("peak_live_nodes", "peak_learned_costs"):
+    for peak in ("peak_live_nodes", "peak_learned_costs", "peak_held_diagnoses"):
         counts[peak] = max(getattr(s, peak) for s in stats)
     return BenchRow(
         dpi=name,
@@ -232,7 +233,8 @@ def summarize(rows: Sequence[BenchRow]) -> list[SummaryRow]:
         if RBFHS not in pair or HSTREE not in pair:
             continue
         rbf, hst = pair[RBFHS], pair[HSTREE]
-        memory = hst.peak_live_nodes / max(rbf.peak_live_nodes + rbf.peak_learned_costs, 1)
+        rbf_memory = rbf.peak_live_nodes + rbf.peak_learned_costs + rbf.peak_held_diagnoses
+        memory = hst.peak_live_nodes / max(rbf_memory, 1)
         time_factor = rbf.runtime_ms / max(hst.runtime_ms, 1e-9)
         grouped.setdefault((name, ld), []).append((memory, time_factor))
     out = []

@@ -48,10 +48,10 @@ ever grow. So:
   the parent, and the parent's conflict holds e, so the child's first
   disjoint conflict in store order lies past the parent's index;
 * closure test: every diagnosis hits the parent's conflict, so a diagnosis
-  inside the child must contain e, whenever it was recorded. The child
-  tests only the diagnoses that contain e: one list per axiom, appended by
-  ``record_diagnosis`` in D order, so the first closer found is the first
-  in D, as the trace names it.
+  inside the child must contain e, whenever it was found. The child tests
+  only the diagnoses that contain e: one list per axiom, appended by
+  ``found`` in the order diagnoses are found, so the first closer in the
+  list is the first found, as the trace names it.
 
 The hints are the parent's conflict index + 1 and the parent's mask (e is
 the child's mask xor it; the root has 0 and 0). Ordered branching leaves
@@ -68,7 +68,7 @@ on the loop's locals: the closure test over the per-axiom list of the
 node's new axiom, the conflict scan by index from the resume point, and
 the construction of the children, with the label, reuse and node counters
 kept as local ints until the loop ends. The cold paths are ``_SearchCore``
-methods: a fresh conflict, recording a diagnosis and, behind ``if``
+methods: a fresh conflict, finding and releasing a diagnosis and, behind ``if``
 guards, the trace lines and the ``debug`` cross-checks.
 
 Both searches branch as Wotawa's ordered hitting-set tree (IPL 2001). A
@@ -142,31 +142,78 @@ kept for ``ordered=False``, whose node sets have many paths.
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
 members is searched like any other. A frame is ``(siblings, -bound,
-c_next, mask, forbidden, h)``: the children of one expanded node sorted
+c_next, mask, forbidden, h, m)``: the children of one expanded node sorted
 best first, the negated bound the node was entered with, its conflict index
-+ 1, its mask, its forbidden mask and the h all its children share; a
-child's forbidden mask and own bound follow from these and its new axiom
-and f, so nodes stay five entries long. The current
-frame lives in locals. Expanding a node pushes the current frame and makes
-the node's frame current; the loop then labels the best sibling while its
-F reaches the bound, with the runner-up's F (or the frame's bound, if
-higher) as the child's bound. A closed, valid or dead-end node backs up
-the sentinel: its entry 0 is set to ``inf`` and it is re-sorted with ``del
-siblings[0]`` and ``insort``. When the best F falls below the bound the
-level is left: its children are discarded, the parent frame is popped, and
-the best F is written into the parent's best sibling (entry 0), which is
-re-sorted the same way. The root is labeled from a bottom frame with no
-siblings, whose pop ends the search. Trace events come in the order of the
-recursive formulation: LABEL, EXPAND and INHERIT (one per child whose F
-starts below its own bound, inherited or learned) when a node is labeled,
++ 1, its mask, its forbidden mask, the h all its children share and the
+level's margin m (below); a child's forbidden mask and own bound follow
+from these and its new axiom and f, so nodes stay five entries long. The
+current frame lives in locals. Expanding a node pushes the current frame
+and makes the node's frame current; the loop then labels the best sibling
+while its F reaches the bound minus m, with the runner-up's F (or the
+frame's bound, if higher) as the child's bound. A closed, valid or
+dead-end node backs up the sentinel: its entry 0 is set to ``inf`` and it
+is re-sorted with ``del siblings[0]`` and ``insort``. When the best F falls
+below the bound minus m the level is left: its children are discarded,
+the parent frame is popped, and the best F is written into the parent's
+best sibling (entry 0), which is re-sorted the same way. The root is
+labeled from a bottom frame with no siblings, whose pop ends the search.
+Trace events come in the order of the recursive formulation: LABEL, EXPAND
+and INHERIT (one per child whose F starts below its own bound, inherited
+or learned) when a node is labeled, DIAG when a diagnosis enters D,
 BACKTRACK when a non-root level is left, and nothing while the search
 stops after its ld-th diagnosis.
+
+In prob mode almost every F is distinct, so exact RBFS backs up tiny
+decrements and re-enters the same subtrees again and again: Korf's
+regeneration overhead (AIJ 1993). The ordered prob-mode tree bounds it as
+RBFS_CR (Hatem, Kiesel & Ruml, AAAI 2015) does, by letting a subtree run
+past its exact bound and certifying the diagnoses it finds afterwards.
+
+* Relaxed levels. A level is relaxed when its node was expanded before
+  (its F lies below its own bound f + h, the test the learned-table read
+  makes) or when its parent level is relaxed; its margin m is then M,
+  else 0. M = -max δ / 2 for the per-axiom log steps δ: half the log-odds
+  of the most probable single fault, derived from the fault
+  probabilities. A relaxed level is left only when its best F falls below
+  its bound minus M; the bound it passes down stays the exact runner-up
+  bound. A child level keeps its parent's margin: one that dropped it
+  would be entered with F below its bound, left at once, and re-entered
+  by its parent within the parent's margin, for ever.
+* Held diagnoses. A valid node found on a relaxed level, or while others
+  are held, may not be the best open node. Its mask joins the per-axiom
+  lists at once, so its supersets close, and ``(-f, card, -mask)`` joins
+  the held list, sorted by that key. Each time the loop looks at a level's
+  best child, the held diagnoses whose f reaches the best open F (the
+  best child's or the level's bound, whichever is higher) enter D in that
+  order, with their DIAG lines, and the search stops once ld are in D. If
+  the search ends first, the rest enter D in order. On exact levels with
+  nothing held, a valid node is the best open node and enters D at once.
+* Why the lists cannot move. F is admissible, so no diagnosis still to be
+  found costs more than the best open F, and a released diagnosis costs
+  at least that: D stays sorted by cost, though equal-cost diagnoses may
+  come in another order than HS-Tree's. Nor does D gain a set that is not
+  minimal. A valid node H is found only where its F, which is its f, reaches
+  its level's bound minus at most M, and the bound is the highest F open
+  outside the level, so no open F exceeds f_H + M. A proper subset S of H
+  lacks an axiom whose step is at most max δ = -2M, so f_S >= f_H + 2M;
+  had S not been found yet, an open node above it would have F >= f_S.
+  So S was found first and H was closed, not found. (A margin of a full
+  step would need a filter of non-minimal sets.) Margins let a level go
+  deeper before it is left and prune nothing, so every minimal diagnosis
+  keeps its path.
+* Card mode and the paper tree. In card mode every F is a level value and
+  levels lie |δ| apart, so a margin of |δ|/2 would change no comparison;
+  card mode, like ``ordered=False``, keeps M = 0, every level exact and
+  the counters and traces as they were. HS-Tree re-enters nothing.
 
 Memory the search keeps besides its live nodes (``peak_live_nodes``): the
 RBF-HS learned-cost table and its deque of keys, at most (c_max + 1)(|K| +
 1) entries each (``peak_learned_costs``), so RBF-HS stays in linear space;
-the RBF-HS frame stack, one 6-tuple per level, O(depth), whose sibling
-lists are live nodes already counted; the conflict store, with one
+the RBF-HS held diagnoses, one 3-tuple each (``peak_held_diagnoses``),
+which all cost within M of the best open F, since a diagnosis is found only
+where F reaches the bound minus M and the best open F never rises; the
+RBF-HS frame stack, one 7-tuple per level, O(depth), whose sibling lists
+are live nodes already counted; the conflict store, with one
 ``(delta, bit)`` list and one largest step per conflict; the card-mode
 level table, |K| + 1 floats; D; and the per-axiom diagnosis lists,
 whose total length is the summed size of the diagnoses found, at most ld *
@@ -212,6 +259,7 @@ class SearchStats:
     conflict_computations: int = 0
     conflict_reuses: int = 0
     peak_learned_costs: int = 0  # RBF-HS learned-cost table, kept apart from the live nodes
+    peak_held_diagnoses: int = 0  # RBF-HS diagnoses found but not yet released into D
     solver_calls: int = 0
     wall_time: float = 0.0
     encode_s: float = 0.0  # building the search's own reasoner, before the timer
@@ -225,6 +273,7 @@ COUNTERS = (
     "conflict_computations",
     "conflict_reuses",
     "peak_learned_costs",
+    "peak_held_diagnoses",
 )
 
 
@@ -351,6 +400,8 @@ class _SearchCore:
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
         self._given: dict[int, float] = {}  # debug, ordered trees: each node set's F when last generated
         self._learned: dict[int, float] | None = None  # debug, RBF-HS with a learned-cost table
+        self._released: list[int] = []  # debug: the masks in D
+        self._last_f = INF  # debug: the cost of the last diagnosis released
         # Axiom bit -> (delta, bit), in K order, axiom i of K being bit
         # n-1-i: a child's cost extends the parent sum by one log term, which
         # keeps equal-probability nodes bitwise equal, and its mask adds the
@@ -452,8 +503,9 @@ class _SearchCore:
         self.conflict_masks.append(mask)
 
     def _closed(self, node: list, closer: int) -> None:
-        """A closed label; ``closer`` is the mask of the first diagnosis in
-        D inside the node, since the per-axiom lists keep D's order."""
+        """A closed label; ``closer`` is the mask of the first diagnosis
+        found inside the node, since the per-axiom lists keep the order in
+        which diagnoses are found."""
         if self.debug:
             self._check_label(node[4], _CLOSED)
         if self.trace is not None:
@@ -476,27 +528,61 @@ class _SearchCore:
             self._emit_label(node, "conflict-new {", conflict, "}")
         return len(self.conflict_masks) - 1
 
-    def record_diagnosis(self, node: list) -> bool:
-        """Add a valid node to D; True once ld diagnoses are found, when the
-        search stops without further work."""
+    def found(self, node: list) -> None:
+        """A valid node: its mask joins the per-axiom lists, so its supersets
+        close from now on, whenever it enters D."""
         mask = node[4]
-        ids = self.dpi.ids_of(mask)
-        self.diagnoses.append(Diagnosis(ids, _linear(node[3])))
         for bit in bits_of(mask):
             self._diags_with[bit].append(mask)
-        if self.trace is not None:
-            self.emit("DIAG", mask, ("pr=", node[3]))
         if self._parent_of is not None:
             # admissible: neither the F given to a node on its path nor a
-            # learned F there lies below it
+            # learned F there lies below it (checked now, since the F on the
+            # path may fall before the diagnosis is released)
             m = mask
             while m is not None:
-                assert node[3] <= self._given[m], f"{ids} above the F given to {self.dpi.ids_of(m)}"
+                assert node[3] <= self._given[m], f"{self.dpi.ids_of(mask)} above the F given to {self.dpi.ids_of(m)}"
                 if self._learned:
                     learned_f = -self._learned.get(m, NEG_INF)
-                    assert node[3] <= learned_f, f"{ids} above the learned F of {self.dpi.ids_of(m)}"
+                    assert node[3] <= learned_f, f"{self.dpi.ids_of(mask)} above the learned F of {self.dpi.ids_of(m)}"
                 m = self._parent_of[m]
+
+    def release(self, f: float, mask: int) -> bool:
+        """Add a found diagnosis of cost f to D; True once ld diagnoses are
+        in D, when the search stops without further work."""
+        self.diagnoses.append(Diagnosis(self.dpi.ids_of(mask), _linear(f)))
+        if self.trace is not None:
+            self.emit("DIAG", mask, ("pr=", f))
+        if self.debug:
+            assert f <= self._last_f, f"{self.dpi.ids_of(mask)} costs more than the diagnosis before it"
+            assert not any(d & mask in (d, mask) for d in self._released), f"{self.dpi.ids_of(mask)} nested in D"
+            self._last_f = f
+            self._released.append(mask)
         return self.ld is not None and len(self.diagnoses) >= self.ld
+
+    def record_diagnosis(self, node: list) -> bool:
+        """Find a valid node and release it at once, as :meth:`release`."""
+        self.found(node)
+        return self.release(node[3], node[4])
+
+    def hold(self, node: list, held: list[tuple[float, int, int]]) -> int:
+        """Find a valid node that an open node may still beat: its ``(-f,
+        card, -mask)`` joins the sorted held list, whose length is returned.
+        No held set contains it (see the module docstring)."""
+        self.found(node)
+        mask = node[4]
+        if self.debug:
+            assert not any(-key[2] & mask == mask for key in held), f"{self.dpi.ids_of(mask)} inside a held set"
+        insort(held, (-node[3], node[1], -mask))
+        return len(held)
+
+    def release_held(self, held: list[tuple[float, int, int]], best_open: float) -> bool:
+        """Release, best first, the held diagnoses whose f reaches the best
+        open F (``best_open``, negated like the keys), as :meth:`release`."""
+        while held and held[0][0] <= best_open:
+            nf, _, nmask = held.pop(0)
+            if self.release(-nf, -nmask):
+                return True
+        return False
 
     def result(self, algorithm: str) -> SearchResult:
         if self.reasoner is not None:
@@ -545,15 +631,20 @@ def rbf_hs(
 
     ``ordered`` (the default) branches as Wotawa's ordered hitting-set tree,
     ranks children by the disjoint-conflict bound and, with unequal fault
-    probabilities, keeps the learned-cost table, all as the module
-    docstring describes; ``peak_learned_costs`` reports the table's size.
-    The returned diagnoses are the same either way, and so is their order
-    except among diagnoses of equal cost. ``ordered=False`` expands every
-    member of every conflict, as the paper's algorithm does, and reproduces
-    its traces and counters. With ``debug``, an ordered run also asserts
-    that every node set keeps one parent set for the run, and that no F
-    given to a node on a recorded diagnosis's path, and no learned F there,
-    lies below its cost; in card mode, that every F is a level value.
+    probabilities, keeps the learned-cost table and relaxes the levels it
+    re-enters by half the log-odds of the most probable fault, holding the
+    diagnoses found there until no open node may beat them, all as the
+    module docstring describes; ``peak_learned_costs`` reports the table's
+    size and ``peak_held_diagnoses`` the held list's. The returned
+    diagnoses are the same either way, and so is their order except among
+    diagnoses of equal cost. ``ordered=False`` expands every member of
+    every conflict, as the paper's algorithm does, and reproduces its traces
+    and counters. With ``debug``, every diagnosis entering D is checked to
+    cost no more than the one before it and to be nested with none in D;
+    an ordered run also asserts that every node set keeps one parent set
+    for the run, and that no F given to a node on a found diagnosis's path,
+    and no learned F there, lies below its cost; in card mode, that every F
+    is a level value.
     """
     return _run(lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner)
 
@@ -575,6 +666,13 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     learned: dict[int, float] = {}
     ring: deque[int] = deque()
     width, cap = len(core.dpi.k_ids) + 1, 0
+    # The margin of a relaxed level, half the log-odds of the most probable
+    # single fault, where the table is kept: not in card mode, where it would
+    # change no comparison, nor in the paper's tree. The found diagnoses not
+    # yet in D, as sorted (-f, card, -mask).
+    margin = -max(delta for delta, _ in core._step.values()) / 2 if learning else 0.0
+    held: list[tuple[float, int, int]] = []
+    held_peak = 0
     if debug:
         if ordered:
             core._parent_of = {}
@@ -582,10 +680,10 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             core._learned = learned
         core._track([node], None)
     # The current frame: the expanded node's children sorted best first, its
-    # negated bound, its conflict index + 1, its mask, its forbidden mask and
-    # the h of its children's bound. The root is labeled from a bottom frame
-    # with no children, whose pop ends the search.
-    siblings, nbound, c_next, pmask, pforbid, ph = None, INF, 0, 0, 0, 0.0
+    # negated bound, its conflict index + 1, its mask, its forbidden mask,
+    # the h of its children's bound and its margin. The root is labeled from
+    # a bottom frame with no children, whose pop ends the search.
+    siblings, nbound, c_next, pmask, pforbid, ph, pm = None, INF, 0, 0, 0, 0.0, 0.0
     stack = []
     while node is not None:
         # -- label `node`, a child of the current frame (the root expands:
@@ -651,12 +749,17 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                         nf = -cf - h
                         cmask = mask | bit
                         children.append([nf if nf > back else back, card, -cmask, cf, cmask])
-            # F below f + h: expanded before, so its children may have learned
-            if learned and -back < f + ph:
-                for child in children:
-                    learned_nf = learned.get(child[4], NEG_INF)
-                    if learned_nf > child[0]:
-                        child[0] = learned_nf
+            # F below f + h: expanded before, so its children may have
+            # learned, and its level is relaxed; below a relaxed level every
+            # level is
+            m = pm
+            if learning and -back < f + ph:
+                m = margin
+                if learned:
+                    for child in children:
+                        learned_nf = learned.get(child[4], NEG_INF)
+                        if learned_nf > child[0]:
+                            child[0] = learned_nf
             if debug:
                 core._track(children, mask)
             if tracing:
@@ -670,22 +773,31 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             if live > peak:
                 peak = live
             children.sort()
-            stack.append((siblings, nbound, c_next, pmask, pforbid, ph))
-            siblings, nbound, c_next, pmask, pforbid, ph = children, node_nbound, i + 1, mask, forbid, h
-        elif i == _VALID and core.record_diagnosis(node):
-            # ld diagnoses found: stop with no further work; stack[0] is the
-            # bottom frame
-            live -= len(siblings) + sum(len(frame[0]) for frame in stack[1:])
-            break
+            stack.append((siblings, nbound, c_next, pmask, pforbid, ph, pm))
+            siblings, nbound, c_next, pmask, pforbid, ph, pm = children, node_nbound, i + 1, mask, forbid, h, m
         else:  # a leaf backs up the sentinel
+            if i == _VALID:
+                if pm or held:  # an open node may beat it: hold it
+                    n = core.hold(node, held)
+                    if n > held_peak:
+                        held_peak = n
+                elif core.record_diagnosis(node):  # on exact levels it is the best open node
+                    break  # ld diagnoses in D: stop with no further work
             node[0] = INF
             del siblings[0]
             insort(siblings, node)
         while True:
             best = siblings[0]
             backed = best[0]
-            # F >= bound and F above the sentinel, on negated costs: go down
-            if backed <= nbound and backed != INF:
+            if held:
+                # release the held diagnoses that reach the best open F
+                best_open = backed if backed < nbound else nbound
+                if held[0][0] <= best_open and core.release_held(held, best_open):
+                    node = None  # ld diagnoses in D: stop with no further work
+                    break
+            # F >= bound - margin and F above the sentinel, on negated costs:
+            # go down, with the runner-up's exact bound
+            if backed <= nbound + pm and backed != INF:
                 runner_up = siblings[1][0]
                 node, node_nbound = best, (runner_up if runner_up < nbound else nbound)
                 break
@@ -713,7 +825,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                         learned[cmask] = nf
             if pmask and tracing:  # not the root
                 core.emit("BACKTRACK", pmask, ("F=", -backed, " bound=", -nbound))
-            siblings, nbound, c_next, pmask, pforbid, ph = stack.pop()
+            siblings, nbound, c_next, pmask, pforbid, ph, pm = stack.pop()
             if siblings is None:
                 node = None
                 break
@@ -721,12 +833,17 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             best[0] = backed
             del siblings[0]
             insort(siblings, best)
+    if siblings is not None:  # stopped at ld; stack[0] is the bottom frame
+        live -= len(siblings) + sum(len(frame[0]) for frame in stack[1:])
+    elif held:  # the search ended before ld: nothing is open
+        core.release_held(held, INF)
     live -= 1  # the root
     if debug:
         assert live == 0, f"{live} nodes leaked"
     stats.label_calls, stats.conflict_reuses = labels, reuses
     stats.nodes_generated, stats.peak_live_nodes = generated, peak
     stats.peak_learned_costs = len(learned)  # the table never shrinks
+    stats.peak_held_diagnoses = held_peak
 
 
 def hs_tree(

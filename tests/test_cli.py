@@ -259,7 +259,8 @@ def make_row(**kw):
     base = dict(
         dpi="t", algo="rbfhs", ld=4, session=0, runtime_ms=1.25,
         peak_live_nodes=9, nodes_generated=27, label_calls=21,
-        conflict_computations=8, conflict_reuses=6, peak_learned_costs=3, diagnoses_found=4,
+        conflict_computations=8, conflict_reuses=6, peak_learned_costs=3, peak_held_diagnoses=2,
+        diagnoses_found=4,
     )
     base.update(kw)
     return BenchRow(**base)
@@ -274,7 +275,7 @@ def test_bench_row_with_comma_in_name_round_trips():
     row = make_row(dpi="a,b")
     assert csv_line(row).startswith('"a,b",rbfhs,')
     assert read_rows(write_rows([row])) == [row]
-    assert csv_line(make_row()) == "t,rbfhs,4,0,1.25,9,27,21,8,6,3,4"
+    assert csv_line(make_row()) == "t,rbfhs,4,0,1.25,9,27,21,8,6,3,2,4"
 
 
 def test_summary_row_with_comma_in_name_keeps_four_columns():
@@ -286,7 +287,8 @@ def test_summary_row_with_comma_in_name_keeps_four_columns():
 def test_bench_header_exact():
     assert CSV_HEADER == (
         "dpi,algo,ld,session,runtime_ms,peak_live_nodes,nodes_generated,"
-        "label_calls,conflict_computations,conflict_reuses,peak_learned_costs,diagnoses_found"
+        "label_calls,conflict_computations,conflict_reuses,peak_learned_costs,"
+        "peak_held_diagnoses,diagnoses_found"
     )
 
 
@@ -295,8 +297,8 @@ def test_counters_are_bench_columns_in_order():
 
 
 def test_stats_row_sums_counters_and_takes_the_largest_peak():
-    a = SearchStats(9, 27, 21, 8, 6, 2, wall_time=0.5)
-    b = SearchStats(4, 10, 7, 3, 5, 7, wall_time=0.25)
+    a = SearchStats(9, 27, 21, 8, 6, 2, 5, wall_time=0.5)
+    b = SearchStats(4, 10, 7, 3, 5, 7, 1, wall_time=0.25)
     row = stats_row("t", "hstree", 4, 1, [a, b], 3)
     assert {c: getattr(row, c) for c in COUNTERS} == {
         "peak_live_nodes": 9,
@@ -305,6 +307,7 @@ def test_stats_row_sums_counters_and_takes_the_largest_peak():
         "conflict_computations": 11,
         "conflict_reuses": 11,
         "peak_learned_costs": 7,
+        "peak_held_diagnoses": 5,
     }
     assert (row.runtime_ms, row.diagnoses_found) == (750.0, 3)
 

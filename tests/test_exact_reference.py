@@ -59,11 +59,11 @@ def exact_min_diagnoses(dpi, pr, ld: int) -> list[tuple[tuple[str, ...], float]]
 
 
 def instance(seed: int, mode: str):
-    """A random abstract DPI past BRUTE_FORCE_LIMIT: |K| of 21 to 30, 10 to
+    """A random abstract DPI past BRUTE_FORCE_LIMIT: |K| of 21 to 40, 10 to
     22 sampled conflicts of up to 3 to 5 members. Drawn from one seed, so
     the sizes spread evenly over their ranges."""
     rng = random.Random(seed)
-    dpi = gen_random_dpi(rng.randint(21, 30), rng.randint(10, 22), rng.randint(3, 5), seed)
+    dpi = gen_random_dpi(rng.randint(21, 40), rng.randint(10, 22), rng.randint(3, 5), seed)
     if mode == "card":
         return dpi, cardinality_pr(dpi.k_ids)
     return dpi, FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids})
