@@ -18,7 +18,13 @@ to the rounding of sums taken along other paths. The ordered entries were
 recorded again when both searches began to rank children by the
 disjoint-conflict bound: their counters, conflicts and trace digests moved,
 their lists did not, except that card-mode RBF-HS lists may order
-diagnoses of equal cost differently.
+diagnoses of equal cost differently. The prob-mode ``rbfhs-ordered``
+entries were recorded again when RBF-HS began to relax the levels it
+re-enters and to hold diagnoses until no open node may beat them: their
+counters, conflicts and trace digests moved, and one entry's ``pr`` in the
+last bits (a set reached by adding its axioms in another order); their ids
+and order did not. Every card-mode, ``rbfhs`` and ``hstree*`` entry stayed
+byte for byte.
 
 Regenerate a corpus (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_search_pinned.py small`` (or ``large``),

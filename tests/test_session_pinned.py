@@ -12,7 +12,11 @@ reasoner began to serve a whole session; a check verdict that differs from a
 fresh encoding's changes a query, a list or a counter here. Its counters,
 and the order of equal-cost diagnoses in card-mode RBF-HS lists, were
 recorded again when both searches began to rank children by the
-disjoint-conflict bound; every query and answer stayed.
+disjoint-conflict bound; every query and answer stayed. The prob-mode
+RBF-HS counters were recorded again when RBF-HS began to relax the levels
+it re-enters and to hold diagnoses until no open node may beat them; four
+``table1`` prob sessions now list their equal-cost pair in HS-Tree's
+order, and every query and answer stayed.
 
 Regenerate (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_session_pinned.py > tests/session_pinned.json``.
