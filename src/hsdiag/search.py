@@ -195,8 +195,9 @@ past its exact bound and certifying the diagnoses it finds afterwards.
   minimal. A valid node H is found only where its F, which is its f, reaches
   its level's bound minus at most M, and the bound is the highest F open
   outside the level, so no open F exceeds f_H + M. A proper subset S of H
-  lacks an axiom whose step is at most max δ = -2M, so f_S >= f_H + 2M;
-  had S not been found yet, an open node above it would have F >= f_S.
+  lacks one of H's axioms, whose step is at most max δ = -2M, so f_S >=
+  f_H + 2M; had S not been found yet, an open node above it would have F
+  >= f_S.
   So S was found first and H was closed, not found. (A margin of a full
   step would need a filter of non-minimal sets.) Margins let a level go
   deeper before it is left and prune nothing, so every minimal diagnosis
@@ -216,8 +217,8 @@ RBF-HS frame stack, one 7-tuple per level, O(depth), whose sibling lists
 are live nodes already counted; the conflict store, with one
 ``(delta, bit)`` list and one largest step per conflict; the card-mode
 level table, |K| + 1 floats; D; and the per-axiom diagnosis lists,
-whose total length is the summed size of the diagnoses found, at most ld *
-|K|: bounded by the output, not by the tree.
+whose total length is the summed size of the diagnoses found, those in D
+and those held: bounded by the output and the held list, not by the tree.
 """
 
 from __future__ import annotations
@@ -422,6 +423,9 @@ class _SearchCore:
         deltas = {delta for delta, _ in self._step.values()}
         self.equal_costs = len(deltas) <= 1
         self.steepest = min(deltas, default=0.0)  # for the prob-mode pad
+        # RBF-HS's margin of a relaxed level: half the log-odds of the most
+        # probable single fault
+        self.margin = -max(deltas, default=0.0) / 2
         self.levels: list[float] = []
         if self.equal_costs:
             level = self.f_empty
@@ -666,11 +670,10 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     learned: dict[int, float] = {}
     ring: deque[int] = deque()
     width, cap = len(core.dpi.k_ids) + 1, 0
-    # The margin of a relaxed level, half the log-odds of the most probable
-    # single fault, where the table is kept: not in card mode, where it would
-    # change no comparison, nor in the paper's tree. The found diagnoses not
-    # yet in D, as sorted (-f, card, -mask).
-    margin = -max(delta for delta, _ in core._step.values()) / 2 if learning else 0.0
+    # Levels are relaxed where the table is kept: not in card mode, where the
+    # margin would change no comparison, nor in the paper's tree. The found
+    # diagnoses not yet in D, as sorted (-f, card, -mask).
+    margin = core.margin if learning else 0.0
     held: list[tuple[float, int, int]] = []
     held_peak = 0
     if debug:
