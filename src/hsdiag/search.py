@@ -781,9 +781,9 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
         else:  # a leaf backs up the sentinel
             if i == _VALID:
                 if pm or held:  # an open node may beat it: hold it
-                    n = core.hold(node, held)
-                    if n > held_peak:
-                        held_peak = n
+                    waiting = core.hold(node, held)
+                    if waiting > held_peak:
+                        held_peak = waiting
                 elif core.record_diagnosis(node):  # on exact levels it is the best open node
                     break  # ld diagnoses in D: stop with no further work
             node[0] = INF
