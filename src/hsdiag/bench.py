@@ -2,14 +2,14 @@
 
 One BenchRow summarizes one session cell (dpi, algorithm, ld, session
 index): counters are summed over the session's searches, the peak node
-count, the peak learned-cost table size and the peak of held diagnoses are
-maxima, and diagnoses_found reports the largest single-search yield. The
-summary aggregates the two comparison families: factor of memory saved,
-peak(hstree) / (peak(rbfhs) + its learned costs + its held diagnoses), and
-factor of extra time spent, runtime(rbfhs) / runtime(hstree), averaged over
-paired sessions. The three RBF-HS maxima may come from different searches
-of a session, or from different moments of one search, so their sum is an
-upper bound on RBF-HS memory and the memory factor a lower bound.
+count and the peak of held diagnoses are maxima, and diagnoses_found
+reports the largest single-search yield. The summary aggregates the two
+comparison families: factor of memory saved, peak(hstree) / (peak(rbfhs)
++ its held diagnoses), and factor of extra time spent, runtime(rbfhs) /
+runtime(hstree), averaged over paired sessions. The two RBF-HS maxima may
+come from different searches of a session, or from different moments of
+one search, so their sum is an upper bound on RBF-HS memory and the memory
+factor a lower bound.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class BenchRow:
     label_calls: int
     conflict_computations: int
     conflict_reuses: int
-    peak_learned_costs: int
     peak_held_diagnoses: int
     diagnoses_found: int
 
@@ -104,9 +103,9 @@ def stats_row(
     diagnoses_found: int,
 ) -> BenchRow:
     """One row over the searches of a cell: times and counters summed, the
-    three peaks the maximum."""
+    two peaks the maximum."""
     counts = {c: sum(getattr(s, c) for s in stats) for c in COUNTERS}
-    for peak in ("peak_live_nodes", "peak_learned_costs", "peak_held_diagnoses"):
+    for peak in ("peak_live_nodes", "peak_held_diagnoses"):
         counts[peak] = max(getattr(s, peak) for s in stats)
     return BenchRow(
         dpi=name,
@@ -233,7 +232,7 @@ def summarize(rows: Sequence[BenchRow]) -> list[SummaryRow]:
         if RBFHS not in pair or HSTREE not in pair:
             continue
         rbf, hst = pair[RBFHS], pair[HSTREE]
-        rbf_memory = rbf.peak_live_nodes + rbf.peak_learned_costs + rbf.peak_held_diagnoses
+        rbf_memory = rbf.peak_live_nodes + rbf.peak_held_diagnoses
         memory = hst.peak_live_nodes / max(rbf_memory, 1)
         time_factor = rbf.runtime_ms / max(hst.runtime_ms, 1e-9)
         grouped.setdefault((name, ld), []).append((memory, time_factor))

@@ -143,10 +143,24 @@ def _append_csv(path: str, rows) -> None:
     if not existing.strip():
         target.write_text(bench_mod.CSV_HEADER + "\n" + text, encoding="utf-8")
         return
-    if existing.strip().splitlines()[0] != bench_mod.CSV_HEADER:
-        raise ValueError(f"{path}: existing header differs from {bench_mod.CSV_HEADER!r}")
+    header = existing.strip().splitlines()[0]
+    if header != bench_mod.CSV_HEADER:
+        raise ValueError(f"{path}: existing header {_header_difference(header.split(','))}")
     with target.open("a", encoding="utf-8") as fh:
         fh.write(text if existing.endswith("\n") else "\n" + text)
+
+
+def _header_difference(columns: list[str]) -> str:
+    """How a CSV header's columns differ from those this version writes."""
+    ours = bench_mod.CSV_HEADER.split(",")
+    extra = [c for c in columns if c not in ours]
+    missing = [c for c in ours if c not in columns]
+    parts = []
+    if extra:
+        parts.append(f"has {', '.join(extra)}, which this version does not write")
+    if missing:
+        parts.append(f"lacks {', '.join(missing)}, which this version writes")
+    return "; ".join(parts) or f"orders its columns otherwise than {bench_mod.CSV_HEADER!r}"
 
 
 def _interactive_answer(query) -> bool:

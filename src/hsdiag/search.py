@@ -3,7 +3,7 @@
 ``rbf_hs`` enumerates the ld most probable minimal diagnoses in best-first
 order inside linear memory: it explores the best child depth-first until
 the best cost in the current subtree falls below the best known alternative
-(``bound``), then backs the learned cost up and forgets the subtree.
+(``bound``), then backs the subtree's best cost up and forgets it.
 ``hs_tree`` is the classic breadth-style best-first baseline that keeps the
 expanded tree and an open queue in memory. Both label nodes the same way,
 share one conflict store and one instrumentation scheme, so their node
@@ -33,8 +33,7 @@ unique and so are the masks in HS-Tree's queue, which means a comparison
 never reaches the fourth entry. A child's F starts at its own bound f + h
 (h from the disjoint-conflict bound below, 0 where nothing is packed); in
 RBF-HS at ``min(f + h, F_parent)``: a node expanded before passes its
-backed-up cost down (in the ordered RBF-HS tree also what its children
-learned, see below), and a parent's F below its children's bound passes
+backed-up cost down, and a parent's F below its children's bound passes
 down as pathmax. Backing up a cost writes entry 0. The RBF-HS dummy sibling is ``[inf, 0, 0, -inf, None]``: F
 is the minus-infinity sentinel, so it sorts after every sibling of finite
 cost.
@@ -121,24 +120,6 @@ switch between siblings whose F differ only by it. Packing takes one
 h = 0, so the paper's tree, its counters and the walkthrough traces stay as
 the paper gives them.
 
-The ordered tree also keeps what the subtrees it forgets have learned, in
-one table from K-mask to negated backed-up F, as SMA* (Russell, ECAI 1992)
-and HBF-HS (Rodler, AIJ 2022) do. It is written only when a level is left,
-for each child whose F lies strictly below the best sibling's F, which is
-the F the parent now holds and passes down, and below the child's own bound
-f + h: what inheriting from the parent cannot restore. It is read only when
-a node expanded before (F below its own bound) is expanded again: a child's
-F is then ``min(f + h, F_parent, table[mask])``. The table is exact because in the ordered
-tree a mask has one path and one forbidden mask, and D and the conflict
-store only grow: a subtree only shrinks, so its learned F stays an upper
-bound on its best diagnosis not yet found. Its cap is the live-node
-bound, (c_max + 1)(|K| + 1), raised as larger conflicts are stored; a deque
-of its keys evicts the oldest entry once it is full. With equal fault
-probabilities (card mode) every F is a cardinality level that the parent
-passes down anyway, so no entry would ever be written; the table is not
-kept, which also spares each level exit a scan of its children. Nor is it
-kept for ``ordered=False``, whose node sets have many paths.
-
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
 members is searched like any other. A frame is ``(siblings, -bound,
@@ -158,8 +139,8 @@ the parent frame is popped, and the best F is written into the parent's
 best sibling (entry 0), which is re-sorted the same way. The root is
 labeled from a bottom frame with no siblings, whose pop ends the search.
 Trace events come in the order of the recursive formulation: LABEL, EXPAND
-and INHERIT (one per child whose F starts below its own bound, inherited
-or learned) when a node is labeled, DIAG when a diagnosis enters D,
+and INHERIT (one per child whose F starts below its own bound, inherited)
+when a node is labeled, DIAG when a diagnosis enters D,
 BACKTRACK when a non-root level is left, and nothing while the search
 stops after its ld-th diagnosis.
 
@@ -170,13 +151,16 @@ RBFS_CR (Hatem, Kiesel & Ruml, AAAI 2015) does, by letting a subtree run
 past its exact bound and certifying the diagnoses it finds afterwards.
 
 * Relaxed levels. A level is relaxed when its node was expanded before
-  (its F lies below its own bound f + h, the test the learned-table read
-  makes) or when its parent level is relaxed; its margin m is then M,
-  else 0. M = -max δ / 2 for the per-axiom log steps δ: half the log-odds
-  of the most probable single fault, derived from the fault
-  probabilities. A relaxed level is left only when its best F falls below
-  its bound minus M; the bound it passes down stays the exact runner-up
-  bound. A child level keeps its parent's margin: one that dropped it
+  (its F lies below its own bound f + h) or when its parent level is
+  relaxed; its margin m is then M, else 0. M = -0.9 max δ for the
+  per-axiom log steps δ: 0.9 of the log-odds of the most probable single
+  fault, derived from the fault probabilities, and kept below one full
+  step, -max δ, as "Why the lists cannot move" needs. A relaxed level is left only when its
+  best F falls below its bound minus M; the bound it passes down stays
+  the exact runner-up bound. So a re-entered level goes on instead of
+  regenerating its children one tiny decrement at a time, and no table of
+  the costs that forgotten subtrees backed up, as SMA* (Russell, ECAI
+  1992) keeps, is needed. A child level keeps its parent's margin: one that dropped it
   would be entered with F below its bound, left at once, and re-entered
   by its parent within the parent's margin, for ever.
 * Held diagnoses. A valid node found on a relaxed level, or while others
@@ -192,33 +176,32 @@ past its exact bound and certifying the diagnoses it finds afterwards.
   found costs more than the best open F, and a released diagnosis costs
   at least that: D stays sorted by cost, though equal-cost diagnoses may
   come in another order than HS-Tree's. Nor does D gain a set that is not
-  minimal. A valid node H is found only where its F, which is its f, reaches
-  its level's bound minus at most M, and the bound is the highest F open
+  minimal. A valid node H is found only where its F, which is its f,
+  reaches its level's bound minus at most M, and the bound is the highest F open
   outside the level, so no open F exceeds f_H + M. A proper subset S of H
-  lacks one of H's axioms, whose step is at most max δ = -2M, so f_S >=
-  f_H + 2M; had S not been found yet, an open node above it would have F
-  >= f_S.
-  So S was found first and H was closed, not found. (A margin of a full
-  step would need a filter of non-minimal sets.) Margins let a level go
-  deeper before it is left and prune nothing, so every minimal diagnosis
-  keeps its path.
+  lacks one of H's axioms, whose step is at most max δ, so f_S >= f_H -
+  max δ, which exceeds f_H + M because M < -max δ; had S not been found
+  yet, an open node above it would have F >= f_S. So S was found first
+  and H was closed, not found. (A margin of a full step would need a
+  filter of non-minimal sets.) Margins let a level go deeper before it is
+  left and prune nothing, so every minimal diagnosis keeps its path.
 * Card mode and the paper tree. In card mode every F is a level value and
-  levels lie |δ| apart, so a margin of |δ|/2 would change no comparison;
+  levels lie |δ| apart, so a margin below |δ| would change no comparison;
   card mode, like ``ordered=False``, keeps M = 0, every level exact and
   the counters and traces as they were. HS-Tree re-enters nothing.
 
 Memory the search keeps besides its live nodes (``peak_live_nodes``): the
-RBF-HS learned-cost table and its deque of keys, at most (c_max + 1)(|K| +
-1) entries each (``peak_learned_costs``), so RBF-HS stays in linear space;
-the RBF-HS held diagnoses, one 3-tuple each (``peak_held_diagnoses``),
-which all cost within M of the best open F, since a diagnosis is found only
-where F reaches the bound minus M and the best open F never rises; the
-RBF-HS frame stack, one 7-tuple per level, O(depth), whose sibling lists
-are live nodes already counted; the conflict store, with one
-``(delta, bit)`` list and one largest step per conflict; the card-mode
-level table, |K| + 1 floats; D; and the per-axiom diagnosis lists,
-whose total length is the summed size of the diagnoses found, those in D
-and those held: bounded by the output and the held list, not by the tree.
+RBF-HS held diagnoses, one 3-tuple each (``peak_held_diagnoses``), at most
+ld − |D| of them, all within M of the best open F, since a diagnosis is
+found only where F reaches the bound minus M and the best open F never
+rises (a held diagnosis leaves the list only to enter D, best first, and
+one found later only moves it back, so ``hold`` drops those past the best
+ld − |D|, which can never enter D); the RBF-HS frame stack, one 7-tuple
+per level, O(depth), whose sibling lists are live nodes already counted;
+the conflict store, with one ``(delta, bit)`` list and one largest step
+per conflict; the card-mode level table, |K| + 1 floats; D; and the
+per-axiom diagnosis lists, whose total length is the summed size of the
+diagnoses found, each once: those in D, those held and those dropped.
 """
 
 from __future__ import annotations
@@ -226,7 +209,6 @@ from __future__ import annotations
 import math
 import time
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -259,7 +241,6 @@ class SearchStats:
     label_calls: int = 0
     conflict_computations: int = 0
     conflict_reuses: int = 0
-    peak_learned_costs: int = 0  # RBF-HS learned-cost table, kept apart from the live nodes
     peak_held_diagnoses: int = 0  # RBF-HS diagnoses found but not yet released into D
     solver_calls: int = 0
     wall_time: float = 0.0
@@ -273,7 +254,6 @@ COUNTERS = (
     "label_calls",
     "conflict_computations",
     "conflict_reuses",
-    "peak_learned_costs",
     "peak_held_diagnoses",
 )
 
@@ -400,7 +380,6 @@ class _SearchCore:
         self._live_masks: set[int] = set()  # debug
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
         self._given: dict[int, float] = {}  # debug, ordered trees: each node set's F when last generated
-        self._learned: dict[int, float] | None = None  # debug, RBF-HS with a learned-cost table
         self._released: list[int] = []  # debug: the masks in D
         self._last_f = INF  # debug: the cost of the last diagnosis released
         # Axiom bit -> (delta, bit), in K order, axiom i of K being bit
@@ -417,15 +396,16 @@ class _SearchCore:
             self._step[bit] = (math.log(p) - log_ok, bit)
             self.f_empty += log_ok
         # Equal fault probabilities: every cost is a cardinality level, and
-        # the ordered RBF-HS tree keeps no learned-cost table. The levels are
-        # summed one step at a time, as nodes sum them, so a node of
-        # cardinality c costs exactly levels[c].
+        # the ordered RBF-HS tree relaxes no level. The levels are summed one
+        # step at a time, as nodes sum them, so a node of cardinality c costs
+        # exactly levels[c].
         deltas = {delta for delta, _ in self._step.values()}
         self.equal_costs = len(deltas) <= 1
         self.steepest = min(deltas, default=0.0)  # for the prob-mode pad
-        # RBF-HS's margin of a relaxed level: half the log-odds of the most
-        # probable single fault
-        self.margin = -max(deltas, default=0.0) / 2
+        # RBF-HS's margin of a relaxed level: 0.9 of the log-odds of the
+        # most probable single fault, below the full step that would let a
+        # non-minimal set be held
+        self.margin = -0.9 * max(deltas, default=0.0)
         self.levels: list[float] = []
         if self.equal_costs:
             level = self.f_empty
@@ -490,8 +470,8 @@ class _SearchCore:
         packed k conflicts whose largest steps sum to h (padded)."""
         self.emit("EXPAND", node[4], ("conflict={", self.conflict_masks[i], "} f=[", [c[3] for c in children], "]"))
         for child in children:
-            # F below the child's own bound, inherited or learned: only
-            # below a node expanded before
+            # F below the child's own bound, inherited: only below a node
+            # expanded before
             own = self.levels[child[1] + k] if self.levels else child[3] + h
             if child[0] != -own:
                 self.emit("INHERIT", child[4], ("F=", -child[0]))
@@ -539,15 +519,12 @@ class _SearchCore:
         for bit in bits_of(mask):
             self._diags_with[bit].append(mask)
         if self._parent_of is not None:
-            # admissible: neither the F given to a node on its path nor a
-            # learned F there lies below it (checked now, since the F on the
-            # path may fall before the diagnosis is released)
+            # admissible: no F given to a node on its path lies below it
+            # (checked now, since the F on the path may fall before the
+            # diagnosis is released)
             m = mask
             while m is not None:
                 assert node[3] <= self._given[m], f"{self.dpi.ids_of(mask)} above the F given to {self.dpi.ids_of(m)}"
-                if self._learned:
-                    learned_f = -self._learned.get(m, NEG_INF)
-                    assert node[3] <= learned_f, f"{self.dpi.ids_of(mask)} above the learned F of {self.dpi.ids_of(m)}"
                 m = self._parent_of[m]
 
     def release(self, f: float, mask: int) -> bool:
@@ -570,13 +547,16 @@ class _SearchCore:
 
     def hold(self, node: list, held: list[tuple[float, int, int]]) -> int:
         """Find a valid node that an open node may still beat: its ``(-f,
-        card, -mask)`` joins the sorted held list, whose length is returned.
-        No held set contains it (see the module docstring)."""
+        card, -mask)`` joins the sorted held list, which keeps its best ld -
+        |D| entries, and whose length is returned. No held set contains it
+        (see the module docstring)."""
         self.found(node)
         mask = node[4]
         if self.debug:
             assert not any(-key[2] & mask == mask for key in held), f"{self.dpi.ids_of(mask)} inside a held set"
         insort(held, (-node[3], node[1], -mask))
+        if self.ld is not None:
+            del held[self.ld - len(self.diagnoses):]
         return len(held)
 
     def release_held(self, held: list[tuple[float, int, int]], best_open: float) -> bool:
@@ -635,20 +615,19 @@ def rbf_hs(
 
     ``ordered`` (the default) branches as Wotawa's ordered hitting-set tree,
     ranks children by the disjoint-conflict bound and, with unequal fault
-    probabilities, keeps the learned-cost table and relaxes the levels it
-    re-enters by half the log-odds of the most probable fault, holding the
-    diagnoses found there until no open node may beat them, all as the
-    module docstring describes; ``peak_learned_costs`` reports the table's
-    size and ``peak_held_diagnoses`` the held list's. The returned
+    probabilities, relaxes the levels it re-enters by 0.9 of the log-odds
+    of the most probable fault, holding the diagnoses found there, at most
+    ld - |D| of them, until no open node may beat them, all as the module
+    docstring describes; ``peak_held_diagnoses`` reports the held list's
+    largest size. The returned
     diagnoses are the same either way, and so is their order except among
     diagnoses of equal cost. ``ordered=False`` expands every member of
     every conflict, as the paper's algorithm does, and reproduces its traces
     and counters. With ``debug``, every diagnosis entering D is checked to
     cost no more than the one before it and to be nested with none in D;
     an ordered run also asserts that every node set keeps one parent set
-    for the run, and that no F given to a node on a found diagnosis's path,
-    and no learned F there, lies below its cost; in card mode, that every F
-    is a level value.
+    for the run, and that no F given to a node on a found diagnosis's path
+    lies below its cost; in card mode, that every F is a level value.
     """
     return _run(lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner)
 
@@ -663,24 +642,16 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     generated = live = peak = 1
     # the root, whose bound is -inf; bounds are kept negated, like F
     node, node_nbound = [-core.f_empty, 0, 0, core.f_empty, 0], INF
-    # The learned-cost table, K-mask -> negated backed-up F, and its keys
-    # oldest first, for eviction once it holds `cap` entries (a plain dict
-    # reads faster than an OrderedDict).
-    learning = ordered and not core.equal_costs
-    learned: dict[int, float] = {}
-    ring: deque[int] = deque()
-    width, cap = len(core.dpi.k_ids) + 1, 0
-    # Levels are relaxed where the table is kept: not in card mode, where the
-    # margin would change no comparison, nor in the paper's tree. The found
-    # diagnoses not yet in D, as sorted (-f, card, -mask).
-    margin = core.margin if learning else 0.0
+    # Levels are relaxed in the ordered prob-mode tree only: not in card
+    # mode, where the margin would change no comparison, nor in the paper's
+    # tree. The found diagnoses not yet in D, as sorted (-f, card, -mask).
+    relaxing = ordered and not core.equal_costs
+    margin = core.margin if relaxing else 0.0
     held: list[tuple[float, int, int]] = []
     held_peak = 0
     if debug:
         if ordered:
             core._parent_of = {}
-        if learning:
-            core._learned = learned
         core._track([node], None)
     # The current frame: the expanded node's children sorted best first, its
     # negated bound, its conflict index + 1, its mask, its forbidden mask,
@@ -752,17 +723,9 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                         nf = -cf - h
                         cmask = mask | bit
                         children.append([nf if nf > back else back, card, -cmask, cf, cmask])
-            # F below f + h: expanded before, so its children may have
-            # learned, and its level is relaxed; below a relaxed level every
-            # level is
-            m = pm
-            if learning and -back < f + ph:
-                m = margin
-                if learned:
-                    for child in children:
-                        learned_nf = learned.get(child[4], NEG_INF)
-                        if learned_nf > child[0]:
-                            child[0] = learned_nf
+            # F below f + h: expanded before, so its level is relaxed; below
+            # a relaxed level every level is
+            m = margin if relaxing and -back < f + ph else pm
             if debug:
                 core._track(children, mask)
             if tracing:
@@ -808,24 +771,6 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             live -= len(siblings)
             if debug:
                 core._untrack(siblings)
-            if learning:
-                # keep the F of each child below the best F (which the parent
-                # passes down) and below its own bound f + h; sentinels sort
-                # last
-                for child in siblings:
-                    nf = child[0]
-                    if nf == INF:
-                        break
-                    if nf != backed and nf != -(child[3] + ph):
-                        cmask = child[4]
-                        if cmask not in learned:
-                            if len(ring) >= cap:
-                                # the live-node bound, raised as larger conflicts are stored
-                                cap = (max(map(len, steps)) + 1) * width
-                                if len(ring) >= cap:
-                                    del learned[ring.popleft()]
-                            ring.append(cmask)
-                        learned[cmask] = nf
             if pmask and tracing:  # not the root
                 core.emit("BACKTRACK", pmask, ("F=", -backed, " bound=", -nbound))
             siblings, nbound, c_next, pmask, pforbid, ph, pm = stack.pop()
@@ -845,7 +790,6 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
         assert live == 0, f"{live} nodes leaked"
     stats.label_calls, stats.conflict_reuses = labels, reuses
     stats.nodes_generated, stats.peak_live_nodes = generated, peak
-    stats.peak_learned_costs = len(learned)  # the table never shrinks
     stats.peak_held_diagnoses = held_peak
 
 
@@ -866,7 +810,9 @@ def hs_tree(
     tree retention (expanded inner nodes stay in memory until the search
     ends, which is what the peak-node metric measures). ``reasoner`` is
     shared as in rbf_hs. With ``debug``, a run also asserts that no node
-    set is built twice, and makes rbf_hs's checks of F.
+    set is built twice, and makes rbf_hs's checks of F: no F given to a
+    node on a found diagnosis's path lies below its cost, and in card mode
+    every F is a level value.
     """
     return _run(_hs_loop, HSTREE, dpi, pr, ld, trace, debug, reasoner)
 

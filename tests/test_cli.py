@@ -259,7 +259,7 @@ def make_row(**kw):
     base = dict(
         dpi="t", algo="rbfhs", ld=4, session=0, runtime_ms=1.25,
         peak_live_nodes=9, nodes_generated=27, label_calls=21,
-        conflict_computations=8, conflict_reuses=6, peak_learned_costs=3, peak_held_diagnoses=2,
+        conflict_computations=8, conflict_reuses=6, peak_held_diagnoses=2,
         diagnoses_found=4,
     )
     base.update(kw)
@@ -275,7 +275,7 @@ def test_bench_row_with_comma_in_name_round_trips():
     row = make_row(dpi="a,b")
     assert csv_line(row).startswith('"a,b",rbfhs,')
     assert read_rows(write_rows([row])) == [row]
-    assert csv_line(make_row()) == "t,rbfhs,4,0,1.25,9,27,21,8,6,3,2,4"
+    assert csv_line(make_row()) == "t,rbfhs,4,0,1.25,9,27,21,8,6,2,4"
 
 
 def test_summary_row_with_comma_in_name_keeps_four_columns():
@@ -287,8 +287,8 @@ def test_summary_row_with_comma_in_name_keeps_four_columns():
 def test_bench_header_exact():
     assert CSV_HEADER == (
         "dpi,algo,ld,session,runtime_ms,peak_live_nodes,nodes_generated,"
-        "label_calls,conflict_computations,conflict_reuses,peak_learned_costs,"
-        "peak_held_diagnoses,diagnoses_found"
+        "label_calls,conflict_computations,conflict_reuses,peak_held_diagnoses,"
+        "diagnoses_found"
     )
 
 
@@ -297,8 +297,8 @@ def test_counters_are_bench_columns_in_order():
 
 
 def test_stats_row_sums_counters_and_takes_the_largest_peak():
-    a = SearchStats(9, 27, 21, 8, 6, 2, 5, wall_time=0.5)
-    b = SearchStats(4, 10, 7, 3, 5, 7, 1, wall_time=0.25)
+    a = SearchStats(9, 27, 21, 8, 6, 5, wall_time=0.5)
+    b = SearchStats(4, 10, 7, 3, 5, 1, wall_time=0.25)
     row = stats_row("t", "hstree", 4, 1, [a, b], 3)
     assert {c: getattr(row, c) for c in COUNTERS} == {
         "peak_live_nodes": 9,
@@ -306,7 +306,6 @@ def test_stats_row_sums_counters_and_takes_the_largest_peak():
         "label_calls": 28,
         "conflict_computations": 11,
         "conflict_reuses": 11,
-        "peak_learned_costs": 7,
         "peak_held_diagnoses": 5,
     }
     assert (row.runtime_ms, row.diagnoses_found) == (750.0, 3)
@@ -413,14 +412,43 @@ def test_stats_csv_appends_only_under_the_stats_header(tmp_path, capsys, command
     assert main(argv) == 0
     assert main(argv) == 0
     assert len(read_rows(stats.read_text())) == 2
-    # a file written before the peak_learned_costs column existed
-    old = CSV_HEADER.replace(",peak_learned_costs", "") + "\nt,rbfhs,4,0,1.25,9,27,21,8,6,4\n"
+    # a file written while rows still had the peak_learned_costs column
+    old = (
+        CSV_HEADER.replace(",peak_held_diagnoses", ",peak_learned_costs,peak_held_diagnoses")
+        + "\nt,rbfhs,4,0,1.25,9,27,21,8,6,3,2,4\n"
+    )
     stats.write_text(old)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith(f"error: {stats}: existing header differs from")
+    assert err[-1] == (
+        f"error: {stats}: existing header has peak_learned_costs, which this version does not write"
+    )
     assert stats.read_text() == old
+
+
+@pytest.mark.parametrize(
+    "header,difference",
+    [
+        (
+            CSV_HEADER.replace(",label_calls", ",held,old"),
+            "has held, old, which this version does not write; lacks label_calls, which this version writes",
+        ),
+        (CSV_HEADER.replace(",diagnoses_found", ""), "lacks diagnoses_found, which this version writes"),
+        (
+            CSV_HEADER.replace("dpi,algo,", "algo,dpi,"),
+            f"orders its columns otherwise than {CSV_HEADER!r}",
+        ),
+    ],
+    ids=["extra-and-missing", "missing", "reordered"],
+)
+def test_stats_csv_refusal_names_the_differing_columns(tmp_path, capsys, header, difference):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(header + "\n")
+    argv = ["diag", "--dpi", table1_path(), "--ld", "4", "--stats-csv", str(stats)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {stats}: existing header {difference}"
+    assert stats.read_text() == header + "\n"
 
 
 def test_diag_normalized_column_sums_to_one(capsys):
