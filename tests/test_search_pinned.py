@@ -24,6 +24,11 @@ re-enters and to hold diagnoses until no open node may beat them: their
 counters, conflicts and trace digests moved, and one entry's ``pr`` in the
 last bits (a set reached by adding its axioms in another order); their ids
 and order did not. Every card-mode, ``rbfhs`` and ``hstree*`` entry stayed
+byte for byte. They were recorded once more when RBF-HS dropped its table
+of learned costs, widened its margin to 0.9 of a step and capped its held
+list at ld - |D|: 25 of the 28 prob-mode ``rbfhs-ordered`` entries moved in
+counters and trace digests, some in conflicts, and prob-17 in ``pr`` by at
+most 2e-15 relative; ids and order did not, and every other entry stayed
 byte for byte.
 
 Regenerate a corpus (only for a deliberate behaviour change) with

@@ -16,7 +16,10 @@ disjoint-conflict bound; every query and answer stayed. The prob-mode
 RBF-HS counters were recorded again when RBF-HS began to relax the levels
 it re-enters and to hold diagnoses until no open node may beat them; four
 ``table1`` prob sessions now list their equal-cost pair in HS-Tree's
-order, and every query and answer stayed.
+order, and every query and answer stayed. The counters of 19 prob-mode
+RBF-HS sessions were recorded again when RBF-HS dropped its table of
+learned costs and widened its margin to 0.9 of a step; every list, query
+and answer stayed.
 
 Regenerate (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_session_pinned.py > tests/session_pinned.json``.
