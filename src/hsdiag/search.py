@@ -644,9 +644,9 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     node, node_nbound = [-core.f_empty, 0, 0, core.f_empty, 0], INF
     # Levels are relaxed in the ordered prob-mode tree only: not in card
     # mode, where the margin would change no comparison, nor in the paper's
-    # tree. The found diagnoses not yet in D, as sorted (-f, card, -mask).
-    relaxing = ordered and not core.equal_costs
-    margin = core.margin if relaxing else 0.0
+    # tree. Elsewhere every margin is 0. The found diagnoses not yet in D,
+    # as sorted (-f, card, -mask).
+    margin = core.margin if ordered and not core.equal_costs else 0.0
     held: list[tuple[float, int, int]] = []
     held_peak = 0
     if debug:
@@ -725,7 +725,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                         children.append([nf if nf > back else back, card, -cmask, cf, cmask])
             # F below f + h: expanded before, so its level is relaxed; below
             # a relaxed level every level is
-            m = margin if relaxing and -back < f + ph else pm
+            m = margin if -back < f + ph else pm
             if debug:
                 core._track(children, mask)
             if tracing:
