@@ -321,9 +321,15 @@ class Solver:
     """DPLL over a fixed clause set, deciding satisfiability under assumptions.
 
     Iterative: unit propagation with two watched literals per clause,
-    chronological backtracking, no clause learning. Branching takes the lowest
-    unassigned variable, false first, so identical inputs take identical
-    decision paths. Assumption literals (the MiniSat interface, Eén &
+    chronological backtracking, no clause learning. Branching sets the first
+    unassigned literal of ``preferred`` (fixed at construction, in the
+    caller's order) true; once every preferred literal is assigned it takes
+    the lowest unassigned variable, false first. Each kind of decision
+    resumes from a pointer that only moves forward until a backtrack resets
+    both to where they stood at the flipped decision, so the scans stay
+    linear per solve and identical inputs take identical decision paths.
+    A model thus keeps every preferred literal that the clauses and the
+    assumptions let it keep, taken greedily in order. Assumption literals (the MiniSat interface, Eén &
     Sörensson, SAT 2003) let one encoding answer many checks: each ``solve``
     assumes them on top of the fixed clauses and undoes everything afterwards.
 
@@ -341,8 +347,9 @@ class Solver:
     ``code ^ 1``; ``value`` maps a code to 1 (true), -1 (false) or 0.
     """
 
-    def __init__(self, clauses: Iterable[frozenset[int]], var_count: int):
+    def __init__(self, clauses: Iterable[frozenset[int]], var_count: int, preferred: Sequence[int] = ()):
         self.var_count = var_count
+        self.preferred = _codes(preferred)
         self.value = [0] * (2 * var_count + 2)
         self.watches: list[list[list[int]]] = [[] for _ in self.value]
         self.trail: list[int] = []
@@ -467,26 +474,36 @@ class Solver:
             if not self._propagate():
                 self.core = _literals(self._failed_assumptions(root))
                 return False
-            decisions: list[list[int]] = []  # [trail size before, variable, flipped]
-            var = 1
+            preferred, var_count = self.preferred, self.var_count
+            # [trail size before, decided code, flipped, preferred index, variable]
+            decisions: list[list[int]] = []
+            pick = 0  # preferred[:pick] is assigned
+            var = 1  # variables below var are assigned
             while True:
-                while var <= self.var_count and value[2 * var]:
-                    var += 1
-                if var > self.var_count:
-                    self.model = value[:]
-                    return True
-                decisions.append([len(trail), var, 0])
-                self._assume((2 * var + 1,))
+                while pick < len(preferred) and value[preferred[pick]]:
+                    pick += 1
+                if pick < len(preferred):
+                    code = preferred[pick]
+                else:
+                    while var <= var_count and value[2 * var]:
+                        var += 1
+                    if var > var_count:
+                        self.model = value[:]
+                        return True
+                    code = 2 * var + 1
+                decisions.append([len(trail), code, 0, pick, var])
+                self._assume((code,))
                 while not self._propagate():
                     while decisions and decisions[-1][2]:
                         decisions.pop()
                     if not decisions:
                         self.core = _literals(codes)
                         return False
-                    size, var, _ = top = decisions[-1]
+                    # what the undo unassigns may lie below either pointer
+                    size, code, _, pick, var = top = decisions[-1]
                     top[2] = 1
                     self._undo(size)
-                    self._assume((2 * var,))
+                    self._assume((code ^ 1,))
         finally:
             self._undo(root)
 

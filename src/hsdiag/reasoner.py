@@ -32,9 +32,14 @@ de Kleer's ATMS, AIJ 1986):
   pair (axioms whose literal the model makes true, negatives it makes
   false), never the model. For S within the first mask, setting s_i := [i ∈
   S] in that model satisfies every clause, so it proves S consistent and
-  S ∧ ¬n satisfiable for each negative n in the second mask. Only pairs
-  that no other pair proves more than are kept: one per first mask, with
-  the second masks merged. A positive measurement of a drops the witnesses
+  S ∧ ¬n satisfiable for each negative n in the second mask. The solver
+  is built with every axiom's literal lit(f_i) preferred true, in K order,
+  so a model makes lit(f_j) true for each unselected axiom j unless the
+  assumptions and the literals kept before it exclude it: the first mask
+  holds every axiom the model could keep, and one witness answers the checks
+  of many subsets (all of them when K ∪ B ∪ P is consistent and N is
+  empty). Only pairs that no other pair proves more than are kept: one per
+  first mask, with the second masks merged. A positive measurement of a drops the witnesses
   whose model makes lit(f_a) false (only those stop being models); a
   negative one keeps them all, since their second masks say nothing of the
   new negative.
@@ -81,7 +86,8 @@ class Reasoner:
             self._selectors.append((bit, selector))
             self._goal_codes.append((bit, _codes((goal,))[0]))
         self._negatives = [enc.lit(n) for n in negative]
-        self._solver = Solver(enc.clauses, enc.next_var - 1)
+        preferred = [goal for goal, _ in self._goals.values()]  # in K order
+        self._solver = Solver(enc.clauses, enc.next_var - 1, preferred)
         self.solver_calls = 0
         self.invalid_cores: list[int] = []
         self.witnesses: dict[int, int] = {}  # true goals -> false negatives

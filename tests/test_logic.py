@@ -318,3 +318,64 @@ def test_solver_core_after_decisions_is_every_assumption():
     unsatisfiable = Solver([frozenset()], 1)
     assert not unsatisfiable.solve([1])
     assert unsatisfiable.core == []  # no assumption is needed
+
+
+# --- preferred literals -------------------------------------------------------
+
+def _holds(lit, bits):
+    return bits[abs(lit) - 1] == (lit > 0)
+
+
+def _satisfiable(clauses, lits, var_count):
+    return any(
+        all(any(_holds(l, bits) for l in c) for c in clauses) and all(_holds(l, bits) for l in lits)
+        for bits in itertools.product((False, True), repeat=var_count)
+    )
+
+
+@given(st.integers(0, 10_000))
+def test_solver_with_preferred_literals_agrees_with_truth_tables(seed):
+    # random CNFs over variables 1..n plus two no clause mentions; each model
+    # assigns every variable, satisfies every clause and assumption, and keeps
+    # each preferred literal unless the clauses, the assumptions and the
+    # model's values of the literals preferred before it exclude it
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    var_count = n + 2
+    clauses = [
+        frozenset(rng.choice((v, -v)) for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+        for _ in range(rng.randint(0, 8))
+    ]
+    literal = lambda v: rng.choice((v, -v))
+    preferred = [literal(v) for v in rng.sample(range(1, var_count + 1), rng.randint(0, var_count))]
+    solver = Solver(clauses, var_count, preferred)
+    for _ in range(2):  # a second solve starts from a clean trail
+        assumptions = [literal(v) for v in rng.sample(range(1, var_count + 1), rng.randint(0, 3))]
+        expected = _satisfiable(clauses, assumptions, var_count)
+        assert solver.solve(assumptions) == expected
+        if not expected:
+            continue
+        bits = [solver.model[2 * v] for v in range(1, var_count + 1)]
+        assert 0 not in bits
+        bits = [b == 1 for b in bits]
+        assert all(any(_holds(l, bits) for l in c) for c in clauses)
+        assert all(_holds(l, bits) for l in assumptions)
+        constrained = {abs(l) for c in clauses for l in c} | {abs(l) for l in assumptions}
+        for i, lit in enumerate(preferred):
+            if abs(lit) not in constrained:
+                assert _holds(lit, bits)
+            kept = [p if _holds(p, bits) else -p for p in preferred[:i]]
+            assert _holds(lit, bits) or not _satisfiable(clauses, [*assumptions, *kept, lit], var_count)
+
+
+def test_solver_backtracking_over_a_preferred_literal_revisits_lower_variables():
+    # preferring 3 propagates 1, and under 3 variables 4 and 5 clash whatever
+    # 2 is: 3 flips false after both scans have passed 2 and the variable
+    # scan has passed 1, and the backtrack unassigns both again
+    clauses = [frozenset(c) for c in ({-3, 1}, {-3, 4, 5}, {-3, 4, -5}, {-3, -4, 5}, {-3, -4, -5})]
+    solver = Solver(clauses, 5, [3, 2])
+    assert solver.solve()
+    assert [solver.model[2 * v] for v in range(1, 6)] == [-1, 1, -1, -1, -1]
+    solver = Solver(clauses[:1], 5, [3, 2])  # without the clash 3 stays true
+    assert solver.solve()
+    assert [solver.model[2 * v] for v in range(1, 6)] == [1, 1, 1, -1, -1]

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsdiag import And, Atom, Const, Dpi, Implies, Not, Or, Reasoner, make_query, update_dpi
+from hsdiag import And, Atom, Const, Dpi, Implies, Not, Or, Reasoner, is_consistent, make_query, update_dpi
 from hsdiag.logic import Solver
 from conftest import random_formula
 from test_logic import evaluate
@@ -117,6 +117,26 @@ def test_monotone_checks_make_no_solver_calls(monkeypatch, negative):
     assert reasoner.is_valid(frozenset({"d"}))
     assert calls == []
     assert reasoner.solver_calls == 2
+
+
+def test_one_witness_answers_every_check_of_a_consistent_k(monkeypatch):
+    # with K ∪ B ∪ P consistent and no negatives, the model of the first
+    # satisfiable check keeps every axiom's literal, so its witness covers K
+    # and answers every later check
+    calls = counting_solves(monkeypatch)
+    rng = random.Random(7)
+    checked = 0
+    while checked < 50:
+        drawn = random_dpi(rng)
+        dpi = Dpi.propositional(list(zip(drawn.k_ids, drawn.formulas)), drawn.background, drawn.positive)
+        if not is_consistent([*dpi.formulas, *dpi.background, *dpi.positive]):
+            continue
+        reasoner = Reasoner(dpi)
+        assert reasoner.is_valid(rng.randint(0, dpi.full_mask))
+        calls.clear()
+        assert all(reasoner.is_valid(mask) for mask in range(dpi.full_mask + 1))
+        assert calls == []
+        checked += 1
 
 
 def ids_of(dpi, mask):
