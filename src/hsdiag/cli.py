@@ -126,9 +126,11 @@ def _print_diagnoses(result: SearchResult, dpi: Dpi, pr: FaultProbabilities) -> 
     for rank, (diag, log_pr, norm) in enumerate(zip(result.diagnoses, logs, normalized_logs(logs)), start=1):
         ids = ",".join(diag.ids) if diag.ids else "(empty)"
         print(f"{rank}. {ids} pr={diag.pr:.9g} log_pr={log_pr:.9g} norm={norm:.6g}")
+    stats = result.stats
+    calls = "" if dpi.kind == ABSTRACT else f", {stats.solver_calls} solver calls"
     print(
-        f"{len(result.diagnoses)} diagnosis(es) in {result.stats.wall_time * 1000.0:.3f} ms"
-        f" (encoding {result.stats.encode_s * 1000.0:.3f} ms)",
+        f"{len(result.diagnoses)} diagnosis(es) in {stats.wall_time * 1000.0:.3f} ms{calls}"
+        f" (encoding {stats.encode_s * 1000.0:.3f} ms)",
         file=sys.stderr,
     )
 

@@ -5,8 +5,12 @@ K-masks: it returns ``None`` when K minus the exclusion set is valid, ``0``
 when the empty set is a conflict (the background alone is invalid, so no
 diagnosis exists), and the mask of a subset-minimal conflict otherwise. The
 reasoner backend extracts the conflict with QuickXplain over the validity
-predicate, on K-masks from the exclusion set to the last check; the
-abstract backend reads it off the attached family (the first stored member
+predicate, on K-masks from the exclusion set to the last check. QuickXplain
+starts from the reasoner's stored core, not from all of K minus the
+exclusion: the check that finds that set invalid leaves a core inside it
+in the verdict store, and every minimal conflict inside the core is one of
+the set, found with fewer checks the smaller the core is. The abstract
+backend reads the conflict off the attached family (the first stored member
 avoiding the exclusion set), which keeps walkthrough reproductions exact.
 """
 
@@ -77,7 +81,11 @@ def find_min_conflict(
     ``None`` if there is none.
 
     The exclusion set stands in for the sub-instance built during search,
-    avoiding a DPI copy per tree node.
+    avoiding a DPI copy per tree node. On the reasoner backend QuickXplain
+    runs over the first stored invalid core inside K minus the exclusion
+    (:meth:`~hsdiag.reasoner.Reasoner.core_within`), which the check of that
+    set always leaves in the store; which minimal conflict comes out
+    depends on that core.
     """
     excluded = dpi.mask_of(exclude)
     if dpi.kind == ABSTRACT:
@@ -89,4 +97,4 @@ def find_min_conflict(
     rest = dpi.full_mask & ~excluded
     if checker.is_valid(rest):
         return None
-    return quickxplain(dpi, 0, rest, checker=checker)
+    return quickxplain(dpi, 0, checker.reasoner.core_within(rest), checker=checker)

@@ -354,14 +354,16 @@ class ValidityChecker:
     for a whole session. On the reasoner backend the checks run on
     ``reasoner`` when one is passed (the searches always pass one), else on
     one built here, as for a standalone ``quickxplain`` or
-    ``find_min_conflict``; no encoding is stored on the DPI.
+    ``find_min_conflict``; no encoding is stored on the DPI. Either is kept
+    as ``reasoner`` (None on the abstract backend), where
+    ``find_min_conflict`` reads the stored core it starts QuickXplain from.
     """
 
     def __init__(self, dpi: Dpi, reasoner: Reasoner | None = None):
         self.dpi = dpi
         self.calls = 0
         self._cache: dict[int, bool] = {}
-        self._reasoner = reasoner or reasoner_for(dpi)
+        self.reasoner = reasoner or reasoner_for(dpi)
 
     def is_valid(self, ids: Iterable[str] | int) -> bool:
         self.calls += 1
@@ -369,7 +371,7 @@ class ValidityChecker:
         mask = ids if type(ids) is int and 0 <= ids <= dpi.full_mask else dpi.mask_of(ids)
         cached = self._cache.get(mask)
         if cached is None:
-            cached = self._cache[mask] = is_valid_set(dpi, mask, self._reasoner)
+            cached = self._cache[mask] = is_valid_set(dpi, mask, self.reasoner)
         return cached
 
 

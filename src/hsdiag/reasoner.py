@@ -39,10 +39,10 @@ de Kleer's ATMS, AIJ 1986):
   holds every axiom the model could keep, and one witness answers the checks
   of many subsets (all of them when K ∪ B ∪ P is consistent and N is
   empty). Only pairs that no other pair proves more than are kept: one per
-  first mask, with the second masks merged. A positive measurement of a drops the witnesses
-  whose model makes lit(f_a) false (only those stop being models); a
-  negative one keeps them all, since their second masks say nothing of the
-  new negative.
+  first mask, with the second masks merged. A positive measurement of a
+  drops the witnesses whose model makes lit(f_a) false (only those stop
+  being models); a negative one keeps them all, since their second masks
+  say nothing of the new negative.
 """
 
 from __future__ import annotations
@@ -124,13 +124,20 @@ class Reasoner:
         elif goal not in self._negatives:
             self._negatives.append(goal)
 
+    def core_within(self, mask: int) -> int | None:
+        """The first stored invalid core inside the K-mask, or None. After a
+        check finds a set invalid there always is one inside it."""
+        for c in self.invalid_cores:
+            if c & mask == c:
+                return c
+        return None
+
     def is_valid(self, ids: Iterable[str] | int) -> bool:
         """The axioms in ids (or a K-mask) plus B and P are consistent and
         entail no negative measurement."""
         mask = ids if type(ids) is int and 0 <= ids <= self._full else self._mask_of(ids)
-        for c in self.invalid_cores:
-            if c & mask == c:
-                return False
+        if self.core_within(mask) is not None:
+            return False
         if not self._negatives:
             for g in self.witnesses:  # the first covering witness answers
                 if g & mask == mask:

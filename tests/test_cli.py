@@ -33,7 +33,7 @@ from hsdiag.bench import (
 from hsdiag.cli import main
 from hsdiag.dpifile import _valid_axiom_id
 from hsdiag.reasoner import Reasoner
-from hsdiag.search import COUNTERS, SearchStats
+from hsdiag.search import COUNTERS, SEARCHES, SearchStats
 
 from conftest import FIXTURES
 
@@ -370,6 +370,27 @@ def test_diag_reports_encoding_time(capsys):
     summary = capsys.readouterr().err.strip().splitlines()[-1]
     assert summary.startswith("4 diagnosis(es) in ") and summary.endswith(" ms)")
     assert float(summary.split("(encoding ")[1].split()[0]) > 0
+
+
+@pytest.mark.parametrize("algo", SEARCHES)
+def test_diag_reports_the_searchs_solver_calls(algo, monkeypatch, capsys):
+    # the summary names the solver calls of the search it printed, and only
+    # on a reasoner DPI
+    results = []
+    search = SEARCHES[algo]
+
+    def kept(*args, **kwargs):
+        results.append(search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setitem(SEARCHES, algo, kept)
+    assert main(["diag", "--dpi", table1_path(), "--algo", algo, "--mode", "prob", "--ld", "4"]) == 0
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    calls = results[0].stats.solver_calls
+    assert calls > 0
+    assert summary.split(" ms, ")[1].startswith(f"{calls} solver calls (encoding ")
+    assert main(["diag", "--dpi", ex4_path(), "--algo", algo, "--mode", "prob", "--ld", "4"]) == 0
+    assert "solver calls" not in capsys.readouterr().err
 
 
 def test_diag_rbfhs_finds_a_diagnosis_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -241,3 +241,24 @@ def test_find_min_conflict_contract_on_random_abstract_instances(seed, component
 def test_find_min_conflict_contract_on_random_propositional_instances(seed, data):
     dpi = random_propositional_dpi(random.Random(seed), max_axioms=6, max_atoms=4)
     _check_find_min_conflict_contract(dpi, data.draw(st.integers(0, dpi.full_mask)))
+
+
+@given(st.integers(0, 10_000), st.data())
+def test_find_min_conflict_lies_inside_the_stored_core(seed, data):
+    # QuickXplain starts from the first stored core inside K minus the
+    # exclusion, so the conflict is a minimal conflict of the DPI, avoids the
+    # exclusion and lies inside that core
+    dpi = random_propositional_dpi(random.Random(seed), max_axioms=10)
+    exclude = data.draw(st.integers(0, dpi.full_mask))
+    rest = dpi.full_mask & ~exclude
+    checker = ValidityChecker(dpi)
+    valid = checker.is_valid(rest)
+    core = checker.reasoner.core_within(rest)
+    assert (core is None) == valid
+    conflict = find_min_conflict(dpi, exclude, checker=checker)
+    assert (conflict is None) == valid
+    assert (conflict == 0) == (not is_valid_set(dpi, 0))
+    if conflict is not None:
+        assert conflict & ~core == 0
+        assert conflict & exclude == 0
+        assert dpi.ids_of(conflict) in brute_force_min_conflicts(dpi)

@@ -23,10 +23,15 @@ and answer stayed.
 
 Regenerate (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_session_pinned.py > tests/session_pinned.json``.
+Before that, ``PYTHONPATH=src python tests/test_session_pinned.py --compare``
+prints, rewriting nothing, each session that differs from the file with the
+kinds of difference, and how many sessions show each kind.
 """
 
 import json
+import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +105,64 @@ def record(dpi, pr, ld, actual, algo) -> dict:
     }
 
 
+# Each kind of difference between a pinned and a live session, gravest first.
+KINDS = {
+    "final": "final diagnoses changed",
+    "query": "queries or answers changed",
+    "membership": "lists with other members",
+    "pr": "pr beyond 1e-12 relative",
+    "order": "lists reordered, same members",
+    "pr-bits": "pr within 1e-12 relative",
+    "counters": "counters",
+}
+
+
+def differences(old: dict, new: dict) -> set[str]:
+    """The kinds of difference between two records of one session; ``pr``
+    values are matched by diagnosis, so a reordered list compares them too."""
+    kinds = set()
+    if old["final"] != new["final"]:
+        kinds.add("final")
+    if len(old["iterations"]) != len(new["iterations"]):
+        kinds.add("query")
+    for a, b in zip(old["iterations"], new["iterations"]):
+        if (a["query"], a["answer"]) != (b["query"], b["answer"]):
+            kinds.add("query")
+        if a["stats"] != b["stats"]:
+            kinds.add("counters")
+        ids_a, ids_b = list(map(tuple, a["diagnoses"])), list(map(tuple, b["diagnoses"]))
+        if sorted(ids_a) != sorted(ids_b):
+            kinds.add("membership")
+            continue
+        if ids_a != ids_b:
+            kinds.add("order")
+        pr_b = dict(zip(ids_b, b["pr"]))
+        for ids, p in zip(ids_a, a["pr"]):
+            if p != pr_b[ids]:
+                kinds.add("pr-bits" if math.isclose(p, pr_b[ids], rel_tol=1e-12) else "pr")
+    return kinds
+
+
+def compare(pinned: dict) -> list[str]:
+    """Report lines: one per session that differs from its pinned record,
+    naming the kinds of difference, then how many sessions show each kind
+    (and how many show nothing but counters)."""
+    lines, found = [], []
+    for case, args in CASES.items():
+        if case not in pinned:
+            lines.append(f"{case}: not pinned")
+            continue
+        kinds = differences(pinned[case], record(*args))
+        if kinds:
+            found.append(kinds)
+            lines.append(f"{case}: " + ", ".join(k for k in KINDS if k in kinds))
+    lines.extend(f"{case}: pinned, no longer a case" for case in pinned if case not in CASES)
+    lines.append(f"{len(found)} of {len(CASES)} sessions differ from {PINNED.name}")
+    lines.append(f"  counters only: {sum(kinds == {'counters'} for kinds in found)}")
+    lines.extend(f"  {label}: {sum(kind in kinds for kinds in found)}" for kind, label in KINDS.items())
+    return lines
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return json.loads(PINNED.read_text())
@@ -115,6 +178,29 @@ def test_session_matches_pinned(pinned, case):
     assert record(*CASES[case]) == pinned[case]
 
 
+def test_compare_names_each_kind_of_difference():
+    def session(diagnoses, pr, query="ax1", answer=True, label_calls=3, final=("ax1",)):
+        return {
+            "iterations": [{"diagnoses": diagnoses, "pr": pr, "query": query, "answer": answer,
+                            "stats": {"label_calls": label_calls}}],
+            "final": list(final),
+        }
+
+    old = session([["ax1"], ["ax2"]], [0.2, 0.2])
+    assert differences(old, old) == set()
+    assert differences(old, session([["ax1"], ["ax2"]], [0.2, 0.2], label_calls=4)) == {"counters"}
+    assert differences(old, session([["ax2"], ["ax1"]], [0.2, 0.2 * (1 + 1e-15)])) == {"order", "pr-bits"}
+    assert differences(old, session([["ax1"], ["ax2"]], [0.2, 0.21])) == {"pr"}
+    assert differences(old, session([["ax1"], ["ax3"]], [0.2, 0.2])) == {"membership"}
+    assert differences(old, session([["ax1"], ["ax2"]], [0.2, 0.2], answer=False)) == {"query"}
+    assert differences(old, session([["ax1"], ["ax2"]], [0.2, 0.2], final=("ax2",))) == {"final"}
+
+
 if __name__ == "__main__":
-    lines = [f"{json.dumps(case)}: {json.dumps(record(*args))}" for case, args in CASES.items()]
-    print("{\n" + ",\n".join(lines) + "\n}")
+    if sys.argv[1:] == ["--compare"]:
+        print("\n".join(compare(json.loads(PINNED.read_text()))))
+    elif sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--compare]")
+    else:
+        lines = [f"{json.dumps(case)}: {json.dumps(record(*args))}" for case, args in CASES.items()]
+        print("{\n" + ",\n".join(lines) + "\n}")
