@@ -325,13 +325,14 @@ class Solver:
     unassigned literal of ``preferred`` (fixed at construction, in the
     caller's order) true; once every preferred literal is assigned it takes
     the lowest unassigned variable, false first. Each kind of decision
-    resumes from a pointer that only moves forward until a backtrack resets
-    both to where they stood at the flipped decision, so the scans stay
-    linear per solve and identical inputs take identical decision paths.
-    A model thus keeps every preferred literal that the clauses and the
-    assumptions let it keep, taken greedily in order. Assumption literals (the MiniSat interface, Eén &
-    Sörensson, SAT 2003) let one encoding answer many checks: each ``solve``
-    assumes them on top of the fixed clauses and undoes everything afterwards.
+    resumes from its own pointer, which a backtrack resets to where it stood
+    at the flipped decision (the undo may unassign what either pointer had
+    passed), so no decision rescans from the start and identical inputs take
+    identical decision paths. A model thus keeps each preferred literal
+    that the clauses, the assumptions and the preferred literals kept before
+    it allow. Assumption literals (the MiniSat interface, Eén & Sörensson,
+    SAT 2003) let one encoding answer many checks: each ``solve`` assumes
+    them on top of the fixed clauses and undoes everything afterwards.
 
     After a True answer ``model`` holds the satisfying values (indexed like
     ``value``). After a False answer ``core`` holds the assumption literals
@@ -347,7 +348,9 @@ class Solver:
     ``code ^ 1``; ``value`` maps a code to 1 (true), -1 (false) or 0.
     """
 
-    def __init__(self, clauses: Iterable[frozenset[int]], var_count: int, preferred: Sequence[int] = ()):
+    def __init__(
+        self, clauses: Iterable[frozenset[int]], var_count: int, preferred: Iterable[int] = ()
+    ):
         self.var_count = var_count
         self.preferred = _codes(preferred)
         self.value = [0] * (2 * var_count + 2)
@@ -499,7 +502,6 @@ class Solver:
                     if not decisions:
                         self.core = _literals(codes)
                         return False
-                    # what the undo unassigns may lie below either pointer
                     size, code, _, pick, var = top = decisions[-1]
                     top[2] = 1
                     self._undo(size)

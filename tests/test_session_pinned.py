@@ -19,7 +19,11 @@ it re-enters and to hold diagnoses until no open node may beat them; four
 order, and every query and answer stayed. The counters of 19 prob-mode
 RBF-HS sessions were recorded again when RBF-HS dropped its table of
 learned costs and widened its margin to 0.9 of a step; every list, query
-and answer stayed.
+and answer stayed. The counters of 83 sessions were recorded again when
+conflict extraction began to run QuickXplain over the stored core of the
+failing check: 26 of them also moved ``pr`` by less than 1e-12 relative and
+17 list equal-cost diagnoses in another order; no list member, query or
+answer changed.
 
 Regenerate (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_session_pinned.py > tests/session_pinned.json``.
