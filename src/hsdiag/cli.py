@@ -227,6 +227,9 @@ def cmd_sequential(args) -> int:
         rows.append(bench_mod.session_row(name, args.algo, args.ld, session, trace))
         print(f"session {session}: final={{{','.join(trace.final.ids)}}} "
               f"queries={trace.query_count}")
+        if dpi.kind != ABSTRACT:
+            calls = sum(it.stats.solver_calls for it in trace.iterations)
+            print(f"session {session}: {calls} solver calls", file=sys.stderr)
     if args.trace_out:
         Path(args.trace_out).write_text(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"

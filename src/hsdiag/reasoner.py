@@ -121,8 +121,21 @@ class Reasoner:
         if positive:
             self._solver.add_unit(goal)
             self.witnesses = {g: nf for g, nf in self.witnesses.items() if g & bit}
+            if any(c & bit for c in self.invalid_cores):
+                # c ∖ {a} with the new P holds the sentences of c with the old
+                cores = [c & ~bit for c in self.invalid_cores]
+                self.invalid_cores = [
+                    c for i, c in enumerate(cores)
+                    if not any(o & c == o for o in cores[:i])
+                    and not any(o & c == o != c for o in cores[i + 1:])
+                ]
         elif goal not in self._negatives:
+            # a model that makes lit(f_a) false already shows S ∧ ¬lit(f_a)
+            new = 1 << len(self._negatives)
             self._negatives.append(goal)
+            self.witnesses = {
+                g: nf if g & bit else nf | new for g, nf in self.witnesses.items()
+            }
 
     def core_within(self, mask: int) -> int | None:
         """The first stored invalid core inside the K-mask, or None. After a

@@ -571,6 +571,30 @@ def test_sequential_invalid_actual(capsys):
     assert "not a minimal diagnosis" in capsys.readouterr().err
 
 
+def test_sequential_reports_each_sessions_solver_calls(monkeypatch, capsys):
+    # one stderr line per session, summing its iterations' solver calls, and
+    # only on a reasoner DPI
+    import hsdiag.cli as cli
+
+    traces = []
+    run_session = cli.run_session
+
+    def kept(*args, **kwargs):
+        traces.append(run_session(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_session", kept)
+    argv = ["sequential", "--dpi", table1_path(), "--mode", "prob", "--ld", "4", "--sessions", "3"]
+    assert main(argv) == 0
+    calls = [sum(it.stats.solver_calls for it in t.iterations) for t in traces]
+    assert len(calls) == 3 and all(calls)
+    assert capsys.readouterr().err.splitlines() == [
+        f"session {i}: {n} solver calls" for i, n in enumerate(calls)
+    ]
+    assert main(["sequential", "--dpi", ex4_path(), "--mode", "prob", "--ld", "4", "--sessions", "2"]) == 0
+    assert "solver calls" not in capsys.readouterr().err
+
+
 def test_sequential_empty_actual_names_the_empty_diagnosis(capsys):
     # an empty --actual used to run a sampled session instead
     assert main(["sequential", "--dpi", table1_path(), "--ld", "4", "--actual", ""]) == 1

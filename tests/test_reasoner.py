@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsdiag import And, Atom, Const, Dpi, Implies, Not, Or, Reasoner, is_consistent, make_query, update_dpi
-from hsdiag.logic import Solver
+from hsdiag.logic import Solver, format_formula
 from conftest import random_formula
 from test_logic import evaluate
 
@@ -172,3 +172,68 @@ def test_cores_carry_their_verdicts(seed):
                 assert not fresh.is_valid(ids_of(dpi, cores[0]))
         cores = live.invalid_cores
         assert all(a & b != a for a in cores for b in cores if a != b)  # minimal
+
+
+def test_negative_answer_extends_the_witnesses_that_make_its_literal_false(monkeypatch):
+    # the model of a check that kept b made x1 false, so once x1 is measured
+    # false that model answers a subset check that must also falsify x1
+    dpi = Dpi.propositional([("a", X), ("b", Not(X)), ("c", Y)])
+    reasoner = Reasoner(dpi)
+    assert reasoner.is_valid(frozenset({"b", "c"}))
+    (g,) = reasoner.witnesses
+    assert not g & dpi.mask_of({"a"})
+    dpi = update_dpi(dpi, make_query(dpi, "a"), False, reasoner=reasoner)
+    calls = counting_solves(monkeypatch)
+    assert reasoner.is_valid(frozenset({"b"}))
+    assert calls == []
+    assert Reasoner(dpi).is_valid(frozenset({"b"}))
+
+
+def test_positive_answer_drops_its_axiom_from_the_cores(monkeypatch):
+    # {a, b} is a core; once x1 holds, {b} alone is one, and it answers a
+    # check of a set without a
+    dpi = Dpi.propositional([("a", X), ("b", Not(X)), ("c", Y)])
+    reasoner = Reasoner(dpi)
+    assert not reasoner.is_valid(frozenset({"a", "b"}))
+    assert reasoner.invalid_cores == [dpi.mask_of({"a", "b"})]
+    dpi = update_dpi(dpi, make_query(dpi, "a"), True, reasoner=reasoner)
+    assert reasoner.invalid_cores == [dpi.mask_of({"b"})]
+    calls = counting_solves(monkeypatch)
+    assert not reasoner.is_valid(frozenset({"b", "c"}))
+    assert calls == []
+    assert not Reasoner(dpi).is_valid(frozenset({"b", "c"}))
+
+
+def with_negatives(dpi, negative):
+    return Dpi.propositional(list(zip(dpi.k_ids, dpi.formulas)), dpi.background, dpi.positive, negative)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_verdict_store_stays_true_across_measurements(seed):
+    # after every measurement each stored pair (g, nf) still holds on a fresh
+    # encoding of the updated DPI: g's axioms are consistent with B ∪ P, and
+    # stay so with the negation of each negative in nf; the negatives are
+    # indexed as the reasoner indexes them, the DPI's sorted, then each new
+    # measured one. Each stored core is invalid there too.
+    rng = random.Random(seed)
+    dpi = random_dpi(rng)
+    live = Reasoner(dpi)
+    negatives = sorted(dpi.negative, key=format_formula)
+    for _ in range(rng.randint(1, 4)):
+        for _ in range(rng.randint(1, 2 ** len(dpi.k_ids))):
+            live.is_valid(rng.randint(0, dpi.full_mask))
+        axiom, answer = rng.choice(dpi.k_ids), rng.random() < 0.5
+        before = len(live._negatives)
+        dpi = update_dpi(dpi, make_query(dpi, axiom), answer, reasoner=live)
+        if len(live._negatives) > before:
+            negatives.append(dpi.formula_of(axiom))
+        assert len(live._negatives) == len(negatives)
+        for g, nf in live.witnesses.items():
+            ids = ids_of(dpi, g)
+            assert Reasoner(with_negatives(dpi, [])).is_valid(ids)
+            for j, n in enumerate(negatives):
+                if nf >> j & 1:
+                    assert Reasoner(with_negatives(dpi, [n])).is_valid(ids)
+        fresh = Reasoner(dpi)
+        assert not any(fresh.is_valid(ids_of(dpi, c)) for c in live.invalid_cores)
