@@ -27,7 +27,9 @@ de Kleer's ATMS, AIJ 1986):
   negative n, is an invalid core: every superset of it is invalid.
   Measurements only remove models (P) or add requirements (N), so the
   verdict cannot be overturned and cores last for the reasoner's lifetime.
-  The list keeps only its minimal masks.
+  A positive measurement of a shrinks them: c ∖ {a} with the new P holds
+  the sentences of c with the old one, so each core that holds a loses it.
+  The list keeps only its minimal masks, in the order they were found.
 * Witnesses. A satisfiable check yields a model; the store keeps only the
   pair (axioms whose literal the model makes true, negatives it makes
   false), never the model. For S within the first mask, setting s_i := [i ∈
@@ -41,8 +43,9 @@ de Kleer's ATMS, AIJ 1986):
   empty). Only pairs that no other pair proves more than are kept: one per
   first mask, with the second masks merged. A positive measurement of a
   drops the witnesses whose model makes lit(f_a) false (only those stop
-  being models); a negative one keeps them all, since their second masks
-  say nothing of the new negative.
+  being models). A negative one keeps them all, and a model is total, so
+  each witness whose first mask lacks a made lit(f_a) false: its second
+  mask gains the new negative.
 """
 
 from __future__ import annotations
