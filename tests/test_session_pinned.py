@@ -23,7 +23,11 @@ and answer stayed. The counters of 83 sessions were recorded again when
 conflict extraction began to run QuickXplain over the stored core of the
 failing check: 26 of them also moved ``pr`` by less than 1e-12 relative and
 17 list equal-cost diagnoses in another order; no list member, query or
-answer changed.
+answer changed. 8 sessions were recorded again when each measurement
+began to strengthen the reasoner's verdict store (a positive answer drops
+its axiom from the stored cores, a negative one extends the witnesses whose
+model falsifies it): 2 of them moved in counters and 7 in ``pr`` by less
+than 1e-12 relative; no list, order, query or answer changed.
 
 Regenerate (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_session_pinned.py > tests/session_pinned.json``.
