@@ -124,14 +124,14 @@ class Reasoner:
         if positive:
             self._solver.add_unit(goal)
             self.witnesses = {g: nf for g, nf in self.witnesses.items() if g & bit}
-            if any(c & bit for c in self.invalid_cores):
-                # c ∖ {a} with the new P holds the sentences of c with the old
-                cores = [c & ~bit for c in self.invalid_cores]
-                self.invalid_cores = [
-                    c for i, c in enumerate(cores)
-                    if not any(o & c == o for o in cores[:i])
-                    and not any(o & c == o != c for o in cores[i + 1:])
-                ]
+            # c ∖ {a} with the new P holds the sentences of c with the old;
+            # a core goes when an earlier one equals it or any lies inside it
+            cores = [c & ~bit for c in self.invalid_cores]
+            self.invalid_cores = [
+                c for i, c in enumerate(cores)
+                if not any(o & c == o for o in cores[:i])
+                and not any(o & c == o != c for o in cores[i + 1:])
+            ]
         elif goal not in self._negatives:
             # a model that makes lit(f_a) false already shows S ∧ ¬lit(f_a)
             new = 1 << len(self._negatives)

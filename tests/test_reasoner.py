@@ -229,9 +229,10 @@ def test_verdict_store_stays_true_across_measurements(seed):
         if len(live._negatives) > before:
             negatives.append(dpi.formula_of(axiom))
         assert len(live._negatives) == len(negatives)
+        consistent = Reasoner(with_negatives(dpi, []))
         for g, nf in live.witnesses.items():
             ids = ids_of(dpi, g)
-            assert Reasoner(with_negatives(dpi, [])).is_valid(ids)
+            assert consistent.is_valid(ids)
             for j, n in enumerate(negatives):
                 if nf >> j & 1:
                     assert Reasoner(with_negatives(dpi, [n])).is_valid(ids)
