@@ -2,9 +2,10 @@
 
 ``session_pinned.json`` holds, for every case and both algorithms, each
 session iteration's diagnosis ids, their probabilities (compared bitwise),
-the query, the answer and the five search counters, plus the final
-diagnosis. Cases: both fixtures in card and prob mode with every diagnosis
-of a first HS-Tree list as the actual, and 20 random propositional DPIs
+the query, the answer and six search counters (the five of
+``test_search_pinned`` plus ``solver_calls``), plus the final diagnosis.
+Cases: both fixtures in card and prob mode with every diagnosis of a first
+HS-Tree list as the actual, and 20 random propositional DPIs
 (``conftest.random_propositional_dpi``, up to 10 axioms) in both modes with
 one actual drawn from their HS-Tree list. The file was recorded from the
 sessions that encoded a fresh reasoner for every iteration's DPI, before one
@@ -56,6 +57,7 @@ COUNTERS = (
     "label_calls",
     "conflict_computations",
     "conflict_reuses",
+    "solver_calls",
 )
 FIXTURE_LD = 6
 RANDOM_LD = 8
