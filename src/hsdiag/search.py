@@ -649,6 +649,9 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     margin = core.margin if ordered and not core.equal_costs else 0.0
     held: list[tuple[float, int, int]] = []
     held_peak = 0
+    # with ld diagnoses held or in D, the last held cost is a floor: no level
+    # whose best F lies below it is entered
+    diagnoses, ld = core.diagnoses, INF if core.ld is None else core.ld
     if debug:
         if ordered:
             core._parent_of = {}
@@ -762,8 +765,11 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                     node = None  # ld diagnoses in D: stop with no further work
                     break
             # F >= bound - margin and F above the sentinel, on negated costs:
-            # go down, with the runner-up's exact bound
-            if backed <= nbound + pm and backed != INF:
+            # go down, with the runner-up's exact bound; not below the floor,
+            # the last held cost once the held list is full
+            if backed <= nbound + pm and backed != INF and not (
+                held and backed > held[-1][0] and len(held) + len(diagnoses) >= ld
+            ):
                 runner_up = siblings[1][0]
                 node, node_nbound = best, (runner_up if runner_up < nbound else nbound)
                 break
