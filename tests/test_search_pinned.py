@@ -29,7 +29,10 @@ of learned costs, widened its margin to 0.9 of a step and capped its held
 list at ld - |D|: 25 of the 28 prob-mode ``rbfhs-ordered`` entries moved in
 counters and trace digests, some in conflicts, and prob-17 in ``pr`` by at
 most 2e-15 relative; ids and order did not, and every other entry stayed
-byte for byte.
+byte for byte. 7 prob-mode ``rbfhs-ordered`` entries (3 small, 4 large)
+were recorded again when RBF-HS stopped entering levels whose best F lies
+below the last held cost once ld diagnoses are held or in D: they moved in
+counters and trace digests only.
 
 Regenerate a corpus (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_search_pinned.py small`` (or ``large``),
