@@ -53,6 +53,7 @@ from .sequential import (
     QueryPartition,
     SessionIteration,
     SessionTrace,
+    carry_conflicts,
     ent_select,
     make_query,
     oracle_answer,

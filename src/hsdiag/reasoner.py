@@ -58,6 +58,16 @@ if TYPE_CHECKING:
     from .dpi import Dpi
 
 
+def minimal_masks(masks: list[int]) -> list[int]:
+    """The masks in their order, less each one that an earlier one equals
+    or any one lies strictly inside."""
+    return [
+        c for i, c in enumerate(masks)
+        if not any(o & c == o for o in masks[:i])
+        and not any(o & c == o != c for o in masks[i + 1:])
+    ]
+
+
 class Reasoner:
     """Validity checks over one DPI, decided as SAT under assumptions or
     read off the verdict store.
@@ -124,14 +134,8 @@ class Reasoner:
         if positive:
             self._solver.add_unit(goal)
             self.witnesses = {g: nf for g, nf in self.witnesses.items() if g & bit}
-            # c ∖ {a} with the new P holds the sentences of c with the old;
-            # a core goes when an earlier one equals it or any lies inside it
-            cores = [c & ~bit for c in self.invalid_cores]
-            self.invalid_cores = [
-                c for i, c in enumerate(cores)
-                if not any(o & c == o for o in cores[:i])
-                and not any(o & c == o != c for o in cores[i + 1:])
-            ]
+            # c ∖ {a} with the new P holds the sentences of c with the old
+            self.invalid_cores = minimal_masks([c & ~bit for c in self.invalid_cores])
         elif goal not in self._negatives:
             # a model that makes lit(f_a) false already shows S ∧ ¬lit(f_a)
             new = 1 << len(self._negatives)

@@ -172,6 +172,11 @@ past its exact bound and certifying the diagnoses it finds afterwards.
   order, with their DIAG lines, and the search stops once ld are in D. If
   the search ends first, the rest enter D in order. On exact levels with
   nothing held, a valid node is the best open node and enters D at once.
+* The floor. Once ld diagnoses are held or in D, the last held cost is a
+  floor: a level whose best F lies strictly below it is not entered but
+  left, as a level below its bound is. F bounds every diagnosis below a
+  node, so none below that level could beat a held one and enter the
+  list; a level at the floor is still entered, so ties keep their order.
 * Why the lists cannot move. F is admissible, so no diagnosis still to be
   found costs more than the best open F, and a released diagnosis costs
   at least that: D stays sorted by cost, though equal-cost diagnoses may
@@ -198,8 +203,8 @@ rises (a held diagnosis leaves the list only to enter D, best first, and
 one found later only moves it back, so ``hold`` drops those past the best
 ld − |D|, which can never enter D); the RBF-HS frame stack, one 7-tuple
 per level, O(depth), whose sibling lists are live nodes already counted;
-the conflict store, with one ``(delta, bit)`` list and one largest step
-per conflict; the card-mode level table, |K| + 1 floats; D; and the
+the conflict store, the seeds it starts from included, with one ``(delta,
+bit)`` list and one largest step per conflict; the card-mode level table, |K| + 1 floats; D; and the
 per-axiom diagnosis lists, whose total length is the summed size of the
 diagnoses found, each once: those in D, those held and those dropped.
 """
@@ -209,12 +214,21 @@ from __future__ import annotations
 import math
 import time
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import itemgetter
+from typing import Sequence
 
 from .conflict import find_min_conflict
-from .dpi import Diagnosis, Dpi, FaultProbabilities, ValidityChecker, bits_of, reasoner_for
+from .dpi import (
+    Diagnosis,
+    Dpi,
+    FaultProbabilities,
+    ValidityChecker,
+    bits_of,
+    is_valid_set,
+    reasoner_for,
+)
 from .reasoner import Reasoner
 
 INF = float("inf")
@@ -336,7 +350,13 @@ class SearchResult:
     algorithm: str
     diagnoses: list[Diagnosis]
     stats: SearchStats
-    conflicts: tuple[tuple[str, ...], ...]
+    conflict_masks: tuple[int, ...]  # the conflict store's K-masks, in store order
+    dpi: Dpi = field(repr=False)
+
+    @property
+    def conflicts(self) -> tuple[tuple[str, ...], ...]:
+        """The stored conflicts as id tuples, in store order."""
+        return tuple(map(self.dpi.ids_of, self.conflict_masks))
 
     def diagnosis_sets(self) -> list[frozenset[str]]:
         return [d.id_set for d in self.diagnoses]
@@ -486,6 +506,23 @@ class _SearchCore:
         self.conflict_tops.append(max(steps)[0])
         self.conflict_masks.append(mask)
 
+    def add_seeds(self, seeds: Sequence[tuple[int, bool]]) -> None:
+        """Store the seeds that are minimal conflicts, in their order; the
+        empty set is valid. A seed known minimal is stored as it is, any
+        other only if each one-element deletion is valid. With ``debug``,
+        every stored seed is checked again on a fresh reasoner."""
+        is_valid = self.checker.is_valid
+        for mask, minimal in seeds:
+            if minimal or all(is_valid(mask ^ bit) for bit in bits_of(mask)):
+                self.add_conflict(mask)
+        if self.debug:
+            dpi, fresh = self.dpi, reasoner_for(self.dpi)
+            for mask in self.conflict_masks:
+                assert not is_valid_set(dpi, mask, fresh), f"seed {dpi.ids_of(mask)} is valid"
+                assert all(
+                    is_valid_set(dpi, mask ^ bit, fresh) for bit in bits_of(mask)
+                ), f"seed {dpi.ids_of(mask)} is no minimal conflict"
+
     def _closed(self, node: list, closer: int) -> None:
         """A closed label; ``closer`` is the mask of the first diagnosis
         found inside the node, since the per-axiom lists keep the order in
@@ -571,23 +608,28 @@ class _SearchCore:
     def result(self, algorithm: str) -> SearchResult:
         if self.reasoner is not None:
             self.stats.solver_calls = self.reasoner.solver_calls - self._solver_calls_before
-        conflicts = tuple(map(self.dpi.ids_of, self.conflict_masks))
-        return SearchResult(algorithm, self.diagnoses, self.stats, conflicts)
+        masks = tuple(self.conflict_masks)
+        return SearchResult(algorithm, self.diagnoses, self.stats, masks, self.dpi)
 
 
-def _run(loop, algorithm: str, dpi, pr, ld, trace, debug, reasoner) -> SearchResult:
-    """The part both algorithms share: the timer and the trivial cases. The
-    first conflict is computed here and seeds the store; ``loop`` runs only
-    when there is one. It is never empty inside the tree: the empty set is a
-    conflict of every node or of none."""
+def _run(loop, algorithm: str, dpi, pr, ld, trace, debug, reasoner, seeds) -> SearchResult:
+    """The part both algorithms share: the timer, the seeds and the trivial
+    cases. The store starts with the seeds that are minimal conflicts when
+    the empty set is valid, else with the root's conflict, computed here;
+    ``loop`` runs only when it holds one. No conflict is empty inside the
+    tree: the empty set is a conflict of every node or of none."""
     core = _SearchCore(dpi, pr, ld, trace, debug, reasoner)
     started = time.perf_counter()
-    conflict = find_min_conflict(dpi, checker=core.checker)
-    core.stats.conflict_computations += 1
-    if conflict is None:
-        core.diagnoses.append(Diagnosis((), _linear(core.f_empty)))
-    elif conflict:  # 0, the empty conflict: no diagnosis exists
-        core.add_conflict(conflict)
+    if seeds and core.checker.is_valid(0):
+        core.add_seeds(seeds)
+    if not core.conflict_masks:
+        conflict = find_min_conflict(dpi, checker=core.checker)
+        core.stats.conflict_computations += 1
+        if conflict is None:
+            core.diagnoses.append(Diagnosis((), _linear(core.f_empty)))
+        elif conflict:  # 0, the empty conflict: no diagnosis exists
+            core.add_conflict(conflict)
+    if core.conflict_masks:
         loop(core)
     core.stats.wall_time = time.perf_counter() - started
     return core.result(algorithm)
@@ -602,6 +644,7 @@ def rbf_hs(
     debug: bool = False,
     reasoner: Reasoner | None = None,
     ordered: bool = True,
+    seeds: Sequence[tuple[int, bool]] = (),
 ) -> SearchResult:
     """Recursive best-first hitting-set search, run as one loop over an
     explicit frame stack.
@@ -617,7 +660,8 @@ def rbf_hs(
     ranks children by the disjoint-conflict bound and, with unequal fault
     probabilities, relaxes the levels it re-enters by 0.9 of the log-odds
     of the most probable fault, holding the diagnoses found there, at most
-    ld - |D| of them, until no open node may beat them, all as the module
+    ld - |D| of them, until no open node may beat them, and once ld are held
+    or in D enters no level below the last held cost, all as the module
     docstring describes; ``peak_held_diagnoses`` reports the held list's
     largest size. The returned
     diagnoses are the same either way, and so is their order except among
@@ -628,8 +672,22 @@ def rbf_hs(
     an ordered run also asserts that every node set keeps one parent set
     for the run, and that no F given to a node on a found diagnosis's path
     lies below its cost; in card mode, that every F is a level value.
+
+    ``seeds`` start the conflict store: conflicts of the DPI as ``(K-mask,
+    known minimal)`` pairs, such as
+    :func:`~hsdiag.sequential.carry_conflicts` makes from the search before
+    a measurement. If the empty set is valid, the search stores, in their
+    order, the seeds that are minimal conflicts: one known minimal as it
+    is, any other once each one-element deletion is valid. It computes the
+    root's conflict only when it keeps none. The list is the one the search
+    returns without seeds, except that card mode may order (and, at the
+    ld-th place, choose) diagnoses of equal cost by the tree. With ``debug``,
+    every stored seed is checked again on a fresh reasoner: it is invalid
+    and each one-element deletion is valid.
     """
-    return _run(lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner)
+    return _run(
+        lambda core: _rbf_loop(core, ordered), RBFHS, dpi, pr, ld, trace, debug, reasoner, seeds
+    )
 
 
 def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
@@ -807,6 +865,7 @@ def hs_tree(
     trace: list[TraceEvent] | None = None,
     debug: bool = False,
     reasoner: Reasoner | None = None,
+    seeds: Sequence[tuple[int, bool]] = (),
 ) -> SearchResult:
     """Reiter-style best-first hitting-set tree.
 
@@ -818,9 +877,11 @@ def hs_tree(
     shared as in rbf_hs. With ``debug``, a run also asserts that no node
     set is built twice, and makes rbf_hs's checks of F: no F given to a
     node on a found diagnosis's path lies below its cost, and in card mode
-    every F is a level value.
+    every F is a level value. ``seeds`` start the conflict store as in
+    rbf_hs; the list is the one without them, unless two costs differ only
+    by the rounding of sums taken along other paths.
     """
-    return _run(_hs_loop, HSTREE, dpi, pr, ld, trace, debug, reasoner)
+    return _run(_hs_loop, HSTREE, dpi, pr, ld, trace, debug, reasoner, seeds)
 
 
 def _hs_loop(core: _SearchCore) -> None:

@@ -6,7 +6,10 @@ axiom's sentence holds (it moves to the positive measurements), a negative
 answer that it must not hold (negative measurements). On the abstract
 backend the same update is expressed directly on the conflict family: a
 correct axiom is deleted from every member, a faulty one becomes a
-singleton conflict; both transforms are antichain-reduced.
+singleton conflict; both transforms are antichain-reduced. On the reasoner
+backend a session applies the same transforms to the minimal conflicts its
+last search stored (``carry_conflicts``), and the next search starts from
+those that are still minimal, so it computes only the conflicts it lacks.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .dpi import (
     reasoner_for,
 )
 from .logic import Formula, entails
-from .reasoner import Reasoner
+from .reasoner import Reasoner, minimal_masks
 from .search import RBFHS, SEARCHES, SearchResult, SearchStats
 
 
@@ -173,6 +176,28 @@ def update_dpi(
     return replace(dpi, conflict_family=family)
 
 
+def carry_conflicts(conflicts: Sequence[int], bit: int, answer: bool) -> list[tuple[int, bool]]:
+    """A search's minimal conflicts (K-masks), made the seeds of the search
+    after an answer on the axiom a of ``bit``: ``(mask, known minimal)``
+    pairs for ``rbf_hs``/``hs_tree``, on the reasoner backend.
+
+    A positive answer turns each conflict C into C ∖ {a}; a negative one
+    puts {a} first, then every C. Empty masks, duplicates and proper
+    supersets go, in first-seen order. C ∖ {a} for a in C is minimal: each
+    S ⊊ C ∖ {a} holds, with the new P, the sentences of S ∪ {a} ⊊ C, which
+    was valid. So is {a} once the empty set is valid. Any other C is still
+    a conflict, as a measurement only shrinks the valid sets, but it may
+    not be minimal, so the search checks it.
+    """
+    if answer:
+        known = {c & ~bit for c in conflicts if c & bit}
+        masks = [c & ~bit for c in conflicts]
+    else:
+        known = {bit}
+        masks = [bit, *conflicts]
+    return [(c, c in known) for c in minimal_masks([c for c in masks if c])]
+
+
 def check_session_ld(ld: int) -> None:
     """A session ends when its search returns one diagnosis, as ld 1 always does."""
     if ld < 2:
@@ -188,6 +213,7 @@ def run_session(
     *,
     answer_fn: Callable[[Query], bool] | None = None,
     check_actual: bool = True,
+    debug: bool = False,
 ) -> SessionTrace:
     """Iterate search and measurement until one diagnosis remains.
 
@@ -195,7 +221,14 @@ def run_session(
     unless answer_fn overrides it (interactive mode). Search statistics of
     every iteration accumulate into the returned trace. The session encodes
     its DPI once: one reasoner serves the actual's check and every search,
-    and absorbs each answer in ``update_dpi``.
+    and absorbs each answer in ``update_dpi``. On the reasoner backend every
+    search after the first starts from the minimal conflicts of the search
+    before it, carried over the answer by :func:`carry_conflicts`; the
+    abstract backend's conflict family carries its conflicts itself. The
+    lists, queries and answers are those of searches that start from an
+    empty store, except that card-mode RBF-HS may list diagnoses of equal
+    cost in another order. ``debug`` runs every search with its debug
+    checks.
 
     Whatever the answers, no axiom is queried twice, so a session ends
     within |K| queries; only a DPI without any diagnosis raises
@@ -210,9 +243,9 @@ def run_session(
     if check_actual and not is_minimal_diagnosis(dpi, actual_ids, reasoner):
         raise ValueError(f"designated actual {sorted(actual_ids)} is not a minimal diagnosis")
     iterations: list[SessionIteration] = []
-    current = dpi
+    current, seeds = dpi, []
     while True:
-        result: SearchResult = search(current, pr, ld, reasoner=reasoner)
+        result: SearchResult = search(current, pr, ld, reasoner=reasoner, seeds=seeds, debug=debug)
         found = tuple(result.diagnoses)
         if not found:
             raise RuntimeError("every diagnosis candidate was eliminated")
@@ -223,3 +256,6 @@ def run_session(
         answer = answer_fn(query) if answer_fn else oracle_answer(query, actual_ids)
         iterations.append(SessionIteration(found, query, answer, result.stats))
         current = update_dpi(current, query, answer, reasoner=reasoner)
+        if reasoner is not None:  # the abstract family carries its conflicts itself
+            bit = current.mask_of((query.axiom_id,))
+            seeds = carry_conflicts(result.conflict_masks, bit, answer)

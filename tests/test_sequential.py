@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hsdiag import (
     Diagnosis,
@@ -11,6 +11,7 @@ from hsdiag import (
     Reasoner,
     brute_force_min_diagnoses,
     cardinality_pr,
+    carry_conflicts,
     ent_select,
     gen_random_dpi,
     is_diagnosis,
@@ -24,6 +25,7 @@ from hsdiag import (
     run_session,
     update_dpi,
 )
+from hsdiag.dpi import bits_of, reasoner_for
 from hsdiag.search import SEARCHES
 from conftest import random_propositional_dpi
 
@@ -472,3 +474,102 @@ def test_session_ends_within_k_queries_whatever_the_answers(kind, seed, algo, ld
     assert len(trace.iterations[-1].diagnoses) == 1
     assert trace.query_count == len(queried) <= len(dpi.k_ids)
     assert len(set(queried)) == len(queried)
+
+
+# --- conflicts carried across a session ------------------------------------------
+
+def _session_from_empty_stores(dpi, pr, ld, algo, answer_fn):
+    """``run_session`` with every search starting from an empty conflict
+    store: (diagnoses, queried axiom, answer) per iteration."""
+    reasoner = reasoner_for(dpi)
+    iterations, current = [], dpi
+    while True:
+        found = SEARCHES[algo](current, pr, ld, reasoner=reasoner, debug=True).diagnoses
+        if not found:
+            raise RuntimeError("every diagnosis candidate was eliminated")
+        if len(found) == 1:
+            return iterations + [(found, None, None)]
+        query = ent_select(current, found, pr)
+        answer = answer_fn(query)
+        iterations.append((found, query.axiom_id, answer))
+        current = update_dpi(current, query, answer, reasoner=reasoner)
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    algo=st.sampled_from(sorted(SEARCHES)),
+    ld=st.integers(2, 8),
+    prob=st.booleans(),
+    answers=st.lists(st.booleans(), min_size=9, max_size=9),  # |K| <= 9 below
+)
+@settings(max_examples=100)
+def test_carried_conflicts_leave_every_session_as_it_was(seed, algo, ld, prob, answers):
+    # run_session under debug, which checks every seed a search keeps on a
+    # fresh reasoner, against searches that each start from an empty store
+    rng = random.Random(seed)
+    dpi = random_propositional_dpi(rng, max_axioms=9, max_atoms=5)
+    if prob:
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.45) for a in dpi.k_ids})
+    else:
+        pr = cardinality_pr(dpi.k_ids)
+
+    def scripted():
+        replies = iter(answers)
+        return lambda query: next(replies)
+
+    def session():
+        return run_session(
+            dpi, pr, ld, (), algo, answer_fn=scripted(), check_actual=False, debug=True
+        )
+
+    try:
+        expected = _session_from_empty_stores(dpi, pr, ld, algo, scripted())
+    except RuntimeError:  # no diagnosis
+        expected = []
+    assume(len(expected) > 1)  # a query, so a search with seeds
+    trace = session()
+    got = [(it.diagnoses, it.query and it.query.axiom_id, it.answer) for it in trace.iterations]
+    assert [it[1:] for it in got] == [it[1:] for it in expected]
+    assert trace.final.ids == expected[-1][0][0].ids
+    for (old, _, _), (new, _, _) in zip(expected, got):
+        if prob or algo == "hstree":
+            assert [d.ids for d in new] == [d.ids for d in old]
+        else:  # card-mode RBF-HS orders diagnoses of equal cost by its tree
+            assert sorted(d.ids for d in new) == sorted(d.ids for d in old)
+        assert [d.pr for d in new] == pytest.approx([d.pr for d in old], rel=1e-12, abs=0)
+
+
+def test_searches_keep_exactly_the_carried_conflicts_that_stay_minimal():
+    # a fresh reasoner on each updated DPI decides which seeds are minimal
+    # conflicts: each seed marked minimal is one, and a search stores every
+    # one of them first, in seed order, and no other seed
+    rng = random.Random(27)
+    checked = {True: 0, False: 0}  # seeds not marked minimal, by verdict
+    for _ in range(40):
+        dpi = random_propositional_dpi(rng, max_axioms=9, max_atoms=5)
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.45) for a in dpi.k_ids})
+        for search in SEARCHES.values():
+            reasoner = reasoner_for(dpi)
+            current = dpi
+            result = search(current, pr, 6, reasoner=reasoner)
+            while len(result.diagnoses) > 1:
+                query = ent_select(current, result.diagnoses, pr)
+                answer = rng.random() < 0.5
+                current = update_dpi(current, query, answer, reasoner=reasoner)
+                bit = current.mask_of((query.axiom_id,))
+                seeds = carry_conflicts(result.conflict_masks, bit, answer)
+                result = search(current, pr, 6, reasoner=reasoner, seeds=seeds)
+                fresh = reasoner_for(current)
+
+                def minimal(c):
+                    return not fresh.is_valid(c) and all(fresh.is_valid(c ^ b) for b in bits_of(c))
+
+                verdicts = [minimal(c) for c, _ in seeds]
+                assert all(v for v, (_, known) in zip(verdicts, seeds) if known)
+                for v, (_, known) in zip(verdicts, seeds):
+                    if not known:
+                        checked[v] += 1
+                kept = [c for (c, _), v in zip(seeds, verdicts) if v]
+                assert result.conflict_masks[: len(kept)] == tuple(kept)
+                assert not set(result.conflict_masks) & {c for c, _ in seeds} - set(kept)
+    assert checked[True] and checked[False]
