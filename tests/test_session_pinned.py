@@ -29,6 +29,13 @@ began to strengthen the reasoner's verdict store (a positive answer drops
 its axiom from the stored cores, a negative one extends the witnesses whose
 model falsifies it): 2 of them moved in counters and 7 in ``pr`` by less
 than 1e-12 relative; no list, order, query or answer changed.
+``solver_calls`` joined the counters in a recording that changed nothing
+else. 96 sessions were recorded again when each search of a session began
+to start from the minimal conflicts of the search before it: all 96 moved
+in counters (solver calls 349 → 308 under each algorithm), 6 in ``pr`` by
+less than 1e-12 relative, and 9 card-mode RBF-HS sessions list equal-cost
+diagnoses in another order; no list member, query, answer or final
+diagnosis changed, and the abstract (``ex4``) sessions did not move.
 
 Regenerate (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_session_pinned.py > tests/session_pinned.json``.
