@@ -92,6 +92,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input is nested too deeply (Python recursion limit reached)", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory (Python MemoryError raised)", file=sys.stderr)
+        return 1
 
 
 def _load(args) -> tuple[Dpi, object]:

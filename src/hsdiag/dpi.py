@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .logic import Formula
-from .reasoner import Reasoner
+from .reasoner import Reasoner, minimal_masks
 
 REASONER = "reasoner"
 ABSTRACT = "abstract"
@@ -139,22 +139,18 @@ class Diagnosis:
 
 
 def antichain_reduce(members: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    """Drop duplicates and proper supersets, preserving first-seen order."""
-    as_sets: list[frozenset[str]] = []
-    ordered: list[tuple[str, ...]] = []
-    for m in members:
-        t = tuple(m)
-        s = frozenset(t)
-        if any(s >= other for other in as_sets):
-            continue
-        keep_sets, keep_ordered = [], []
-        for other_s, other_t in zip(as_sets, ordered):
-            if not other_s > s:
-                keep_sets.append(other_s)
-                keep_ordered.append(other_t)
-        as_sets = keep_sets + [s]
-        ordered = keep_ordered + [t]
-    return tuple(ordered)
+    """The members as given, in first-seen order, less each one that an
+    earlier one equals as a set or any one lies strictly inside: each id
+    gets a bit, each member mask keeps its first member, and
+    :func:`~hsdiag.reasoner.minimal_masks` reduces the masks."""
+    bits: dict[str, int] = {}
+    first: dict[int, tuple[str, ...]] = {}  # in first-seen order
+    for member in members:
+        t, mask = tuple(member), 0
+        for a in t:
+            mask |= bits.setdefault(a, 1 << len(bits))
+        first.setdefault(mask, t)
+    return tuple([first[mask] for mask in minimal_masks(first)])
 
 
 @dataclass(frozen=True)
@@ -173,6 +169,8 @@ class Dpi:
     kind: str = field(default=REASONER, init=False, repr=False, compare=False)
     # the abstract conflict family as K-masks, derived from conflict_family
     family_masks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # axiom id -> K-mask bit, in K order: axiom i is bit n-1-i, the first the highest
+    bits: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     # the K-mask of all of K: every in-range mask is a submask of it
     full_mask: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -186,7 +184,7 @@ class Dpi:
             raise ValueError(f"duplicate axiom ids: {dupes}")
         n = len(self.k_ids)
         bits = {a: 1 << (n - 1 - i) for i, a in enumerate(self.k_ids)}
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         if self.kind == REASONER:
             if len(self.formulas) != len(self.k_ids):
@@ -201,10 +199,8 @@ class Dpi:
                 if len(members) != len(member):
                     raise ValueError(f"conflict names an id twice: {list(member)}")
                 masks.append(sum(map(bits.__getitem__, members)))
-            for i, a in enumerate(masks):
-                for j, b in enumerate(masks):
-                    if i != j and a & b == a:
-                        raise ValueError("conflict family is not an antichain")
+            if len(minimal_masks(masks)) < len(masks):
+                raise ValueError("conflict family is not an antichain")
             object.__setattr__(self, "family_masks", tuple(masks))
 
     @classmethod
@@ -247,7 +243,7 @@ class Dpi:
 
     def index_of(self, axiom: str) -> int:
         try:
-            return len(self.k_ids) - self._bits[axiom].bit_length()  # type: ignore[attr-defined]
+            return len(self.k_ids) - self.bits[axiom].bit_length()
         except KeyError:
             raise ValueError(f"unknown axiom id: {axiom!r}") from None
 
@@ -257,19 +253,18 @@ class Dpi:
         return self.formulas[self.index_of(axiom)]
 
     def mask_of(self, ids: Iterable[str] | int) -> int:
-        """The K-mask of a set of axiom ids: axiom i of K is bit n-1-i, so
-        the first axiom in K order is the highest bit. A mask passes
-        through unchanged, so every function taking a set of axioms takes
-        either form."""
+        """The K-mask of a set of axiom ids, the sum of their ``bits``. A
+        mask passes through unchanged, so every function taking a set of
+        axioms takes either form."""
         if isinstance(ids, int):
             if ids >> len(self.k_ids):  # also true for a negative int
                 raise ValueError(f"mask has bits outside K: {ids:#x}")
             return ids
         members = set(ids)
         try:
-            return sum(map(self._bits.__getitem__, members))  # type: ignore[attr-defined]
+            return sum(map(self.bits.__getitem__, members))
         except KeyError:
-            unknown = sorted(members.difference(self._bits))  # type: ignore[attr-defined]
+            unknown = sorted(members.difference(self.bits))
             raise ValueError(f"unknown axiom ids: {unknown}") from None
 
     def ids_of(self, mask: int) -> tuple[str, ...]:

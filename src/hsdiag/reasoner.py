@@ -58,14 +58,22 @@ if TYPE_CHECKING:
     from .dpi import Dpi
 
 
-def minimal_masks(masks: list[int]) -> list[int]:
-    """The masks in their order, less each one that an earlier one equals
-    or any one lies strictly inside."""
-    return [
-        c for i, c in enumerate(masks)
-        if not any(o & c == o for o in masks[:i])
-        and not any(o & c == o != c for o in masks[i + 1:])
-    ]
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The package's one antichain reduction: the masks in their order, less
+    each one that an earlier one equals or any one lies strictly inside. A
+    mask that holds a kept one is dropped, else the kept masks holding it go."""
+    kept: list[int] = []
+    for c in masks:
+        for o in kept:
+            if o & c == o:
+                break
+        else:
+            for o in kept:
+                if o & c == c:
+                    kept = [o for o in kept if o & c != c]
+                    break
+            kept.append(c)
+    return kept
 
 
 class Reasoner:
@@ -89,9 +97,7 @@ class Reasoner:
         self._selectors: list[tuple[int, int]] = []
         self._goal_codes: list[tuple[int, int]] = []
         self._goals: dict[str, tuple[int, int]] = {}  # axiom -> (goal literal, K bit)
-        top = len(dpi.k_ids) - 1
-        for i, (axiom, f) in enumerate(zip(dpi.k_ids, dpi.formulas)):
-            bit = 1 << (top - i)  # axiom i of K is bit n-1-i
+        for (axiom, bit), f in zip(dpi.bits.items(), dpi.formulas):
             goal = enc.lit(f)
             self._goals[axiom] = (goal, bit)
             selector = enc.fresh()

@@ -4,10 +4,10 @@
 order inside linear memory: it explores the best child depth-first until
 the best cost in the current subtree falls below the best known alternative
 (``bound``), then backs the subtree's best cost up and forgets it.
-``hs_tree`` is the classic breadth-style best-first baseline that keeps the
-expanded tree and an open queue in memory. Both label nodes the same way,
-share one conflict store and one instrumentation scheme, so their node
-counts and runtimes are directly comparable.
+``hs_tree`` is the classic breadth-style best-first baseline: its open
+queue is in memory and its expanded tree counts as live. Both label nodes
+the same way, share one conflict store and one instrumentation scheme, so
+their node counts and runtimes are directly comparable.
 
 Costs are node probabilities kept in log scale; the minus-infinity float is
 a pure sentinel (discarded subtree / exhausted node) and is never produced
@@ -195,9 +195,10 @@ past its exact bound and certifying the diagnoses it finds afterwards.
   card mode, like ``ordered=False``, keeps M = 0, every level exact and
   the counters and traces as they were. HS-Tree re-enters nothing.
 
-Memory the search keeps besides its live nodes (``peak_live_nodes``): the
-RBF-HS held diagnoses, one 3-tuple each (``peak_held_diagnoses``), at most
-ld − |D| of them, all within M of the best open F, since a diagnosis is
+Memory the search keeps besides its live nodes (``peak_live_nodes``,
+where HS-Tree's inner nodes are counted, not kept): the RBF-HS held
+diagnoses, one 3-tuple each (``peak_held_diagnoses``), at most ld − |D| of
+them, all within M of the best open F, since a diagnosis is
 found only where F reaches the bound minus M and the best open F never
 rises (a held diagnosis leaves the list only to enter D, best first, and
 one found later only moves it back, so ``hold`` drops those past the best
@@ -402,15 +403,12 @@ class _SearchCore:
         self._given: dict[int, float] = {}  # debug, ordered trees: each node set's F when last generated
         self._released: list[int] = []  # debug: the masks in D
         self._last_f = INF  # debug: the cost of the last diagnosis released
-        # Axiom bit -> (delta, bit), in K order, axiom i of K being bit
-        # n-1-i: a child's cost extends the parent sum by one log term, which
-        # keeps equal-probability nodes bitwise equal, and its mask adds the
-        # bit.
+        # Axiom bit -> (delta, bit), in K order: a child's cost extends the
+        # parent sum by one log term, which keeps equal-probability nodes
+        # bitwise equal, and its mask adds the bit.
         self._step: dict[int, tuple[float, int]] = {}
         self.f_empty = 0.0
-        top = len(dpi.k_ids) - 1
-        for i, a in enumerate(dpi.k_ids):
-            bit = 1 << (top - i)
+        for a, bit in dpi.bits.items():
             p = pr[a]
             log_ok = math.log(1.0 - p)
             self._step[bit] = (math.log(p) - log_ok, bit)
@@ -871,9 +869,9 @@ def hs_tree(
 
     Open nodes sit in a binary heap ordered like the RBF-HS sort, keyed on
     the disjoint-conflict bound F = f + h; labeling, the conflict store and
-    the ordered branching are those of rbf_hs, the only addition being full
-    tree retention (expanded inner nodes stay in memory until the search
-    ends, which is what the peak-node metric measures). ``reasoner`` is
+    the ordered branching are those of rbf_hs. Expanded inner nodes stay
+    live until the search ends, as in the paper's tree, which is what the
+    peak-node metric measures, but are counted, not kept. ``reasoner`` is
     shared as in rbf_hs. With ``debug``, a run also asserts that no node
     set is built twice, and makes rbf_hs's checks of F: no F given to a
     node on a found diagnosis's path lies below its cost, and in card mode
@@ -898,7 +896,7 @@ def _hs_loop(core: _SearchCore) -> None:
     # full sort order.
     root = [-core.f_empty, 0, 0, core.f_empty, 0, 0, 0, 0]
     queue = [root]
-    retained: list[list] = []
+    expanded = 0  # inner nodes, live to the end in the paper's tree: counted, not held
     if debug:
         core._parent_of = {}
         core._track([root], None)
@@ -936,7 +934,7 @@ def _hs_loop(core: _SearchCore) -> None:
             if i == _VALID and core.record_diagnosis(node):
                 break
             continue
-        retained.append(node)
+        expanded += 1
         f, card, c_next = node[3], node[1] + 1, i + 1
         # the disjoint-conflict bound, as in _rbf_loop
         h, k = 0.0, 0
@@ -973,7 +971,7 @@ def _hs_loop(core: _SearchCore) -> None:
             core._track(children, mask)
         for child in children:
             heappush(queue, child)
-    live -= len(queue) + len(retained)
+    live -= len(queue) + expanded
     if debug:
         assert live == 0, f"{live} nodes leaked"
     stats.label_calls, stats.conflict_reuses = labels, reuses

@@ -127,20 +127,18 @@ def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities)
         raise ValueError("measurement selection needs at least two diagnoses")
     weights = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in diagnoses])
     masks = [dpi.mask_of(d.ids) for d in diagnoses]
-    best: tuple[float, int] | None = None
-    n = len(dpi.k_ids)
-    for idx in range(n):
-        bit = 1 << (n - 1 - idx)  # axiom idx of K
+    best: float | None = None
+    for axiom, bit in dpi.bits.items():  # in K order: the first of equal scores wins
         # the weights of the diagnoses a positive answer keeps, in list order
         kept = [w for w, mask in zip(weights, masks) if not mask & bit]
         if not kept or len(kept) == len(masks):
             continue
-        score = (round(abs(sum(kept) - 0.5), 9), idx)
+        score = round(abs(sum(kept) - 0.5), 9)
         if best is None or score < best:
-            best = score
+            best, chosen = score, axiom
     if best is None:
         raise ValueError("no admissible single-axiom query discriminates the diagnoses")
-    return make_query(dpi, dpi.k_ids[best[1]])
+    return make_query(dpi, chosen)
 
 
 def oracle_answer(query: Query, actual: frozenset[str] | Diagnosis) -> bool:
@@ -257,5 +255,4 @@ def run_session(
         iterations.append(SessionIteration(found, query, answer, result.stats))
         current = update_dpi(current, query, answer, reasoner=reasoner)
         if reasoner is not None:  # the abstract family carries its conflicts itself
-            bit = current.mask_of((query.axiom_id,))
-            seeds = carry_conflicts(result.conflict_masks, bit, answer)
+            seeds = carry_conflicts(result.conflict_masks, current.bits[query.axiom_id], answer)

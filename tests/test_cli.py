@@ -695,6 +695,18 @@ def test_cli_reports_bad_input_in_one_error_line(tmp_path, capsys, text, args, m
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_cli_reports_memory_exhaustion_in_one_error_line(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setitem(SEARCHES, "hstree", exhausted)
+    args = ["diag", "--dpi", str(FIXTURES / "ex4.dpi"), "--algo", "hstree", "--ld", "10"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory (Python MemoryError raised)\n"
+
+
 def test_bench_factorial_and_determinism(tmp_path, capsys):
     fixtures = tmp_path / "fx"
     fixtures.mkdir()

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hsdiag import (
     Atom,
@@ -27,6 +27,7 @@ from hsdiag import (
     pr_of,
     quickxplain,
 )
+from hsdiag.dpi import antichain_reduce
 from conftest import random_propositional_dpi
 
 TABLE1_DIAGNOSES = [
@@ -301,8 +302,26 @@ def test_gen_random_dpi_antichain():
 
 
 def test_abstract_constructor_rejects_non_antichain():
-    with pytest.raises(ValueError, match="antichain"):
-        Dpi.abstract(4, [["1", "2"], ["1", "2", "3"]])
+    for family in (
+        [["1", "2"], ["1", "2", "3"]],
+        [["1", "2"], ["2", "1"]],  # the same members in another order
+        [["1", "2", "3"], ["1", "2"]],  # a superset before its subset
+    ):
+        with pytest.raises(ValueError, match="antichain"):
+            Dpi.abstract(4, family)
+
+
+@example([("3", "1"), ("1", "2", "3"), ("1", "3")])
+@given(st.lists(st.lists(st.sampled_from("12345"), unique=True).map(tuple), max_size=8))
+def test_antichain_reduce_keeps_each_minimal_member_once_as_given(members):
+    # kept: no member is a proper subset of it and no earlier member is the
+    # same set; first-seen order, each as the tuple it was given
+    sets = [frozenset(m) for m in members]
+    expected = [
+        m for i, (m, s) in enumerate(zip(members, sets))
+        if not any(o < s for o in sets) and s not in sets[:i]
+    ]
+    assert antichain_reduce(members) == tuple(expected)
 
 
 @pytest.mark.parametrize(
