@@ -36,6 +36,7 @@ from .search import COUNTERS, HSTREE, RBFHS, SEARCHES, SearchStats, rbf_hs
 from .sequential import SessionTrace, check_session_ld, run_session
 
 DEFAULT_LD = (2, 6, 10, 20)
+MODES = ("card", "prob")  # the probability modes of ``pick_probabilities``
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def pick_probabilities(dpi: Dpi, file_pr: FaultProbabilities | None, mode: str) 
         if all(p < 0.5 for p in file_pr.values.values()):
             return file_pr
         return cost_adjust(file_pr, 0.25)
-    raise ValueError(f"unknown probability mode: {mode!r}")
+    raise ValueError(f"unknown probability mode: {mode!r} (expected one of {', '.join(MODES)})")
 
 
 def sample_actuals(

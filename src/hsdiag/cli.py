@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -44,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diag", help="compute leading minimal diagnoses")
     diag.add_argument("--dpi", required=True, help="DPI file")
     diag.add_argument("--algo", choices=tuple(SEARCHES), default=RBFHS)
-    diag.add_argument("--mode", choices=("card", "prob"), default="card")
+    diag.add_argument("--mode", choices=bench_mod.MODES, default="card")
     diag.add_argument("--ld", type=positive_int, required=True)
     diag.add_argument("--trace", help="write search events to this file")
     diag.add_argument("--stats-csv", help="append one stats row to this CSV file")
@@ -53,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     seq = sub.add_parser("sequential", help="run sequential diagnosis sessions")
     seq.add_argument("--dpi", required=True)
     seq.add_argument("--algo", choices=tuple(SEARCHES), default=RBFHS)
-    seq.add_argument("--mode", choices=("card", "prob"), default="card")
+    seq.add_argument("--mode", choices=bench_mod.MODES, default="card")
     seq.add_argument("--ld", type=positive_int, default=4)
     seq.add_argument("--actual", help="comma-separated axiom ids of the actual diagnosis")
     seq.add_argument("--sessions", type=positive_int, default=1)
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--sessions", type=positive_int, default=5)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--mode", choices=("card", "prob"), default="card")
+    bench.add_argument("--mode", choices=bench_mod.MODES, default="card")
     bench.add_argument("--out", required=True, help="BenchRow CSV output path")
     bench.add_argument("--summary", help="per-(dpi,ld) factor CSV output path")
     bench.set_defaults(func=cmd_bench)

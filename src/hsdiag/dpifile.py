@@ -166,7 +166,8 @@ def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
     """Serialize a DPI (and optional probabilities) back to the text format.
 
     The format names abstract components 1..n, so an abstract DPI with
-    other ids raises ``ValueError``, as do an axiom id that breaks
+    other ids raises ``ValueError``, as do an empty conflict (it would be a
+    blank line, which ``loads`` skips), an axiom id that breaks
     ``_valid_axiom_id`` and axioms answered positive (``positive_ids``),
     which the format has no section for.
     """
@@ -180,6 +181,8 @@ def dumps(dpi: Dpi, pr: FaultProbabilities | None = None) -> str:
         out.append(str(len(dpi.k_ids)))
         out.append("[CONFLICTS]")
         for member in dpi.conflict_family:
+            if not member:
+                raise ValueError("the DPI format cannot write an empty conflict")
             out.append(" ".join(member))
     else:
         out.append("[K]")

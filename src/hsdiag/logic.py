@@ -239,7 +239,8 @@ class _Encoder:
     Variables 1..n name their atoms in name order; every compound subformula
     gets an auxiliary variable. ``true`` and ``false`` are one variable fixed
     true by a unit clause, made at the first constant met, so constant-free
-    input gets no such variable.
+    input gets no such variable. ``clauses`` holds each clause once, keyed
+    in the order it was first added; tautologies are dropped.
     """
 
     def __init__(self, formulas: Iterable[Formula]):
@@ -249,17 +250,13 @@ class _Encoder:
         self.atom_ids = {name: i + 1 for i, name in enumerate(sorted(names))}
         self.next_var = len(self.atom_ids) + 1
         self.cache: dict[Formula, int] = {}
-        self.clauses: list[frozenset[int]] = []
-        self.seen: set[frozenset[int]] = set()
+        self.clauses: dict[frozenset[int], None] = {}
         self.true: int | None = None
 
     def add(self, lits: Iterable[int]) -> None:
         clause = frozenset(lits)
-        if any(-l in clause for l in clause):
-            return  # tautology, dropped
-        if clause not in self.seen:
-            self.seen.add(clause)
-            self.clauses.append(clause)
+        if not any(-l in clause for l in clause):
+            self.clauses.setdefault(clause)
 
     def fresh(self) -> int:
         v = self.next_var
@@ -321,18 +318,16 @@ class Solver:
     """DPLL over a fixed clause set, deciding satisfiability under assumptions.
 
     Iterative: unit propagation with two watched literals per clause,
-    chronological backtracking, no clause learning. Branching sets the first
-    unassigned literal of ``preferred`` (fixed at construction, in the
-    caller's order) true; once every preferred literal is assigned it takes
-    the lowest unassigned variable, false first. Each kind of decision
-    resumes from its own pointer, which a backtrack resets to where it stood
-    at the flipped decision (the undo may unassign what either pointer had
-    passed), so no decision rescans from the start and identical inputs take
-    identical decision paths. A model thus keeps each preferred literal
-    that the clauses, the assumptions and the preferred literals kept before
-    it allow. Assumption literals (the MiniSat interface, Eén & Sörensson,
-    SAT 2003) let one encoding answer many checks: each ``solve`` assumes
-    them on top of the fixed clauses and undoes everything afterwards.
+    chronological backtracking, no clause learning. Branching sets true the
+    first unassigned literal of one decision order fixed at construction
+    (the ``preferred`` literals in the caller's order, then -1, -2, ..., -n),
+    scanning on from one index that a backtrack restores, so identical
+    inputs take identical decision paths. A model thus keeps each preferred
+    literal that the clauses, the assumptions and the preferred literals kept
+    before it allow. Assumption literals (the MiniSat interface, Eén &
+    Sörensson, SAT 2003) let one encoding answer many checks: each ``solve``
+    assumes them on top of the fixed clauses and undoes everything
+    afterwards.
 
     After a True answer ``model`` holds the satisfying values (indexed like
     ``value``). After a False answer ``core`` holds the assumption literals
@@ -351,8 +346,7 @@ class Solver:
     def __init__(
         self, clauses: Iterable[frozenset[int]], var_count: int, preferred: Iterable[int] = ()
     ):
-        self.var_count = var_count
-        self.preferred = _codes(preferred)
+        self.order = _codes(preferred) + list(range(3, 2 * var_count + 2, 2))
         self.value = [0] * (2 * var_count + 2)
         self.watches: list[list[list[int]]] = [[] for _ in self.value]
         self.trail: list[int] = []
@@ -477,24 +471,18 @@ class Solver:
             if not self._propagate():
                 self.core = _literals(self._failed_assumptions(root))
                 return False
-            preferred, var_count = self.preferred, self.var_count
-            # [trail size before, decided code, flipped, preferred index, variable]
-            decisions: list[list[int]] = []
-            pick = 0  # preferred[:pick] is assigned
-            var = 1  # variables below var are assigned
+            order = self.order
+            end = len(order)
+            decisions: list[list[int]] = []  # [trail size before, code, flipped, order index]
+            index = 0  # order[:index] is assigned
             while True:
-                while pick < len(preferred) and value[preferred[pick]]:
-                    pick += 1
-                if pick < len(preferred):
-                    code = preferred[pick]
-                else:
-                    while var <= var_count and value[2 * var]:
-                        var += 1
-                    if var > var_count:
-                        self.model = value[:]
-                        return True
-                    code = 2 * var + 1
-                decisions.append([len(trail), code, 0, pick, var])
+                while index < end and value[order[index]]:
+                    index += 1
+                if index == end:
+                    self.model = value[:]
+                    return True
+                code = order[index]
+                decisions.append([len(trail), code, 0, index])
                 self._assume((code,))
                 while not self._propagate():
                     while decisions and decisions[-1][2]:
@@ -502,7 +490,7 @@ class Solver:
                     if not decisions:
                         self.core = _literals(codes)
                         return False
-                    size, code, _, pick, var = top = decisions[-1]
+                    size, code, _, index = top = decisions[-1]
                     top[2] = 1
                     self._undo(size)
                     self._assume((code ^ 1,))

@@ -273,10 +273,6 @@ COUNTERS = (
 )
 
 
-def _linear(log_cost: float) -> float:
-    return 0.0 if log_cost == NEG_INF else math.exp(log_cost)
-
-
 class _CostText(dict):
     """Log cost -> its linear ``:.9g`` text, each formatted on its first
     read. One per traced search, held by its :class:`_IdsByMask`: the events
@@ -286,7 +282,7 @@ class _CostText(dict):
     __slots__ = ()
 
     def __missing__(self, log_cost: float) -> str:
-        text = self[log_cost] = f"{_linear(log_cost):.9g}"
+        text = self[log_cost] = f"{math.exp(log_cost):.9g}"
         return text
 
 
@@ -565,7 +561,7 @@ class _SearchCore:
     def release(self, f: float, mask: int) -> bool:
         """Add a found diagnosis of cost f to D; True once ld diagnoses are
         in D, when the search stops without further work."""
-        self.diagnoses.append(Diagnosis(self.dpi.ids_of(mask), _linear(f)))
+        self.diagnoses.append(Diagnosis(self.dpi.ids_of(mask), math.exp(f)))
         if self.trace is not None:
             self.emit("DIAG", mask, ("pr=", f))
         if self.debug:
@@ -624,7 +620,7 @@ def _run(loop, algorithm: str, dpi, pr, ld, trace, debug, reasoner, seeds) -> Se
         conflict = find_min_conflict(dpi, checker=core.checker)
         core.stats.conflict_computations += 1
         if conflict is None:
-            core.diagnoses.append(Diagnosis((), _linear(core.f_empty)))
+            core.diagnoses.append(Diagnosis((), math.exp(core.f_empty)))
         elif conflict:  # 0, the empty conflict: no diagnosis exists
             core.add_conflict(conflict)
     if core.conflict_masks:

@@ -109,9 +109,9 @@ def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities)
 
     Scores each axiom held by some but not all diagnoses by how close the
     probability mass of the diagnoses without it comes to one half, i.e. by
-    expected information gain. Ties fall to the lowest axiom id; scores are
-    quantized so that mathematically equal splits tie exactly despite float
-    noise.
+    expected information gain. Ties fall to the first axiom in K order;
+    scores are quantized so that mathematically equal splits tie exactly
+    despite float noise.
 
     For minimal diagnoses this membership split is ``partition``'s logical
     one. A diagnosis D without axiom a keeps a, so K∖D entails a's sentence

@@ -247,6 +247,13 @@ def test_dumps_refuses_axioms_answered_positive():
         dumps(updated)
 
 
+def test_dumps_refuses_an_empty_conflict():
+    # it would be a blank [CONFLICTS] line, which loads skips, so the
+    # reloaded DPI would list the empty set as a diagnosis
+    with pytest.raises(ValueError, match="empty conflict"):
+        dumps(Dpi.abstract(3, [()]))
+
+
 def test_dumps_writes_ids_with_inner_spaces_and_punctuation():
     dpi = Dpi.propositional([("gate 1", parse_formula("x")), ("g.2-b[0]", parse_formula("!x"))])
     again, _ = loads(dumps(dpi))

@@ -370,8 +370,8 @@ def test_solver_with_preferred_literals_agrees_with_truth_tables(seed):
 
 def test_solver_backtracking_over_a_preferred_literal_revisits_lower_variables():
     # preferring 3 propagates 1, and under 3 variables 4 and 5 clash whatever
-    # 2 is: 3 flips false after both scans have passed 2 and the variable
-    # scan has passed 1, and the backtrack unassigns both again
+    # 2 is: 3 flips false after the decision scan has passed 2 and the false
+    # literal of 1, and the backtrack unassigns both again
     clauses = [frozenset(c) for c in ({-3, 1}, {-3, 4, 5}, {-3, 4, -5}, {-3, -4, 5}, {-3, -4, -5})]
     solver = Solver(clauses, 5, [3, 2])
     assert solver.solve()

@@ -87,7 +87,7 @@ def test_ent_select_table1_perfect_split(table1, table1_card):
     dpi, _ = table1
     diagnoses = table1_diagnoses(dpi)
     query = ent_select(dpi, diagnoses, table1_card)
-    # ax1 and ax3 both split the mass perfectly; the id tie-break picks ax1
+    # ax1 and ax3 both split the mass perfectly; the K-order tie-break picks ax1
     assert query.axiom_id == "ax1"
     cells = partition(dpi, diagnoses, query)
     mass = len(cells.dplus) / len(diagnoses)
@@ -109,7 +109,16 @@ def test_ent_select_prefers_balanced_query():
     query = ent_select(dpi, diagnoses, pr)
     cells = partition(dpi, diagnoses, query)
     assert len(cells.dplus) == 2 and len(cells.dminus) == 2
-    assert query.axiom_id == "1"  # tie among all four axioms, lowest id wins
+    assert query.axiom_id == "1"  # tie among all four axioms, the first in K wins
+
+
+def test_ent_select_breaks_ties_in_k_order_not_id_order():
+    # K lists "b" before "a"; both split the two diagnoses evenly
+    dpi = Dpi.abstract(["b", "a"], [("b", "a")])
+    pr = cardinality_pr(dpi.k_ids)
+    diagnoses = brute_force_min_diagnoses(dpi)
+    assert {d.ids for d in diagnoses} == {("b",), ("a",)}
+    assert ent_select(dpi, diagnoses, pr).axiom_id == "b"
 
 
 def test_ent_select_rejects_diagnoses_that_name_the_same_set(table1, table1_card):
