@@ -430,6 +430,16 @@ def test_diag_trace_and_stats(tmp_path, capsys):
     assert rows[0].dpi == "ex4" and rows[0].diagnoses_found == 4
 
 
+def test_diag_trace_matches_the_golden_ex4_trace(tmp_path, capsys):
+    # tests/ex4_trace.txt is written by
+    # PYTHONPATH=src python -m hsdiag.cli diag --dpi fixtures/ex4.dpi --mode prob --ld 4 --trace tests/ex4_trace.txt
+    trace = tmp_path / "trace.txt"
+    assert main(["diag", "--dpi", ex4_path(), "--mode", "prob", "--ld", "4", "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    golden = Path(__file__).resolve().parent / "ex4_trace.txt"
+    assert trace.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.parametrize(
     "command", [["diag"], ["sequential", "--actual", "ax1,ax3"]], ids=["diag", "sequential"]
 )
