@@ -331,8 +331,9 @@ def is_minimal_diagnosis(
     reasoner = reasoner or reasoner_for(dpi)
     if not is_diagnosis(dpi, mask, reasoner):
         return False
-    bits = (1 << i for i in range(mask.bit_length()) if mask >> i & 1)
-    return all(not is_diagnosis(dpi, mask ^ bit, reasoner) for bit in bits)
+    # last axiom in K order first: the checks leave witnesses and cores in
+    # the reasoner, and a session's searches on it read them
+    return all(not is_diagnosis(dpi, mask ^ bit, reasoner) for bit in reversed([*bits_of(mask)]))
 
 
 class ValidityChecker:

@@ -22,8 +22,9 @@ one whose K-ordered id sequence is smaller, which makes
 ``(-F, cardinality, -mask)`` the full sort key. Subset and disjointness
 tests are one ``&`` each. Conflict extraction takes the node's mask and
 returns the conflict's mask, which the store keeps as it comes; id tuples
-are built only for recorded diagnoses and the result's conflicts, and trace
-text only when a trace event is read.
+are built only for recorded diagnoses and the result's conflicts. A traced
+search formats each event's text when it records the event, each distinct
+set and cost once per search; an untraced one formats nothing.
 
 A node is the list ``[-F, card, -mask, f, mask]``: backed-up log cost F
 (only ever decreases), cardinality, node set, and static log cost f. Its
@@ -217,8 +218,7 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .conflict import find_min_conflict
 from .dpi import (
@@ -273,73 +273,17 @@ COUNTERS = (
 )
 
 
-class _CostText(dict):
-    """Log cost -> its linear ``:.9g`` text, each formatted on its first
-    read. One per traced search, held by its :class:`_IdsByMask`: the events
-    repeat few distinct costs (636 in the paper tree's 65,415 events on a
-    23-axiom instance)."""
-
-    __slots__ = ()
-
-    def __missing__(self, log_cost: float) -> str:
-        text = self[log_cost] = f"{math.exp(log_cost):.9g}"
-        return text
-
-
-# Trace text of one detail part, by its type, given the search's
-# :class:`_IdsByMask`: a float is a log cost shown linear, an int a K-mask
-# shown as its ids, a list a list of log costs.
-_TEXT = {
-    str: lambda text, names: text,
-    float: lambda log_cost, names: names.costs[log_cost],
-    int: lambda mask, names: ",".join(names[mask]),
-    list: lambda log_costs, names: ",".join(map(names.costs.__getitem__, log_costs)),
-}
-
-
-class _IdsByMask(dict):
-    """K-mask -> axiom ids, each computed on its first read, plus the
-    search's :class:`_CostText` as ``costs``. One per traced search: its
-    events name few distinct node sets many times over (65,415 events on
-    352 sets for the paper tree on a 23-axiom instance)."""
-
-    __slots__ = ("dpi", "costs")
-
-    def __init__(self, dpi: Dpi):
-        super().__init__()
-        self.dpi = dpi
-        self.costs = _CostText()
-
-    def __missing__(self, mask: int) -> tuple[str, ...]:
-        ids = self[mask] = self.dpi.ids_of(mask)
-        return ids
-
-
-class TraceEvent(tuple):
+class TraceEvent(NamedTuple):
     """One search event (LABEL, EXPAND, BACKTRACK, INHERIT or DIAG) on a
-    node set, as the tuple ``(kind, names, mask, parts)``, where ``names``
-    is the search's shared :class:`_IdsByMask`: the mask and the raw costs
-    are kept, and ``ids``, ``detail`` and ``line()`` are formatted when
-    read, so recording a trace stays cheap."""
+    node set: its kind, the set's axiom ids and the rest of its line, all
+    formatted when the search records the event."""
 
-    __slots__ = ()
-
-    kind = property(itemgetter(0))
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return self[1][self[2]]
-
-    @property
-    def detail(self) -> str:
-        names = self[1]
-        return "".join([_TEXT[type(part)](part, names) for part in self[3]])
+    kind: str
+    ids: tuple[str, ...]
+    detail: str
 
     def line(self) -> str:
-        return f"{self[0]} [{','.join(self.ids)}] {self.detail}".rstrip()
-
-    def __repr__(self) -> str:
-        return f"TraceEvent({self.line()!r})"
+        return f"{self.kind} [{','.join(self.ids)}] {self.detail}"
 
 
 @dataclass
@@ -379,7 +323,12 @@ class _SearchCore:
         self.dpi = dpi
         self.ld = ld
         self.trace = trace
-        self._names = _IdsByMask(dpi) if trace is not None else None
+        if trace is not None:
+            # the events name few distinct sets and costs many times over
+            # (65,415 events on 352 sets and 636 costs for the paper tree on
+            # a 23-axiom instance), so each is formatted once per search
+            self._names: dict[int, tuple[tuple[str, ...], str]] = {}  # K-mask -> (ids, joined ids)
+            self._costs: dict[float, str] = {}  # log cost -> linear :.9g text
         self.debug = debug
         self.stats = SearchStats()
         if reasoner is None:  # before the caller's timer starts
@@ -454,9 +403,21 @@ class _SearchCore:
     def _untrack(self, nodes: list[list]) -> None:
         self._live_masks.difference_update([node[4] for node in nodes])
 
-    def emit(self, kind: str, mask: int, parts: tuple = ()) -> None:
+    def _name(self, mask: int) -> tuple[tuple[str, ...], str]:
+        ids = self.dpi.ids_of(mask)
+        named = self._names[mask] = (ids, ",".join(ids))
+        return named
+
+    def ids_text(self, mask: int) -> str:
+        return (self._names.get(mask) or self._name(mask))[1]
+
+    def cost_text(self, log_cost: float) -> str:
+        return self._costs.get(log_cost) or self._costs.setdefault(log_cost, f"{math.exp(log_cost):.9g}")
+
+    def emit(self, kind: str, mask: int, detail: str) -> None:
         """Append a trace event; callers check ``self.trace is not None``."""
-        self.trace.append(TraceEvent((kind, self._names, mask, parts)))
+        ids = (self._names.get(mask) or self._name(mask))[0]
+        self.trace.append(TraceEvent(kind, ids, detail))
 
     def _check_label(self, mask: int, verdict: int) -> None:
         """Debug cross-check: the resumed label equals a label from scratch,
@@ -469,26 +430,27 @@ class _SearchCore:
             full = next((i for i, c in enumerate(masks) if not c & mask), len(masks))
         assert verdict == full, f"label of {self.dpi.ids_of(mask)}: resumed {verdict}, from scratch {full}"
 
-    def _emit_label(self, node: list, *verdict) -> None:
-        self.emit("LABEL", node[4], (*verdict, " f=", node[3]))
+    def _emit_label(self, node: list, verdict: str) -> None:
+        self.emit("LABEL", node[4], f"{verdict} f={self.cost_text(node[3])}")
 
     def _reused(self, node: list, i: int) -> None:
         """A label answered by stored conflict i."""
         if self.debug:
             self._check_label(node[4], i)
         if self.trace is not None:
-            self._emit_label(node, "conflict-reuse {", self.conflict_masks[i], "}")
+            self._emit_label(node, f"conflict-reuse {{{self.ids_text(self.conflict_masks[i])}}}")
 
     def _expanded(self, node: list, i: int, children: list[list], h: float, k: int) -> None:
         """EXPAND and INHERIT lines of a node expanded on conflict i that
         packed k conflicts whose largest steps sum to h (padded)."""
-        self.emit("EXPAND", node[4], ("conflict={", self.conflict_masks[i], "} f=[", [c[3] for c in children], "]"))
+        costs = ",".join([self.cost_text(child[3]) for child in children])
+        self.emit("EXPAND", node[4], f"conflict={{{self.ids_text(self.conflict_masks[i])}}} f=[{costs}]")
         for child in children:
             # F below the child's own bound, inherited: only below a node
             # expanded before
             own = self.levels[child[1] + k] if self.levels else child[3] + h
             if child[0] != -own:
-                self.emit("INHERIT", child[4], ("F=", -child[0]))
+                self.emit("INHERIT", child[4], f"F={self.cost_text(-child[0])}")
 
     # -- cold paths of the label ---------------------------------------------
 
@@ -524,7 +486,7 @@ class _SearchCore:
         if self.debug:
             self._check_label(node[4], _CLOSED)
         if self.trace is not None:
-            self._emit_label(node, "closed superset-of={", closer, "}")
+            self._emit_label(node, f"closed superset-of={{{self.ids_text(closer)}}}")
 
     def _new_conflict(self, node: list) -> int:
         """A label no stored conflict answers: the index of a freshly
@@ -540,7 +502,7 @@ class _SearchCore:
             return _VALID
         self.add_conflict(conflict)
         if self.trace is not None:
-            self._emit_label(node, "conflict-new {", conflict, "}")
+            self._emit_label(node, f"conflict-new {{{self.ids_text(conflict)}}}")
         return len(self.conflict_masks) - 1
 
     def found(self, node: list) -> None:
@@ -563,7 +525,7 @@ class _SearchCore:
         in D, when the search stops without further work."""
         self.diagnoses.append(Diagnosis(self.dpi.ids_of(mask), math.exp(f)))
         if self.trace is not None:
-            self.emit("DIAG", mask, ("pr=", f))
+            self.emit("DIAG", mask, f"pr={self.cost_text(f)}")
         if self.debug:
             assert f <= self._last_f, f"{self.dpi.ids_of(mask)} costs more than the diagnosis before it"
             assert not any(d & mask in (d, mask) for d in self._released), f"{self.dpi.ids_of(mask)} nested in D"
@@ -620,7 +582,7 @@ def _run(loop, algorithm: str, dpi, pr, ld, trace, debug, reasoner, seeds) -> Se
         conflict = find_min_conflict(dpi, checker=core.checker)
         core.stats.conflict_computations += 1
         if conflict is None:
-            core.diagnoses.append(Diagnosis((), math.exp(core.f_empty)))
+            core.release(core.f_empty, 0)
         elif conflict:  # 0, the empty conflict: no diagnosis exists
             core.add_conflict(conflict)
     if core.conflict_masks:
@@ -830,7 +792,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             if debug:
                 core._untrack(siblings)
             if pmask and tracing:  # not the root
-                core.emit("BACKTRACK", pmask, ("F=", -backed, " bound=", -nbound))
+                core.emit("BACKTRACK", pmask, f"F={core.cost_text(-backed)} bound={core.cost_text(-nbound)}")
             siblings, nbound, c_next, pmask, pforbid, ph, pm = stack.pop()
             if siblings is None:
                 node = None

@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -210,6 +212,27 @@ def test_conflict_listed_out_of_k_order_is_named_in_k_order(search):
     assert lines[0].startswith("LABEL [] conflict-reuse {2,4}")
     assert lines[1].startswith("EXPAND [] conflict={2,4}")
     assert any(line.startswith("LABEL [2] conflict-new {1,3}") for line in lines)
+
+
+@pytest.mark.parametrize("search", [rbf_hs, hs_tree])
+def test_empty_diagnosis_gets_its_diag_line(search):
+    dpi = Dpi.abstract(3, [])  # K is valid: the empty set is the one diagnosis
+    trace = []
+    result = search(dpi, cardinality_pr(dpi.k_ids), None, trace=trace, debug=True)
+    assert [d.ids for d in result.diagnoses] == [()]
+    assert [e.line() for e in trace] == ["DIAG [] pr=0.296296296"]
+
+
+@pytest.mark.parametrize("search", [rbf_hs, hs_tree])
+def test_kept_trace_holds_no_reference_to_the_search(search):
+    dpi = Dpi.abstract(4, [("1", "2"), ("2", "3", "4")])
+    trace = []
+    search(dpi, cardinality_pr(dpi.k_ids), None, trace=trace)
+    dpi_ref = weakref.ref(dpi)
+    del dpi
+    gc.collect()
+    assert dpi_ref() is None
+    assert trace[0].line() == "LABEL [] conflict-reuse {1,2} f=0.197530864"
 
 
 def test_singleton_conflict_gets_dummy_sibling():
