@@ -430,14 +430,24 @@ def test_diag_trace_and_stats(tmp_path, capsys):
     assert rows[0].dpi == "ex4" and rows[0].diagnoses_found == 4
 
 
+def assert_ex4_trace_is_golden(tmp_path, capsys, golden: str, *algo: str) -> None:
+    trace = tmp_path / "trace.txt"
+    assert main(["diag", "--dpi", ex4_path(), "--mode", "prob", "--ld", "4", *algo, "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert trace.read_bytes() == (Path(__file__).resolve().parent / golden).read_bytes()
+
+
 def test_diag_trace_matches_the_golden_ex4_trace(tmp_path, capsys):
     # tests/ex4_trace.txt is written by
     # PYTHONPATH=src python -m hsdiag.cli diag --dpi fixtures/ex4.dpi --mode prob --ld 4 --trace tests/ex4_trace.txt
-    trace = tmp_path / "trace.txt"
-    assert main(["diag", "--dpi", ex4_path(), "--mode", "prob", "--ld", "4", "--trace", str(trace)]) == 0
-    capsys.readouterr()
-    golden = Path(__file__).resolve().parent / "ex4_trace.txt"
-    assert trace.read_bytes() == golden.read_bytes()
+    assert_ex4_trace_is_golden(tmp_path, capsys, "ex4_trace.txt")
+
+
+def test_diag_hstree_trace_matches_the_golden_ex4_trace(tmp_path, capsys):
+    # tests/ex4_hstree_trace.txt is written by
+    # PYTHONPATH=src python -m hsdiag.cli diag --dpi fixtures/ex4.dpi --mode prob --ld 4 --algo hstree --trace tests/ex4_hstree_trace.txt
+    # Its EXPAND costs are not sorted, so it pins their K order.
+    assert_ex4_trace_is_golden(tmp_path, capsys, "ex4_hstree_trace.txt", "--algo", "hstree")
 
 
 @pytest.mark.parametrize(
