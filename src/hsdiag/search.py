@@ -57,9 +57,9 @@ The hints are the parent's conflict index + 1 and the parent's mask (e is
 the child's mask xor it; the root has 0 and 0). Ordered branching leaves
 them as they are: it only builds fewer children. In RBF-HS they are fields
 of the frame the child belongs to, so its nodes stay five entries long; an
-HS-Tree node carries them as entries 5 and 6, after its mask, and its
-parent's forbidden mask (see below) as entry 7, where no comparison reaches
-them.
+HS-Tree queue entry reads them, with its parent's forbidden mask (see
+below), from its family, entry 5 after its mask, where no comparison
+reaches them.
 With ``debug`` every label is checked against a full scan of D and a
 conflict scan from index 0.
 
@@ -89,7 +89,9 @@ c_max: one child list per frame, at most |K| frames deep, plus the root.
 HS-Tree builds no set twice, so its queue needs no duplicate check; its
 heap pops in the full sort order, so it returns the list of the paper's
 expansion of every member of every conflict, ld prefixes included, unless
-two costs differ only by the rounding of sums taken along other paths.
+two costs differ only by the rounding of sums taken along other paths or
+two siblings' F round to one float from different steps (see HS-Tree's
+queue below).
 ``rbf_hs(..., ordered=False)`` holds the forbidden mask at 0, which is the
 paper's RBF-HS.
 
@@ -101,8 +103,8 @@ scan goes on past i, where every stored conflict disjoint from the node
 lies: those before the resume point hit the parent, and those between it
 and i were just scanned. Greedily, in store order, it packs the conflicts
 disjoint from the node, from conflict i and from one another; h is the sum
-of each packed conflict's largest log step (``add_conflict`` stores it once
-per conflict), and k their number. Every child gets F = f + h: a child adds
+of each packed conflict's largest log step (the first of its steps, which
+``add_conflict`` stores largest first), and k their number. Every child gets F = f + h: a child adds
 one member of conflict i, so each packed conflict is disjoint from it, and
 a diagnosis below it must hit each packed conflict with an axiom of its
 own, outside the child, which costs at most that conflict's largest step,
@@ -196,8 +198,31 @@ past its exact bound and certifying the diagnoses it finds afterwards.
   card mode, like ``ordered=False``, keeps M = 0, every level exact and
   the counters and traces as they were. HS-Tree re-enters nothing.
 
+HS-Tree's open queue holds one entry per expanded node that still has
+unpopped children: its best unpopped child, ``[-F, card, -mask, f, mask,
+family, pos]``, as in partial expansion (PEA*, Yoshizumi, Miura & Ishida,
+AAAI 2000). The family is one tuple that all children of the node share:
+the -F they share in card mode or the h they share in prob mode, the
+node's f, card + 1 and mask, its conflict index + 1 and forbidden mask,
+and its conflict's steps; pos is the child's step. ``add_conflict`` stores
+a conflict's steps delta descending, then bit descending, so along a
+family F never rises (float addition is monotone) and equal deltas come in
+mask order, the heap's tie-break: a family yields its children in the
+heap's key order. A pop replaces the entry with its family's next allowed
+child, or drops it when none is left, so the heap pops the sequence a
+queue holding every child would pop, and a child is built only when it
+reaches the head of the queue. Every allowed child is still counted when
+its parent is expanded, as the paper's tree holds it. Two siblings whose F
+round to one float from different deltas come in delta order, not mask
+order; both orders are best first, and card mode and equal deltas are
+exact. With ``trace`` or ``debug`` an expansion also builds the family's
+children on the side, for the EXPAND line, printed in K order, and for the
+checks.
+
 Memory the search keeps besides its live nodes (``peak_live_nodes``,
-where HS-Tree's inner nodes are counted, not kept): the RBF-HS held
+where HS-Tree's inner nodes and the children waiting in its families are
+counted, not kept): HS-Tree's queue, one entry and one family per
+expanded node with children still to pop; the RBF-HS held
 diagnoses, one 3-tuple each (``peak_held_diagnoses``), at most ld − |D| of
 them, all within M of the best open F, since a diagnosis is
 found only where F reaches the bound minus M and the best open F never
@@ -206,7 +231,7 @@ one found later only moves it back, so ``hold`` drops those past the best
 ld − |D|, which can never enter D); the RBF-HS frame stack, one 7-tuple
 per level, O(depth), whose sibling lists are live nodes already counted;
 the conflict store, the seeds it starts from included, with one ``(delta,
-bit)`` list and one largest step per conflict; the card-mode level table, |K| + 1 floats; D; and the
+bit)`` list per conflict; the card-mode level table, |K| + 1 floats; D; and the
 per-axiom diagnosis lists, whose total length is the summed size of the
 diagnoses found, each once: those in D, those held and those dropped.
 """
@@ -217,7 +242,7 @@ import math
 import time
 from bisect import insort
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import NamedTuple, Sequence
 
 from .conflict import find_min_conflict
@@ -342,7 +367,6 @@ class _SearchCore:
         self.diagnoses: list[Diagnosis] = []
         self.conflict_masks: list[int] = []
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_masks
-        self.conflict_tops: list[float] = []  # each conflict's largest step, parallel too
         self._live_masks: set[int] = set()  # debug
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
         self._given: dict[int, float] = {}  # debug, ordered trees: each node set's F when last generated
@@ -400,6 +424,21 @@ class _SearchCore:
             assert mask not in self._live_masks, f"duplicate live node {self.dpi.ids_of(mask)}"
             self._live_masks.add(mask)
 
+    def _family_children(self, family: tuple, first: int = 0) -> list[list]:
+        """HS-Tree's cold path: the allowed children of an expanded node's
+        family from step ``first`` on, as nodes ``[-F, card, -mask, f,
+        mask]`` in the order the family yields them. With ``debug``, their F
+        never rises along it."""
+        nfh, f, card, pmask, _, forbid, steps = family
+        children = []
+        for delta, bit in steps[first:]:
+            if not bit & forbid:
+                cf = f + delta
+                children.append([nfh if self.levels else -cf - nfh, card, -(pmask | bit), cf, pmask | bit])
+        if self.debug:
+            assert all(a[0] <= b[0] for a, b in zip(children, children[1:])), "sibling F rises"
+        return children
+
     def _untrack(self, nodes: list[list]) -> None:
         self._live_masks.difference_update([node[4] for node in nodes])
 
@@ -442,7 +481,9 @@ class _SearchCore:
 
     def _expanded(self, node: list, i: int, children: list[list], h: float, k: int) -> None:
         """EXPAND and INHERIT lines of a node expanded on conflict i that
-        packed k conflicts whose largest steps sum to h (padded)."""
+        packed k conflicts whose largest steps sum to h (padded), in K
+        order."""
+        children = sorted(children, key=lambda child: child[2])
         costs = ",".join([self.cost_text(child[3]) for child in children])
         self.emit("EXPAND", node[4], f"conflict={{{self.ids_text(self.conflict_masks[i])}}} f=[{costs}]")
         for child in children:
@@ -455,11 +496,11 @@ class _SearchCore:
     # -- cold paths of the label ---------------------------------------------
 
     def add_conflict(self, mask: int) -> None:
-        """Store a conflict's mask; its steps, so its children, follow K
-        order (higher bits first), and its largest step, for the bound."""
-        steps = list(map(self._step.__getitem__, bits_of(mask)))
-        self.conflict_steps.append(steps)
-        self.conflict_tops.append(max(steps)[0])
+        """Store a conflict's mask and its steps in the key order of its
+        children: delta descending, then bit descending, which is K order
+        among equal deltas. So the first step is the largest, for the
+        bound."""
+        self.conflict_steps.append(sorted(map(self._step.__getitem__, bits_of(mask)), reverse=True))
         self.conflict_masks.append(mask)
 
     def add_seeds(self, seeds: Sequence[tuple[int, bool]]) -> None:
@@ -650,7 +691,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
-    tops, levels, steepest = core.conflict_tops, core.levels, core.steepest
+    levels, steepest = core.levels, core.steepest
     stored = len(masks)
     labels = reuses = 0
     generated = live = peak = 1
@@ -718,7 +759,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
                 for j in range(i + 1, stored):
                     if not masks[j] & used:
                         used |= masks[j]
-                        h += tops[j]
+                        h += steps[j][0][0]
                         k += 1
             # F = min(f + h, F_parent), negated; in card mode f + h is the
             # level at card + k, in prob mode h is raised by the pad
@@ -827,15 +868,21 @@ def hs_tree(
 
     Open nodes sit in a binary heap ordered like the RBF-HS sort, keyed on
     the disjoint-conflict bound F = f + h; labeling, the conflict store and
-    the ordered branching are those of rbf_hs. Expanded inner nodes stay
-    live until the search ends, as in the paper's tree, which is what the
-    peak-node metric measures, but are counted, not kept. ``reasoner`` is
-    shared as in rbf_hs. With ``debug``, a run also asserts that no node
-    set is built twice, and makes rbf_hs's checks of F: no F given to a
-    node on a found diagnosis's path lies below its cost, and in card mode
-    every F is a level value. ``seeds`` start the conflict store as in
-    rbf_hs; the list is the one without them, unless two costs differ only
-    by the rounding of sums taken along other paths.
+    the ordered branching are those of rbf_hs. The heap holds one entry per
+    expanded node with children still to pop, its best one; popping it
+    queues the node's next child, so a child is built only when it reaches
+    the head of the queue, and the pops are those of a queue holding every
+    child (see the module docstring). Every child and the expanded inner
+    nodes stay live until the search ends, as in the paper's tree, which is
+    what the peak-node metric measures, but are counted, not kept.
+    ``reasoner`` is shared as in rbf_hs. With ``debug``, a run also asserts
+    that no node set is built twice, that F never rises along a node's
+    children in the order they are queued, that every counted child is
+    popped or still waiting when the search ends, and makes rbf_hs's checks
+    of F: no F given to a node on a found diagnosis's path lies below its
+    cost, and in card mode every F is a level value. ``seeds`` start the
+    conflict store as in rbf_hs; the list is the one without them, unless
+    two costs differ only by the rounding of sums taken along other paths.
     """
     return _run(_hs_loop, HSTREE, dpi, pr, ld, trace, debug, reasoner, seeds)
 
@@ -844,23 +891,42 @@ def _hs_loop(core: _SearchCore) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
-    tops, levels, steepest = core.conflict_tops, core.levels, core.steepest
+    levels, steepest = core.levels, core.steepest
     stored = len(masks)
     labels = reuses = 0
     generated = live = peak = 1
-    # A node is [-F, card, -mask, f, mask, c_next, parent mask, parent's
-    # forbidden mask]; HS-Tree never backs up a cost, so F is the bound it
-    # was built with throughout. Queued masks are unique, so pops follow the
-    # full sort order.
-    root = [-core.f_empty, 0, 0, core.f_empty, 0, 0, 0, 0]
-    queue = [root]
+    # A queued entry is [-F, card, -mask, f, mask, family, pos]: the best
+    # unpopped child of an expanded node, whose family is (-F of every child
+    # in card mode or h in prob mode, the parent's f, card + 1, mask,
+    # conflict index + 1 and forbidden mask, the conflict's steps), and pos
+    # the child's step. HS-Tree never backs up a cost, so F is the bound the
+    # child was built with throughout. Queued masks are unique, so pops
+    # follow the full sort order.
+    queue = [[-core.f_empty, 0, 0, core.f_empty, 0, (0.0, 0.0, 0, 0, 0, 0, ()), 0]]
     expanded = 0  # inner nodes, live to the end in the paper's tree: counted, not held
     if debug:
         core._parent_of = {}
-        core._track([root], None)
+        core._track(queue, None)
     while queue:
-        node = heappop(queue)
-        mask, c_next, pmask = node[4], node[5], node[6]
+        # pop the best child and queue its family's next allowed one
+        node = queue[0]
+        family = node[5]
+        fsteps, pforbid = family[6], family[5]
+        j = node[6] + 1
+        n = len(fsteps)
+        while j < n and fsteps[j][1] & pforbid:
+            j += 1
+        if j < n:
+            delta, bit = fsteps[j]
+            cmask = family[3] | bit
+            if levels:
+                heapreplace(queue, [family[0], family[2], -cmask, family[1] + delta, cmask, family, j])
+            else:
+                cf = family[1] + delta
+                heapreplace(queue, [-cf - family[0], family[2], -cmask, cf, cmask, family, j])
+        else:
+            heappop(queue)
+        mask, c_next, pmask = node[4], family[4], family[3]
         labels += 1
         i = _CLOSED
         for d in diags_with[mask ^ pmask]:
@@ -884,8 +950,9 @@ def _hs_loop(core: _SearchCore) -> None:
         if i >= 0:
             # the parent's forbidden mask plus the members of the parent's
             # conflict before the new axiom (higher bits), as in _rbf_loop
-            forbid = node[7] | masks[c_next - 1] & -((mask ^ pmask) << 1)
-            if not masks[i] & ~forbid:  # a dead end: no child may be built
+            forbid = pforbid | masks[c_next - 1] & -((mask ^ pmask) << 1)
+            allowed = masks[i] & ~forbid
+            if not allowed:  # a dead end: no child may be built
                 i = _CLOSED
         if i < 0:
             live -= 1
@@ -900,38 +967,40 @@ def _hs_loop(core: _SearchCore) -> None:
         for j in range(c_next, stored):
             if not masks[j] & used:
                 used |= masks[j]
-                h += tops[j]
+                h += steps[j][0][0]
                 k += 1
-        # F = f + h, negated, as in _rbf_loop
-        children = []
-        if levels:
-            nf = -levels[card + k]
-            for delta, bit in steps[i]:
-                if not bit & forbid:
-                    cmask = mask | bit
-                    children.append([nf, card, -cmask, f + delta, cmask, c_next, mask, forbid])
-        else:
-            if h:
-                h -= (f + h + steepest) * _PAD
-            for delta, bit in steps[i]:
-                if not bit & forbid:
-                    cf = f + delta
-                    cmask = mask | bit
-                    children.append([-cf - h, card, -cmask, cf, cmask, c_next, mask, forbid])
-        n = len(children)
+        # every allowed child counts, as the paper's tree holds them all,
+        # but only the first is queued: F = f + h, negated, as in _rbf_loop
+        n = allowed.bit_count()
         generated += n
         live += n
         if live > peak:
             peak = live
-        if tracing:
-            core._expanded(node, i, children, h, k)
-        if debug:
-            core._track(children, mask)
-        for child in children:
-            heappush(queue, child)
-    live -= len(queue) + expanded
-    if debug:
-        assert live == 0, f"{live} nodes leaked"
+        fsteps = steps[i]
+        j = 0
+        while fsteps[j][1] & forbid:
+            j += 1
+        delta, bit = fsteps[j]
+        cmask = mask | bit
+        if levels:
+            nf = -levels[card + k]
+            family = (nf, f, card, mask, c_next, forbid, fsteps)
+            heappush(queue, [nf, card, -cmask, f + delta, cmask, family, j])
+        else:
+            if h:
+                h -= (f + h + steepest) * _PAD
+            family = (h, f, card, mask, c_next, forbid, fsteps)
+            cf = f + delta
+            heappush(queue, [-cf - h, card, -cmask, cf, cmask, family, j])
+        if checked:
+            children = core._family_children(family)
+            if tracing:
+                core._expanded(node, i, children, h, k)
+            if debug:
+                core._track(children, mask)
+    if debug:  # live: the inner nodes and every child still waiting, as an entry or in its family
+        waiting = sum(len(core._family_children(entry[5], entry[6])) for entry in queue)
+        assert live == expanded + waiting, f"{live - expanded - waiting} nodes leaked"
     stats.label_calls, stats.conflict_reuses = labels, reuses
     stats.nodes_generated, stats.peak_live_nodes = generated, peak
 
