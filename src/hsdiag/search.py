@@ -104,8 +104,9 @@ lies: those before the resume point hit the parent, and those between it
 and i were just scanned. Greedily, in store order, it packs the conflicts
 disjoint from the node, from conflict i and from one another; h is the sum
 of each packed conflict's largest log step (the first of its steps, which
-``add_conflict`` stores largest first), and k their number. Every child gets F = f + h: a child adds
-one member of conflict i, so each packed conflict is disjoint from it, and
+``add_conflict`` stores largest first), and k their number. Every child
+gets F = f + h: a child adds one member of conflict i, so each packed
+conflict is disjoint from it, and
 a diagnosis below it must hit each packed conflict with an axiom of its
 own, outside the child, which costs at most that conflict's largest step,
 while any further axiom only lowers the cost. So no diagnosis below the
@@ -231,8 +232,8 @@ one found later only moves it back, so ``hold`` drops those past the best
 ld − |D|, which can never enter D); the RBF-HS frame stack, one 7-tuple
 per level, O(depth), whose sibling lists are live nodes already counted;
 the conflict store, the seeds it starts from included, with one ``(delta,
-bit)`` list per conflict; the card-mode level table, |K| + 1 floats; D; and the
-per-axiom diagnosis lists, whose total length is the summed size of the
+bit)`` list per conflict; the card-mode level table, |K| + 1 floats; D;
+and the per-axiom diagnosis lists, whose total length is the summed size of the
 diagnoses found, each once: those in D, those held and those dropped.
 """
 
