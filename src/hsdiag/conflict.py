@@ -87,10 +87,13 @@ def find_min_conflict(
     set always leaves in the store; which minimal conflict comes out
     depends on that core.
     """
-    excluded = dpi.mask_of(exclude)
+    excluded = exclude if type(exclude) is int and 0 <= exclude <= dpi.full_mask else dpi.mask_of(exclude)
     if dpi.kind == ABSTRACT:
         # an empty member is the family's only one (it is an antichain)
-        return next((m for m in dpi.family_masks if not m & excluded), None)
+        for m in dpi.family_masks:
+            if not m & excluded:
+                return m
+        return None
     checker = checker or ValidityChecker(dpi)
     if not checker.is_valid(0):
         return 0

@@ -61,7 +61,8 @@ HS-Tree queue entry reads them, with its parent's forbidden mask (see
 below), from its family, entry 5 after its mask, where no comparison
 reaches them.
 With ``debug`` every label is checked against a full scan of D and a
-conflict scan from index 0.
+conflict scan from index 0, and every packing of the bound below against
+a packing over every stored conflict past the node's.
 
 Each search is one loop with the label written inline. The hot path runs
 on the loop's locals: the closure test over the per-axiom list of the
@@ -98,18 +99,21 @@ paper's RBF-HS.
 Both ordered searches rank a child by an admissible bound on every
 diagnosis below it, the disjoint-core bound of core-guided MaxSAT (Davies &
 Bacchus, CP 2011) used as in conflict-directed A* (Williams & Ragno, DAM
-2007). When a node is expanded on stored conflict i, the label's conflict
-scan goes on past i, where every stored conflict disjoint from the node
-lies: those before the resume point hit the parent, and those between it
-and i were just scanned. Greedily, in store order, it packs the conflicts
-disjoint from the node, from conflict i and from one another; h is the sum
-of each packed conflict's largest log step (the first of its steps, which
-``add_conflict`` stores largest first), and k their number. Every child
-gets F = f + h: a child adds one member of conflict i, so each packed
-conflict is disjoint from it, and
-a diagnosis below it must hit each packed conflict with an axiom of its
-own, outside the child, which costs at most that conflict's largest step,
-while any further axiom only lowers the cost. So no diagnosis below the
+2007). When a node is expanded on stored conflict i, every stored
+conflict disjoint from the node lies past i: those before the resume point
+hit the parent, and those between it and i were just scanned. Greedily, in
+store order, the expansion packs the conflicts disjoint from the node, from
+conflict i and from one another; h is the sum of each packed conflict's
+largest log step (the first of its steps, which ``add_conflict`` stores
+largest first), and k their number. Only conflicts disjoint from conflict i
+can be packed, and the store lists them: ``add_conflict`` appends each new
+conflict, seeds included, to the list of every earlier conflict it misses,
+so conflict i's list holds the later conflicts disjoint from it in store
+order, and packing walks that list alone. Every child gets F = f + h: a
+child adds one member of conflict i, so each packed conflict is disjoint
+from it, and a diagnosis below it must hit each packed conflict with an
+axiom of its own, outside the child, which costs at most that conflict's
+largest step, while any further axiom only lowers the cost. So no diagnosis below the
 child costs more than f + h, and a valid child has nothing packed, so its F
 is its f: HS-Tree, whose heap is keyed on F, still pops every diagnosis in
 the full sort order, and RBF-HS stays best first. F must never fall below
@@ -119,10 +123,11 @@ time as nodes sum them, so F is exactly the level at card + k, the cost of
 the cheapest set a diagnosis below the child could be. In prob mode h is
 raised by a relative 1e-12 (``_PAD``) of the magnitude of the children's
 f + h; a pad in card mode would move F off the levels, and RBFS would then
-switch between siblings whose F differ only by it. Packing takes one
-``&`` per stored conflict past i per expansion. ``ordered=False`` keeps
-h = 0, so the paper's tree, its counters and the walkthrough traces stay as
-the paper gives them.
+switch between siblings whose F differ only by it. Storing a conflict
+takes one ``&`` per conflict stored before it, once; packing takes one
+per listed conflict per expansion. ``ordered=False`` keeps h = 0, so the
+paper's tree, its counters and the walkthrough traces stay as the paper
+gives them.
 
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
@@ -232,7 +237,8 @@ one found later only moves it back, so ``hold`` drops those past the best
 ld − |D|, which can never enter D); the RBF-HS frame stack, one 7-tuple
 per level, O(depth), whose sibling lists are live nodes already counted;
 the conflict store, the seeds it starts from included, with one ``(delta,
-bit)`` list per conflict; the card-mode level table, |K| + 1 floats; D;
+bit)`` list per conflict and one list of the later conflicts disjoint from
+it, at most n(n − 1)/2 ints in all for n stored conflicts; the card-mode level table, |K| + 1 floats; D;
 and the per-axiom diagnosis lists, whose total length is the summed size of the
 diagnoses found, each once: those in D, those held and those dropped.
 """
@@ -368,6 +374,9 @@ class _SearchCore:
         self.diagnoses: list[Diagnosis] = []
         self.conflict_masks: list[int] = []
         self.conflict_steps: list[list[tuple[float, int]]] = []  # parallel to conflict_masks
+        # parallel to conflict_masks: the store indices of the later conflicts
+        # disjoint from each, ascending, which the bound packs from
+        self.conflict_after: list[list[int]] = []
         self._live_masks: set[int] = set()  # debug
         self._parent_of: dict[int, int | None] | None = None  # debug, ordered trees only
         self._given: dict[int, float] = {}  # debug, ordered trees: each node set's F when last generated
@@ -470,6 +479,20 @@ class _SearchCore:
             full = next((i for i, c in enumerate(masks) if not c & mask), len(masks))
         assert verdict == full, f"label of {self.dpi.ids_of(mask)}: resumed {verdict}, from scratch {full}"
 
+    def _check_packing(self, mask: int, i: int, h: float, k: int) -> None:
+        """Debug cross-check: the bound packed from conflict i's list of
+        later disjoint conflicts equals a packing over every conflict past
+        i, before the pad."""
+        masks = self.conflict_masks
+        used, full_h, full_k = mask | masks[i], 0.0, 0
+        for j in range(i + 1, len(masks)):
+            if not masks[j] & used:
+                used |= masks[j]
+                full_h += self.conflict_steps[j][0][0]
+                full_k += 1
+        listed, full = (h, k), (full_h, full_k)
+        assert listed == full, f"packing of {self.dpi.ids_of(mask)}: listed {listed}, full {full}"
+
     def _emit_label(self, node: list, verdict: str) -> None:
         self.emit("LABEL", node[4], f"{verdict} f={self.cost_text(node[3])}")
 
@@ -500,7 +523,14 @@ class _SearchCore:
         """Store a conflict's mask and its steps in the key order of its
         children: delta descending, then bit descending, which is K order
         among equal deltas. So the first step is the largest, for the
-        bound."""
+        bound. The conflict joins the list of every earlier conflict it
+        misses, after the earlier ones, and starts an empty list of its
+        own."""
+        j = len(self.conflict_masks)
+        for c, later in zip(self.conflict_masks, self.conflict_after):
+            if not c & mask:
+                later.append(j)
+        self.conflict_after.append([])
         self.conflict_steps.append(sorted(map(self._step.__getitem__, bits_of(mask)), reverse=True))
         self.conflict_masks.append(mask)
 
@@ -550,9 +580,12 @@ class _SearchCore:
     def found(self, node: list) -> None:
         """A valid node: its mask joins the per-axiom lists, so its supersets
         close from now on, whenever it enters D."""
-        mask = node[4]
-        for bit in bits_of(mask):
-            self._diags_with[bit].append(mask)
+        mask = m = node[4]
+        diags_with = self._diags_with
+        while m:  # each list gets the mask once, so the bit order is free
+            bit = m & -m
+            diags_with[bit].append(mask)
+            m ^= bit
         if self._parent_of is not None:
             # admissible: no F given to a node on its path lies below it
             # (checked now, since the F on the path may fall before the
@@ -692,6 +725,7 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
+    after = core.conflict_after
     levels, steepest = core.levels, core.steepest
     stored = len(masks)
     labels = reuses = 0
@@ -754,14 +788,17 @@ def _rbf_loop(core: _SearchCore, ordered: bool) -> None:
             f, back, card = node[3], node[0], node[1] + 1
             # the disjoint-conflict bound: pack the stored conflicts disjoint
             # from the node, from conflict i and from one another, all past i
+            # and so all in conflict i's list
             h, k = 0.0, 0
             if ordered:
-                used = mask | masks[i]
-                for j in range(i + 1, stored):
+                used = mask
+                for j in after[i]:
                     if not masks[j] & used:
                         used |= masks[j]
                         h += steps[j][0][0]
                         k += 1
+                if debug:
+                    core._check_packing(mask, i, h, k)
             # F = min(f + h, F_parent), negated; in card mode f + h is the
             # level at card + k, in prob mode h is raised by the pad
             children = []
@@ -892,6 +929,7 @@ def _hs_loop(core: _SearchCore) -> None:
     stats, debug, tracing = core.stats, core.debug, core.trace is not None
     checked = debug or tracing
     diags_with, masks, steps = core._diags_with, core.conflict_masks, core.conflict_steps
+    after = core.conflict_after
     levels, steepest = core.levels, core.steepest
     stored = len(masks)
     labels = reuses = 0
@@ -964,12 +1002,14 @@ def _hs_loop(core: _SearchCore) -> None:
         f, card, c_next = node[3], node[1] + 1, i + 1
         # the disjoint-conflict bound, as in _rbf_loop
         h, k = 0.0, 0
-        used = mask | masks[i]
-        for j in range(c_next, stored):
+        used = mask
+        for j in after[i]:
             if not masks[j] & used:
                 used |= masks[j]
                 h += steps[j][0][0]
                 k += 1
+        if debug:
+            core._check_packing(mask, i, h, k)
         # every allowed child counts, as the paper's tree holds them all,
         # but only the first is queued: F = f + h, negated, as in _rbf_loop
         n = allowed.bit_count()

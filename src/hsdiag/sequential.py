@@ -14,6 +14,7 @@ those that are still minimal, so it computes only the conflicts it lacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -25,7 +26,6 @@ from .dpi import (
     antichain_reduce,
     is_minimal_diagnosis,
     is_valid_set,
-    log_pr_of,
     normalized_logs,
     reasoner_for,
 )
@@ -125,8 +125,16 @@ def ent_select(dpi: Dpi, diagnoses: Sequence[Diagnosis], pr: FaultProbabilities)
     """
     if len(diagnoses) < 2:
         raise ValueError("measurement selection needs at least two diagnoses")
-    weights = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in diagnoses])
     masks = [dpi.mask_of(d.ids) for d in diagnoses]
+    # each diagnosis's log probability, summed in K order as log_pr_of sums it
+    terms = [(bit, math.log(pr[axiom]), math.log1p(-pr[axiom])) for axiom, bit in dpi.bits.items()]
+    logs = []
+    for mask in masks:
+        total = 0.0
+        for bit, log_p, log_q in terms:
+            total += log_p if mask & bit else log_q
+        logs.append(total)
+    weights = normalized_logs(logs)
     best: float | None = None
     for axiom, bit in dpi.bits.items():  # in K order: the first of equal scores wins
         # the weights of the diagnoses a positive answer keeps, in list order

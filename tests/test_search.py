@@ -6,7 +6,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hsdiag import (
     Dpi,
@@ -437,6 +437,38 @@ def test_resumed_labels_agree_with_labels_from_scratch(components, conflicts, ma
         left_out = [p for d, p in oracle.items() if d not in found]
         if found and left_out:  # none left out is more probable than one found
             assert max(left_out) <= prs[-1] * (1 + 1e-9)
+
+
+@settings(deadline=None)  # debug runs on up to 12 axioms
+@given(
+    components=st.integers(2, 12),
+    conflicts=st.integers(1, 12),
+    max_size=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    ld=st.sampled_from([1, 5, None]),
+    mode=st.sampled_from(["prob", "card"]),
+    seeded=st.booleans(),
+)
+def test_packing_from_lists_agrees_with_a_full_scan(components, conflicts, max_size, seed, ld, mode, seeded):
+    # with debug=True every expansion checks that the bound packed from its
+    # conflict's list of later disjoint conflicts equals a packing over
+    # every stored conflict past it; seeds fill the lists before the search
+    dpi = gen_random_dpi(components, conflicts, min(max_size, components), seed)
+    rng = random.Random(seed)
+    if mode == "card":
+        pr = cardinality_pr(dpi.k_ids)
+    else:
+        pr = FaultProbabilities({a: rng.uniform(0.01, 0.3) for a in dpi.k_ids})
+    seeds = ()
+    if seeded:  # the DPI's minimal conflicts in random order, some marked unknown
+        family = list(dpi.family_masks)
+        rng.shuffle(family)
+        seeds = [(m, rng.random() < 0.5) for m in family]
+    oracle = {d.id_set for d in brute_force_min_diagnoses(dpi)}
+    for search in (rbf_hs, hs_tree):
+        found = search(dpi, pr, ld, debug=True, seeds=seeds).diagnosis_sets()
+        assert len(found) == (len(oracle) if ld is None else min(ld, len(oracle)))
+        assert set(found) <= oracle
 
 
 def test_truncated_ld_yields_equal_probability_multisets(ex4):
