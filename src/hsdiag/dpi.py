@@ -331,9 +331,7 @@ def is_minimal_diagnosis(
     reasoner = reasoner or reasoner_for(dpi)
     if not is_diagnosis(dpi, mask, reasoner):
         return False
-    # last axiom in K order first: the checks leave witnesses and cores in
-    # the reasoner, and a session's searches on it read them
-    return all(not is_diagnosis(dpi, mask ^ bit, reasoner) for bit in reversed([*bits_of(mask)]))
+    return all(not is_diagnosis(dpi, mask ^ bit, reasoner) for bit in bits_of(mask))
 
 
 class ValidityChecker:

@@ -226,11 +226,14 @@ def run_session(
     The measurement oracle answers from the designated actual diagnosis
     unless answer_fn overrides it (interactive mode). Search statistics of
     every iteration accumulate into the returned trace. The session encodes
-    its DPI once: one reasoner serves the actual's check and every search,
-    and absorbs each answer in ``update_dpi``. On the reasoner backend every
-    search after the first starts from the minimal conflicts of the search
-    before it, carried over the answer by :func:`carry_conflicts`; the
-    abstract backend's conflict family carries its conflicts itself. The
+    its DPI once for its searches: one reasoner serves every search and
+    absorbs each answer in ``update_dpi``. ``check_actual`` checks the actual
+    on a reasoner of its own, which leaves no witness or core behind for
+    the searches, so a session's counters are its searches' alone. On the
+    reasoner backend every search after the first starts from the minimal
+    conflicts of the search before it, carried over the answer by
+    :func:`carry_conflicts`; the abstract backend's conflict family carries
+    its conflicts itself. The
     lists, queries and answers are those of searches that start from an
     empty store, except that card-mode RBF-HS may list diagnoses of equal
     cost in another order. ``debug`` runs every search with its debug
@@ -245,11 +248,10 @@ def run_session(
         raise ValueError(f"unknown algorithm: {algo!r}")
     search = SEARCHES[algo]
     actual_ids = actual.id_set if isinstance(actual, Diagnosis) else frozenset(actual)
-    reasoner = reasoner_for(dpi)
-    if check_actual and not is_minimal_diagnosis(dpi, actual_ids, reasoner):
+    if check_actual and not is_minimal_diagnosis(dpi, actual_ids):
         raise ValueError(f"designated actual {sorted(actual_ids)} is not a minimal diagnosis")
     iterations: list[SessionIteration] = []
-    current, seeds = dpi, []
+    current, seeds, reasoner = dpi, [], reasoner_for(dpi)
     while True:
         result: SearchResult = search(current, pr, ld, reasoner=reasoner, seeds=seeds, debug=debug)
         found = tuple(result.diagnoses)

@@ -274,9 +274,10 @@ def test_session_table1_isolates_actual(table1, table1_card):
 @pytest.mark.parametrize("check_actual", [False, True])
 @pytest.mark.parametrize("algo", ["rbfhs", "hstree"])
 def test_session_encodes_once(table1, table1_card, monkeypatch, algo, check_actual):
-    # one reasoner serves the actual's check, every search and every
-    # measurement selection, and absorbs each answer, so the session
-    # encodes its DPI exactly once however many iterations it runs
+    # one reasoner serves every search and every measurement selection,
+    # and absorbs each answer, so the session encodes its DPI once for them
+    # however many iterations it runs; the actual's check encodes it once
+    # more, on a reasoner of its own that the searches never read
     dpi, _ = table1
     encoded = []
     init = Reasoner.__init__
@@ -289,7 +290,7 @@ def test_session_encodes_once(table1, table1_card, monkeypatch, algo, check_actu
     trace = run_session(dpi, table1_card, 4, {"ax1", "ax3"}, algo, check_actual=check_actual)
     assert trace.query_count == 2
     assert len(trace.iterations) == 3
-    assert encoded == [dpi]
+    assert encoded == [dpi] * (1 + check_actual)
 
 
 @pytest.mark.parametrize("algo", ["rbfhs", "hstree"])

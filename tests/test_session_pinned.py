@@ -35,7 +35,17 @@ to start from the minimal conflicts of the search before it: all 96 moved
 in counters (solver calls 349 → 308 under each algorithm), 6 in ``pr`` by
 less than 1e-12 relative, and 9 card-mode RBF-HS sessions list equal-cost
 diagnoses in another order; no list member, query, answer or final
-diagnosis changed, and the abstract (``ex4``) sessions did not move.
+diagnosis changed, and the abstract (``ex4``) sessions did not move. 96
+sessions were recorded again when ``run_session`` began to check the
+actual on a reasoner of its own, whose witnesses and cores the searches
+no longer read: ``solver_calls`` moved in all 96 (308 → 488 under HS-Tree,
+308 → 489 under RBF-HS, summed), ``label_calls`` in 62,
+``nodes_generated`` in 60, ``conflict_reuses`` in 59 and
+``peak_live_nodes`` in 42, ``conflict_computations`` in none; 18 moved
+``pr`` by less than 1e-12 relative, and 11 card-mode and 2 ``table1``
+prob-mode RBF-HS sessions list diagnoses of equal cost in another order.
+No list member, query, answer or final diagnosis changed, and the ``ex4``
+sessions did not move.
 
 Regenerate (only for a deliberate behaviour change) with
 ``PYTHONPATH=src python tests/test_session_pinned.py > tests/session_pinned.json``.
