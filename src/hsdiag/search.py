@@ -99,10 +99,10 @@ paper's RBF-HS.
 Both ordered searches rank a child by an admissible bound on every
 diagnosis below it, the disjoint-core bound of core-guided MaxSAT (Davies &
 Bacchus, CP 2011) used as in conflict-directed A* (Williams & Ragno, DAM
-2007). When a node is expanded on stored conflict i, every stored
-conflict disjoint from the node lies past i: those before the resume point
-hit the parent, and those between it and i were just scanned. Greedily, in
-store order, the expansion packs the conflicts disjoint from the node, from
+2007). When a node is expanded on stored conflict i, every stored conflict
+disjoint from the node lies past i: those before the resume point hit the
+parent, and those between it and i were just scanned. Greedily, in store
+order, the expansion packs the conflicts disjoint from the node, from
 conflict i and from one another; h is the sum of each packed conflict's
 largest log step (the first of its steps, which ``add_conflict`` stores
 largest first), and k their number. Only conflicts disjoint from conflict i
@@ -113,21 +113,21 @@ order, and packing walks that list alone. Every child gets F = f + h: a
 child adds one member of conflict i, so each packed conflict is disjoint
 from it, and a diagnosis below it must hit each packed conflict with an
 axiom of its own, outside the child, which costs at most that conflict's
-largest step, while any further axiom only lowers the cost. So no diagnosis below the
-child costs more than f + h, and a valid child has nothing packed, so its F
-is its f: HS-Tree, whose heap is keyed on F, still pops every diagnosis in
-the full sort order, and RBF-HS stays best first. F must never fall below
-a diagnosis's f through rounding. With equal probabilities (card mode) F is
-taken from a table of the level values f_empty + cδ, summed one step at a
-time as nodes sum them, so F is exactly the level at card + k, the cost of
-the cheapest set a diagnosis below the child could be. In prob mode h is
-raised by a relative 1e-12 (``_PAD``) of the magnitude of the children's
-f + h; a pad in card mode would move F off the levels, and RBFS would then
-switch between siblings whose F differ only by it. Storing a conflict
-takes one ``&`` per conflict stored before it, once; packing takes one
-per listed conflict per expansion. ``ordered=False`` keeps h = 0, so the
-paper's tree, its counters and the walkthrough traces stay as the paper
-gives them.
+largest step, while any further axiom only lowers the cost. So no diagnosis
+below the child costs more than f + h, and a valid child has nothing
+packed, so its F is its f: HS-Tree, whose heap is keyed on F, still pops
+every diagnosis in the full sort order, and RBF-HS stays best first. F must
+never fall below a diagnosis's f through rounding. With equal probabilities
+(card mode) F is taken from a table of the level values f_empty + cδ,
+summed one step at a time as nodes sum them, so F is exactly the level at
+card + k, the cost of the cheapest set a diagnosis below the child could
+be. In prob mode h is raised by a relative 1e-12 (``_PAD``) of the
+magnitude of the children's f + h; a pad in card mode would move F off the
+levels, and RBFS would then switch between siblings whose F differ only by
+it. Storing a conflict takes one ``&`` per conflict stored before it, once;
+packing takes one per listed conflict per expansion. ``ordered=False``
+keeps h = 0, so the paper's tree, its counters and the walkthrough traces
+stay as the paper gives them.
 
 RBF-HS keeps Korf's recursion as an explicit stack of frames, so the depth
 of the tree costs no Python stack and a diagnosis with thousands of
@@ -238,9 +238,10 @@ ld − |D|, which can never enter D); the RBF-HS frame stack, one 7-tuple
 per level, O(depth), whose sibling lists are live nodes already counted;
 the conflict store, the seeds it starts from included, with one ``(delta,
 bit)`` list per conflict and one list of the later conflicts disjoint from
-it, at most n(n − 1)/2 ints in all for n stored conflicts; the card-mode level table, |K| + 1 floats; D;
-and the per-axiom diagnosis lists, whose total length is the summed size of the
-diagnoses found, each once: those in D, those held and those dropped.
+it, at most n(n − 1)/2 ints in all for n stored conflicts; the card-mode
+level table, |K| + 1 floats; D; and the per-axiom diagnosis lists, whose
+total length is the summed size of the diagnoses found, each once: those
+in D, those held and those dropped.
 """
 
 from __future__ import annotations

@@ -233,11 +233,10 @@ def run_session(
     reasoner backend every search after the first starts from the minimal
     conflicts of the search before it, carried over the answer by
     :func:`carry_conflicts`; the abstract backend's conflict family carries
-    its conflicts itself. The
-    lists, queries and answers are those of searches that start from an
-    empty store, except that card-mode RBF-HS may list diagnoses of equal
-    cost in another order. ``debug`` runs every search with its debug
-    checks.
+    its conflicts itself. The lists, queries and answers are those of
+    searches that start from an empty store, except that card-mode RBF-HS
+    may list diagnoses of equal cost in another order. ``debug`` runs every
+    search with its debug checks.
 
     Whatever the answers, no axiom is queried twice, so a session ends
     within |K| queries; only a DPI without any diagnosis raises
