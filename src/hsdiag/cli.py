@@ -88,9 +88,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, EOFError) as exc:  # EOFError: the interactive oracle's input ended
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print("error: input is nested too deeply (Python recursion limit reached)", file=sys.stderr)
-        return 1
     except MemoryError:
         print("error: out of memory (Python MemoryError raised)", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
-"""Propositional logic core: formula ASTs, parsing, CNF conversion, and a
-complete iterative DPLL satisfiability procedure that decides under
-assumptions.
+"""Propositional logic core: formula nodes, parsing, printing, CNF
+conversion, and a complete iterative DPLL satisfiability procedure that
+decides under assumptions.
 
 This is the theorem prover behind conflict detection. It is deliberately
 small and deterministic: atom numbering, clause emission order and the DPLL
@@ -9,15 +9,27 @@ decision paths. One node class, ``Binary``, declares the shape of every
 binary operator, and one table, ``_BINARY``, owns the operators: their
 tokens, precedence and associativity for the parser and the printer, and
 the definitional clauses of each for the CNF encoder.
+
+Formula nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): a constructor returns the one live node of
+its class and operands, so equal formulas are one object and compare, and
+hash, by identity, never by walking their structure. Every order of
+formulas that the package produces sorts them by their text instead, since
+set order follows object addresses. No walk recurses: the parser, the
+printer, the atom collector and the encoder each keep an explicit stack, so
+how deeply a formula nests is bounded by memory, not by Python's recursion
+limit.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-_ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"  # atom names and the keywords true and false
+_ATOM_NAME = re.compile(rf"(?!(?:true|false)\Z){_NAME}\Z")
 
 
 class ParseError(ValueError):
@@ -29,59 +41,144 @@ class ParseError(ValueError):
         self.column = column
 
 
+# ---------------------------------------------------------------------------
+# Formula nodes
+
+# The live formula nodes, keyed by class and operands; the operands are
+# nodes themselves, so a key compares by identity too. An entry goes when
+# its node does, so the table holds only formulas that someone holds.
+_TABLE: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(ref: weakref.KeyedRef, table=_TABLE) -> None:
+    if table.get(ref.key) is ref:  # not a node made again under the key since
+        del table[ref.key]
+
+
+def _make(key: tuple, **fields) -> Formula:
+    """A new node of class key[0] with the fields, entered under key."""
+    node = object.__new__(key[0])
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    _TABLE[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
 class Formula:
-    """Base class of formula nodes. Instances are immutable and compare
-    structurally, which makes them usable as set members."""
+    """Base class of formula nodes. Nodes are immutable and interned: equal
+    formulas are one object, so ``==`` and ``hash`` are those of identity,
+    and ``copy``, ``deepcopy`` and ``pickle`` give back the interned node."""
+
+    __slots__ = ("__weakref__",)
 
     def __str__(self) -> str:
         return format_formula(self)
 
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]  # nodes, and text to write as it is
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            cls, args = item.__reduce__()
+            out.append(f"{cls.__name__}(")
+            stack.append(")")
+            for i, arg in enumerate(reversed(args)):
+                if i:
+                    stack.append(", ")
+                stack.append(arg if isinstance(arg, Formula) else repr(arg))
+        return "".join(out)
 
-@dataclass(frozen=True)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __copy__(self) -> Formula:
+        return self
+
+    def __deepcopy__(self, memo) -> Formula:
+        return self
+
+
 class Const(Formula):
-    value: bool
+    __slots__ = ("value",)
+
+    def __new__(cls, value: bool):
+        key = (cls, value)
+        ref = _TABLE.get(key)
+        return ref and ref() or _make(key, value=value)
+
+    def __reduce__(self):
+        return Const, (self.value,)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _ATOM_NAME.match(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _TABLE.get(key)
+        node = ref and ref()
+        if node is None:
+            if not _ATOM_NAME.match(name):
+                raise ValueError(f"invalid atom name: {name!r}")
+            node = _make(key, name=name)
+        return node
+
+    def __reduce__(self):
+        return Atom, (self.name,)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __new__(cls, operand: Formula):
+        key = (cls, operand)
+        ref = _TABLE.get(key)
+        return ref and ref() or _make(key, operand=operand)
+
+    def __reduce__(self):
+        return Not, (self.operand,)
 
 
-@dataclass(frozen=True)
 class Binary(Formula):
-    """A binary node; a subclass names the operator, and ``==`` compares it."""
+    """A binary node; a subclass names the operator, and is part of the key
+    a node is interned under."""
 
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
+
+    def __new__(cls, lhs: Formula, rhs: Formula):
+        key = (cls, lhs, rhs)
+        ref = _TABLE.get(key)
+        return ref and ref() or _make(key, lhs=lhs, rhs=rhs)
+
+    def __reduce__(self):
+        return type(self), (self.lhs, self.rhs)
 
 
 class And(Binary):
-    pass
+    __slots__ = ()
 
 
 class Or(Binary):
-    pass
+    __slots__ = ()
 
 
 class Implies(Binary):
-    pass
+    __slots__ = ()
 
 
 class Iff(Binary):
-    pass
+    __slots__ = ()
 
 
 TRUE = Const(True)
 FALSE = Const(False)
+_KEYWORDS = {"true": TRUE, "false": FALSE}
 
 
 # The binary operators, loosest first: (token, node class, right-associative,
@@ -101,121 +198,137 @@ _DEFINITION = {ctor: define for _, ctor, _, define in _BINARY}  # node class -> 
 # ---------------------------------------------------------------------------
 # Parsing
 
-_LEVEL = {token: i for i, (token, *_) in enumerate(_BINARY)}  # token -> table index
+# One match per token: an operator, a name or, for an unknown token, the
+# character that starts it; each after any whitespace.
+_TOKEN = re.compile(rf"\s*(?:(<->|->|[!&|()])|({_NAME})|(\S))")
 
-_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><->|->|[!&|()])|(?P<ws>\s+)")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unknown token {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            kind = "name" if m.lastgroup == "name" else lexeme
-            tokens.append((kind, lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(("end", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        _, _, line, col = self.peek()
-        return ParseError(message, line, col)
-
-    def parse(self) -> Formula:
-        f = self.binary(0)
-        if self.peek()[0] != "end":
-            raise self.error(f"unexpected {self.peek()[1]!r}")
-        return f
-
-    def binary(self, level: int) -> Formula:
-        """Precedence climbing: a unary operand, then every operator that
-        binds at ``level`` or tighter, each with its right operand."""
-        f = self.unary()
-        while _LEVEL.get(self.peek()[0], -1) >= level:
-            i = _LEVEL[self.take()[0]]
-            _, ctor, right, _ = _BINARY[i]
-            f = ctor(f, self.binary(i if right else i + 1))
-        return f
-
-    def unary(self) -> Formula:
-        kind, lexeme, _, _ = self.peek()
-        if kind == "!":
-            self.take()
-            return Not(self.unary())
-        if kind == "(":
-            self.take()
-            f = self.binary(0)
-            if self.peek()[0] != ")":
-                raise self.error("expected ')'")
-            self.take()
-            return f
-        if kind == "name":
-            self.take()
-            if lexeme == "true":
-                return TRUE
-            if lexeme == "false":
-                return FALSE
-            return Atom(lexeme)
-        raise self.error(f"expected a formula, found {lexeme or 'end of input'!r}")
+# token -> (node class, table index, least index of a stacked operator that
+# the token makes the parser apply): a right-associative operator leaves its
+# own kind stacked, a left-associative one applies it.
+_INFIX = {token: (ctor, i, i + right) for i, (token, ctor, right, _) in enumerate(_BINARY)}
+_NOT, _OPEN = -1, -2  # stacked prefixes; every table index lies above both
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse a formula from text. Raises ParseError with line/column."""
-    return _Parser(text).parse()
+    """Parse a formula from text. Raises ParseError with line/column.
+
+    Operator precedence with explicit stacks: ``ops`` holds the table
+    indexes of the binary operators still waiting for their right operand,
+    ``!`` and ``(`` as ``_NOT`` and ``_OPEN``, and ``operands`` the finished
+    subformulas."""
+    tokens = _TOKEN.findall(text)
+    operands: list[Formula] = []
+    ops: list[int] = []
+    ctors: list[type] = []  # the class of each stacked binary operator
+    depth = 0  # open parentheses
+    want_operand = True
+    for i, (op, name, bad) in enumerate(tokens):
+        if want_operand:
+            if name:
+                f = _KEYWORDS.get(name) or Atom(name)
+            elif op == "!":
+                ops.append(_NOT)
+                continue
+            elif op == "(":
+                ops.append(_OPEN)
+                depth += 1
+                continue
+            else:
+                raise _parse_error(text, tokens, i, f"expected a formula, found {op or bad!r}")
+            want_operand = False
+        elif op in _INFIX:
+            ctor, level, least = _INFIX[op]
+            while ops and ops[-1] >= least:
+                ops.pop()
+                rhs = operands.pop()
+                operands[-1] = ctors.pop()(operands[-1], rhs)
+            ops.append(level)
+            ctors.append(ctor)
+            want_operand = True
+            continue
+        elif op == ")" and depth:
+            while ops[-1] != _OPEN:
+                ops.pop()
+                rhs = operands.pop()
+                operands[-1] = ctors.pop()(operands[-1], rhs)
+            ops.pop()
+            depth -= 1
+            f = operands.pop()
+        elif depth:
+            raise _parse_error(text, tokens, i, "expected ')'")
+        else:
+            raise _parse_error(text, tokens, i, f"unexpected {op or name or bad!r}")
+        while ops and ops[-1] == _NOT:  # `!` binds tighter than every binary operator
+            ops.pop()
+            f = Not(f)
+        operands.append(f)
+    if want_operand:
+        raise _parse_error(text, tokens, len(tokens), "expected a formula, found 'end of input'")
+    if depth:
+        raise _parse_error(text, tokens, len(tokens), "expected ')'")
+    f = operands.pop()
+    while ops:
+        ops.pop()
+        f = ctors.pop()(operands.pop(), f)
+    return f
+
+
+def _parse_error(text: str, tokens: list[tuple[str, str, str]], i: int, message: str) -> ParseError:
+    """The error for token i (len(tokens): the end of input) with its line
+    and column. An unknown token anywhere in the text is reported first."""
+    bad = next((j for j in range(i, len(tokens)) if tokens[j][2]), None)
+    if bad is not None:
+        i, message = bad, f"unknown token {tokens[bad][2]!r}"
+    pos = len(text)
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        if j == i:
+            pos = m.start(m.lastindex)
+            break
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 # ---------------------------------------------------------------------------
-# Printing (inverse of the parser up to structural equality)
+# Printing (inverse of the parser: parsing the text gives the same node)
 
-# node class -> (token, precedence, left floor, right floor); precedence is
-# the table index + 1, and the side an operator associates to keeps it as
-# its floor. A node is parenthesised when its precedence is below the floor.
-_PRINT = {ctor: (token, i + 1, i + 1 + right, i + 2 - right)
+# node class -> (spaced token, precedence, left floor, right floor);
+# precedence is the table index + 1, and the side an operator associates to
+# keeps it as its floor. A node is parenthesised when its precedence is
+# below the floor.
+_PRINT = {ctor: (f" {token} ", i + 1, i + 1 + right, i + 2 - right)
           for i, (token, ctor, right, _) in enumerate(_BINARY)}
 _NOT_FLOOR = len(_BINARY) + 1  # above every binary operator
 
 
 def format_formula(f: Formula) -> str:
-    return _fmt(f, 0)
-
-
-def _fmt(f: Formula, floor: int) -> str:
-    op = _PRINT.get(type(f))
-    if op is not None:
-        token, prec, left, right = op
-        s = f"{_fmt(f.lhs, left)} {token} {_fmt(f.rhs, right)}"
-        return f"({s})" if prec < floor else s
-    if isinstance(f, Not):  # never parenthesised: no floor exceeds its own
-        return "!" + _fmt(f.operand, _NOT_FLOOR)
-    if isinstance(f, Atom):
+    """The formula's text: each piece is written as it is popped from a
+    stack of nodes (with the floor their place sets) and literal strings."""
+    if type(f) is Atom:
         return f.name
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    raise TypeError(f"not a formula: {f!r}")  # pragma: no cover
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, floor = item
+        op = _PRINT.get(type(f))
+        if op is not None:
+            token, prec, left, right = op
+            if prec < floor:
+                out.append("(")
+                stack.append(")")
+            stack += ((f.rhs, right), token, (f.lhs, left))
+        elif type(f) is Not:  # never parenthesised: no floor exceeds its own
+            out.append("!")
+            stack.append((f.operand, _NOT_FLOOR))
+        elif type(f) is Atom:
+            out.append(f.name)
+        elif type(f) is Const:
+            out.append("true" if f.value else "false")
+        else:
+            raise TypeError(f"not a formula: {f!r}")  # pragma: no cover
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +357,7 @@ class _Encoder:
     """
 
     def __init__(self, formulas: Iterable[Formula]):
-        names: set[str] = set()
-        for f in formulas:
-            _collect_atoms(f, names)
-        self.atom_ids = {name: i + 1 for i, name in enumerate(sorted(names))}
+        self.atom_ids = {name: i + 1 for i, name in enumerate(sorted(_collect_atoms(formulas)))}
         self.next_var = len(self.atom_ids) + 1
         self.cache: dict[Formula, int] = {}
         self.clauses: dict[frozenset[int], None] = {}
@@ -256,7 +366,7 @@ class _Encoder:
     def add(self, lits: Iterable[int]) -> None:
         clause = frozenset(lits)
         if not any(-l in clause for l in clause):
-            self.clauses.setdefault(clause)
+            self.clauses[clause] = None
 
     def fresh(self) -> int:
         v = self.next_var
@@ -264,35 +374,72 @@ class _Encoder:
         return v
 
     def lit(self, f: Formula) -> int:
-        if f in self.cache:
-            return self.cache[f]
-        if isinstance(f, Atom):
-            out = self.atom_ids[f.name]
-        elif isinstance(f, Const):
-            if self.true is None:
-                self.true = self.fresh()
-                self.add((self.true,))
-            out = self.true if f.value else -self.true
-        elif isinstance(f, Not):
-            out = -self.lit(f.operand)
-        else:
-            a = self.lit(f.lhs)
-            b = self.lit(f.rhs)
-            out = self.fresh()
-            for clause in _DEFINITION[type(f)](out, a, b):
-                self.add(clause)
-        self.cache[f] = out
+        """The literal of f, encoding each subformula not met before,
+        left operand first: a node stays on the stack until its operands
+        have literals."""
+        cache = self.cache
+        out = cache.get(f)
+        if out is not None:
+            return out
+        clauses = self.clauses
+        stack = [f]
+        while stack:
+            f = stack[-1]
+            cls = type(f)
+            if cls is Atom:
+                out = self.atom_ids[f.name]
+            elif cls is Not:
+                out = cache.get(f.operand)
+                if out is None:
+                    stack.append(f.operand)
+                    continue
+                out = -out
+            elif cls is Const:
+                if self.true is None:
+                    self.true = self.fresh()
+                    self.add((self.true,))
+                out = self.true if f.value else -self.true
+            else:
+                a = cache.get(f.lhs)
+                if a is None:
+                    stack.append(f.lhs)
+                    continue
+                b = cache.get(f.rhs)
+                if b is None:
+                    stack.append(f.rhs)
+                    continue
+                out = self.next_var
+                self.next_var = out + 1
+                # out is fresh, so only a and b can clash, and only if one
+                # variable underlies both
+                if a == b or a == -b:
+                    for clause in _DEFINITION[cls](out, a, b):
+                        self.add(clause)
+                else:
+                    for clause in _DEFINITION[cls](out, a, b):
+                        clauses[frozenset(clause)] = None
+            cache[f] = out
+            stack.pop()
         return out
 
 
-def _collect_atoms(f: Formula, into: set[str]) -> None:
-    if isinstance(f, Atom):
-        into.add(f.name)
-    elif isinstance(f, Not):
-        _collect_atoms(f.operand, into)
-    elif isinstance(f, Binary):
-        _collect_atoms(f.lhs, into)
-        _collect_atoms(f.rhs, into)
+def _collect_atoms(formulas: Iterable[Formula]) -> set[str]:
+    """The atom names in the formulas, each shared subformula walked once."""
+    names: set[str] = set()
+    seen: set[Formula] = set()
+    stack = list(formulas)
+    while stack:
+        f = stack.pop()
+        cls = type(f)
+        if cls is Atom:
+            names.add(f.name)
+        elif cls is not Const and f not in seen:
+            seen.add(f)
+            if cls is Not:
+                stack.append(f.operand)
+            else:
+                stack += (f.lhs, f.rhs)
+    return names
 
 
 def to_clause_set(formulas: Iterable[Formula]) -> ClauseSet:
@@ -339,14 +486,21 @@ class Solver:
     conflict is only reached after decisions the core is every assumption,
     which stays sound because no clause is ever learned.
 
-    Internally literal +v is code 2v and -v is code 2v+1, so negation is
-    ``code ^ 1``; ``value`` maps a code to 1 (true), -1 (false) or 0.
+    Internally literal +v is code 2v and -v is code 2v+1 (the ``code``
+    table maps each literal to its code), so negation is ``code ^ 1``;
+    ``value`` maps a code to 1 (true), -1 (false) or 0.
     """
 
     def __init__(
         self, clauses: Iterable[frozenset[int]], var_count: int, preferred: Iterable[int] = ()
     ):
-        self.order = _codes(preferred) + list(range(3, 2 * var_count + 2, 2))
+        # literal -> code, for the literals of variables 1..var_count; a
+        # literal outside them raises KeyError
+        self.code = dict(zip(range(1, var_count + 1), range(2, 2 * var_count + 1, 2)))
+        self.code.update(zip(range(-1, -var_count - 1, -1), range(3, 2 * var_count + 2, 2)))
+        code = self.code.__getitem__
+        # code 0 (variable 0, in no clause, so never assigned) ends the order
+        self.order = [*map(code, preferred), *range(3, 2 * var_count + 2, 2), 0]
         self.value = [0] * (2 * var_count + 2)
         self.watches: list[list[list[int]]] = [[] for _ in self.value]
         self.trail: list[int] = []
@@ -358,7 +512,7 @@ class Solver:
         self.core: list[int] = []
         units = []
         for clause in clauses:
-            codes = _codes(clause)
+            codes = list(map(code, clause))
             if len(codes) > 1:
                 self.watches[codes[0]].append(codes)
                 self.watches[codes[1]].append(codes)
@@ -373,7 +527,7 @@ class Solver:
         """Add the unit clause ``lit`` for good, propagated at the root;
         sets ``conflict`` when the clauses become unsatisfiable."""
         if not self.conflict:
-            self.conflict = not self._assume(_codes((lit,))) or not self._propagate()
+            self.conflict = not self._assume((self.code[lit],)) or not self._propagate()
 
     def _assume(self, codes: Iterable[int]) -> bool:
         """Set codes true with no reason; False (``failed`` = the code) when
@@ -392,22 +546,25 @@ class Solver:
 
     def _propagate(self) -> bool:
         """Unit propagation of the unpropagated trail; False (``failed`` =
-        the falsified clause) on a conflict."""
+        the falsified clause) on a conflict. Each watch list it visits is
+        compacted in place, keeping its order."""
         value, watches, trail, reason = self.value, self.watches, self.trail, self.reason
         head = self.head
         while head < len(trail):
             false_code = trail[head] ^ 1
             head += 1
             watching = watches[false_code]
-            kept = []
+            kept = 0  # watching[:kept] still watches false_code
             for pos, clause in enumerate(watching):
                 # The watched pair is clause[:2]; keep the false one at index 1.
-                if clause[0] == false_code:
-                    clause[0] = clause[1]
-                    clause[1] = false_code
                 other = clause[0]
-                if value[other] == 1:
-                    kept.append(clause)
+                if other == false_code:
+                    other = clause[0] = clause[1]
+                    clause[1] = false_code
+                v = value[other]
+                if v == 1:
+                    watching[kept] = clause
+                    kept += 1
                     continue
                 for k in range(2, len(clause)):
                     code = clause[k]
@@ -417,17 +574,17 @@ class Solver:
                         watches[code].append(clause)
                         break
                 else:
-                    kept.append(clause)
-                    if value[other] == -1:
-                        kept.extend(watching[pos + 1:])
-                        watches[false_code] = kept
+                    watching[kept] = clause
+                    kept += 1
+                    if v:  # v == -1
+                        del watching[kept:pos + 1]
                         self.failed = clause
                         return False
                     value[other] = 1
                     value[other ^ 1] = -1
                     trail.append(other)
                     reason[other >> 1] = clause
-            watches[false_code] = kept
+            del watching[kept:]
         self.head = head
         return True
 
@@ -451,40 +608,54 @@ class Solver:
                 if clause is None:
                     core.append(code)
                 else:
-                    seen.update(c >> 1 for c in clause)
+                    seen.update([c >> 1 for c in clause])
         return core
 
     def solve(self, assumptions: Iterable[int] = ()) -> bool:
         """True iff the clauses and the assumption literals are satisfiable;
-        sets ``model`` on True and ``core`` on False."""
+        sets ``model`` on True and ``core`` on False. Assumptions and
+        decisions are assigned here, with no reason."""
         if self.conflict:
             self.core = []
             return False
-        value, trail = self.value, self.trail
+        value, trail, reason = self.value, self.trail, self.reason
         root = len(trail)
-        codes = _codes(assumptions)
+        root_value = value[:]
+        codes = list(map(self.code.__getitem__, assumptions))
         try:
-            if not self._assume(codes):
-                # the assumed code itself plus whatever made it false
-                self.core = _literals([*self.failed, *self._failed_assumptions(root)])
-                return False
+            for code in codes:
+                if value[code] == -1:
+                    # the assumed code itself plus whatever made it false
+                    self.failed = (code,)
+                    self.core = _literals([code, *self._failed_assumptions(root)])
+                    return False
+                if not value[code]:
+                    value[code] = 1
+                    value[code ^ 1] = -1
+                    trail.append(code)
+                    reason[code >> 1] = None
             if not self._propagate():
                 self.core = _literals(self._failed_assumptions(root))
                 return False
             order = self.order
-            end = len(order)
+            end = len(order) - 1
             decisions: list[list[int]] = []  # [trail size before, code, flipped, order index]
             index = 0  # order[:index] is assigned
             while True:
-                while index < end and value[order[index]]:
+                while value[order[index]]:
                     index += 1
                 if index == end:
                     self.model = value[:]
                     return True
                 code = order[index]
                 decisions.append([len(trail), code, 0, index])
-                self._assume((code,))
-                while not self._propagate():
+                while True:
+                    value[code] = 1
+                    value[code ^ 1] = -1
+                    trail.append(code)
+                    reason[code >> 1] = None
+                    if self._propagate():
+                        break
                     while decisions and decisions[-1][2]:
                         decisions.pop()
                     if not decisions:
@@ -493,13 +664,11 @@ class Solver:
                     size, code, _, index = top = decisions[-1]
                     top[2] = 1
                     self._undo(size)
-                    self._assume((code ^ 1,))
-        finally:
-            self._undo(root)
-
-
-def _codes(lits: Iterable[int]) -> list[int]:
-    return [2 * lit if lit > 0 else 1 - 2 * lit for lit in lits]
+                    code ^= 1
+        finally:  # back to the root, by a copy rather than a walk of the trail
+            value[:] = root_value
+            del trail[root:]
+            self.head = root
 
 
 def _literals(codes: Iterable[int]) -> list[int]:

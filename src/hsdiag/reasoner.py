@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from .logic import Solver, _codes, _Encoder, format_formula
+from .logic import Solver, _Encoder, format_formula
 
 if TYPE_CHECKING:
     from .dpi import Dpi
@@ -93,9 +93,7 @@ class Reasoner:
             enc.add((enc.lit(f),))
         self._mask_of = dpi.mask_of
         self._full = dpi.full_mask
-        # (K bit, selector) and (K bit, goal code), in K order
-        self._selectors: list[tuple[int, int]] = []
-        self._goal_codes: list[tuple[int, int]] = []
+        self._selectors: list[tuple[int, int]] = []  # (K bit, selector), in K order
         self._goals: dict[str, tuple[int, int]] = {}  # axiom -> (goal literal, K bit)
         for (axiom, bit), f in zip(dpi.bits.items(), dpi.formulas):
             goal = enc.lit(f)
@@ -103,10 +101,11 @@ class Reasoner:
             selector = enc.fresh()
             enc.add((-selector, goal))
             self._selectors.append((bit, selector))
-            self._goal_codes.append((bit, _codes((goal,))[0]))
         self._negatives = [enc.lit(n) for n in negative]
         preferred = [goal for goal, _ in self._goals.values()]  # in K order
         self._solver = Solver(enc.clauses, enc.next_var - 1, preferred)
+        code = self._solver.code
+        self._goal_codes = [(bit, code[goal]) for goal, bit in self._goals.values()]  # in K order
         self.solver_calls = 0
         self.invalid_cores: list[int] = []
         self.witnesses: dict[int, int] = {}  # true goals -> false negatives
@@ -125,9 +124,8 @@ class Reasoner:
             return None
         model = solver.model
         true_goals = sum(bit for bit, code in self._goal_codes if model[code] == 1)
-        false_negatives = sum(
-            1 << j for j, code in enumerate(_codes(self._negatives)) if model[code] == -1
-        )
+        code = solver.code
+        false_negatives = sum(1 << j for j, n in enumerate(self._negatives) if model[code[n]] == -1)
         witnesses = self.witnesses
         false_negatives |= witnesses.get(true_goals, 0)
         witnesses[true_goals] = false_negatives

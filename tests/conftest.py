@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from hsdiag import Dpi, cardinality_pr, load_dpi_file
+from hsdiag import Dpi, cardinality_pr, load_dpi_file, parse_formula
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -92,3 +92,25 @@ def random_propositional_dpi(rng: random.Random, max_axioms: int = 8, max_atoms:
     negative = [random_formula(rng, atoms, depth=2) for _ in range(rng.randint(0, 2))]
     background = [random_formula(rng, atoms, depth=1) for _ in range(rng.randint(0, 1))]
     return Dpi.propositional(k, background=background, negative=negative)
+
+
+def adder_dpi(bits: int) -> Dpi:
+    """Ripple-carry adder, five gate axioms per bit, adding all-ones to zero
+    with no carry in; the low sum bit is observed wrong."""
+    k, carry = [], "cin"
+    for i in range(bits):
+        a, b = f"a{i}", f"b{i}"
+        k += [
+            (f"h{i}", f"h{i} <-> !({a} <-> {b})"),
+            (f"s{i}", f"s{i} <-> !(h{i} <-> {carry})"),
+            (f"p{i}", f"p{i} <-> {a} & {b}"),
+            (f"q{i}", f"q{i} <-> h{i} & {carry}"),
+            (f"c{i}", f"c{i} <-> p{i} | q{i}"),
+        ]
+        carry = f"c{i}"
+    observed = ["!cin", "!s0", f"!{carry}"]
+    observed += [f"a{i}" for i in range(bits)] + [f"!b{i}" for i in range(bits)]
+    observed += [f"s{i}" for i in range(1, bits)]
+    return Dpi.propositional(
+        [(axiom, parse_formula(f)) for axiom, f in k], positive=map(parse_formula, observed)
+    )

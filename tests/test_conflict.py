@@ -16,7 +16,7 @@ from hsdiag import (
     parse_formula,
     quickxplain,
 )
-from conftest import random_propositional_dpi
+from conftest import adder_dpi, random_propositional_dpi
 
 
 def minimality_holds(dpi, conflict):
@@ -120,28 +120,6 @@ def test_quickxplain_on_a_k_mask_matches_its_ids_in_k_order(seed, data):
             conflict = str(exc)
         outcomes.append((conflict, checker.calls))
     assert outcomes[0] == outcomes[1]
-
-
-def adder_dpi(bits: int) -> Dpi:
-    """Ripple-carry adder, five gate axioms per bit, adding all-ones to zero
-    with no carry in; the low sum bit is observed wrong."""
-    k, carry = [], "cin"
-    for i in range(bits):
-        a, b = f"a{i}", f"b{i}"
-        k += [
-            (f"h{i}", f"h{i} <-> !({a} <-> {b})"),
-            (f"s{i}", f"s{i} <-> !(h{i} <-> {carry})"),
-            (f"p{i}", f"p{i} <-> {a} & {b}"),
-            (f"q{i}", f"q{i} <-> h{i} & {carry}"),
-            (f"c{i}", f"c{i} <-> p{i} | q{i}"),
-        ]
-        carry = f"c{i}"
-    observed = ["!cin", "!s0", f"!{carry}"]
-    observed += [f"a{i}" for i in range(bits)] + [f"!b{i}" for i in range(bits)]
-    observed += [f"s{i}" for i in range(1, bits)]
-    return Dpi.propositional(
-        [(axiom, parse_formula(f)) for axiom, f in k], positive=map(parse_formula, observed)
-    )
 
 
 @pytest.mark.parametrize("bits", [4, 8])

@@ -1,4 +1,7 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -8,20 +11,25 @@ from hsdiag import (
     And,
     Atom,
     Const,
+    Dpi,
     Iff,
     Implies,
     Not,
     Or,
     ParseError,
+    Reasoner,
+    dumps,
     entails,
     format_formula,
     is_consistent,
     is_satisfiable,
+    loads,
     parse_formula,
     to_clause_set,
 )
-from hsdiag.logic import Binary, Solver
-from conftest import random_formula
+from hsdiag import logic
+from hsdiag.logic import _DEFINITION, Binary, Solver, _Encoder
+from conftest import adder_dpi, random_formula
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -124,9 +132,25 @@ def test_invalid_atom_name_rejected():
         Atom("1abc")
 
 
+@pytest.mark.parametrize("name", ["true", "false"])
+def test_keywords_are_no_atom_names(name):
+    # the tokenizer reads them as constants, so an atom of that name would
+    # come back from its text as a constant
+    with pytest.raises(ValueError):
+        Atom(name)
+    assert parse_formula(name) == Const(name == "true")
+
+
+def test_constants_and_keyword_like_atoms_round_trip_through_dpi_text():
+    dpi = Dpi.propositional(
+        [("ax1", Const(True)), ("ax2", Atom("true_")), ("ax3", Not(Const(False))), ("ax4", Atom("False"))]
+    )
+    assert loads(dumps(dpi))[0] == dpi
+
+
 def test_deep_parentheses_parse():
-    # two parser frames per parenthesis
-    assert parse_formula("(" * 300 + "x" + ")" * 300) == Atom("x")
+    # parentheses only group: the node is the atom's own
+    assert parse_formula("(" * 300 + "x" + ")" * 300) is Atom("x")
 
 
 def test_binary_operators_share_one_node_declaration():
@@ -169,6 +193,94 @@ def test_printer_round_trip(seed):
     rng = random.Random(seed)
     f = random_formula(rng, ["A", "B", "C", "p_1", "Q2"], depth=4)
     assert parse_formula(format_formula(f)) == f
+
+
+# --- interned nodes -----------------------------------------------------------
+
+def test_equal_formulas_are_one_object():
+    text = "!(A & B) -> (C <-> false) | !!A"
+    built = Implies(Not(And(A, B)), Or(Iff(C, Const(False)), Not(Not(A))))
+    assert parse_formula(text) is built
+    assert Const(False) is logic.FALSE and Atom("A") is A
+    assert And(A, B) is not Or(A, B) and Not(Not(A)) is not A
+    assert {built: "kept"}[parse_formula(text)] == "kept"
+    for same in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert same is built
+    assert copy.deepcopy([built, {built}]) == [built, {built}]
+
+
+def test_formulas_are_immutable_and_print_as_their_constructors():
+    with pytest.raises(AttributeError):
+        A.name = "B"
+    with pytest.raises(AttributeError):
+        del A.name
+    assert repr(Implies(A, Not(Const(True)))) == "Implies(Atom('A'), Not(Const(True)))"
+
+
+def test_intern_table_lets_go_of_formulas_nobody_holds():
+    # a long process parses many formulas; the table must not keep them
+    gc.collect()
+    before = len(logic._TABLE)
+    held = [parse_formula(f"fresh{i} & !(fresh{i} -> other{i % 7})") for i in range(500)]
+    assert len(logic._TABLE) == before + 500 * 4 + 7  # four nodes each, seven shared atoms
+    one = held[123]
+    del held
+    gc.collect()
+    assert len(logic._TABLE) == before + 5  # one's &, !, ->, and its two atoms
+    assert parse_formula("fresh123 & !(fresh123 -> other4)") is one
+    del one
+    gc.collect()
+    assert len(logic._TABLE) == before
+
+
+# --- deep input: no walk recurses -----------------------------------------------
+
+DEEP = 5000
+
+
+def _negations():
+    f = Atom("x")
+    for _ in range(DEEP):
+        f = Not(f)
+    return f
+
+
+def _parentheses():
+    f = And(Atom(f"x{DEEP}"), Atom("y"))
+    for i in reversed(range(DEEP)):
+        f = And(Atom(f"x{i}"), f)
+    return f
+
+
+def _conjuncts():
+    f = Atom("x0")
+    for i in range(1, DEEP):
+        f = And(f, Atom(f"x{i}"))
+    return f
+
+
+@pytest.mark.parametrize(
+    "text, build, atom",
+    [
+        ("!" * DEEP + "x", _negations, "x"),
+        ("".join(f"x{i} & (" for i in range(DEEP)) + f"x{DEEP} & y" + ")" * DEEP, _parentheses, "x0"),
+        (" & ".join(f"x{i}" for i in range(DEEP)), _conjuncts, "x0"),
+    ],
+    ids=["negations", "parentheses", "conjuncts"],
+)
+def test_deep_input_parses_prints_compares_and_encodes(text, build, atom):
+    # each input implies its atom, which the second axiom denies
+    f = parse_formula(text)
+    assert f is build() and f == build() and f != Not(f)
+    assert hash(f) == hash(build()) and {f: 1}[build()] == 1
+    assert format_formula(f) == text and str(f) == text
+    assert repr(f).count("(") > DEEP
+    dpi = Dpi.propositional([("ax1", f), ("ax2", Not(Atom(atom)))])
+    reloaded, _ = loads(dumps(dpi))
+    assert reloaded == dpi and reloaded.formulas[0] is f
+    assert is_satisfiable(to_clause_set([f])) and not is_consistent([f, Not(Atom(atom))])
+    reasoner = Reasoner(dpi)
+    assert reasoner.is_valid(["ax1"]) and not reasoner.is_valid(["ax1", "ax2"])
 
 
 # --- CNF conversion ----------------------------------------------------------
@@ -222,6 +334,92 @@ def test_no_clause_contains_complementary_literals():
         f = random_formula(rng, ["A", "B"], depth=3)
         for clause in to_clause_set([f]).clauses:
             assert not any(-lit in clause for lit in clause)
+
+
+# --- the encoder's walk against the recursion it replaced -------------------
+
+def _recursive_atoms(f, into):
+    if isinstance(f, Atom):
+        into.add(f.name)
+    elif isinstance(f, Not):
+        _recursive_atoms(f.operand, into)
+    elif isinstance(f, Binary):
+        _recursive_atoms(f.lhs, into)
+        _recursive_atoms(f.rhs, into)
+
+
+class RecursiveEncoder(_Encoder):
+    """The recursive ``_Encoder.lit``, ``add`` and atom collection that the
+    explicit-stack walks replaced, kept as their reference."""
+
+    def __init__(self, formulas):
+        names = set()
+        for f in formulas:
+            _recursive_atoms(f, names)
+        self.atom_ids = {name: i + 1 for i, name in enumerate(sorted(names))}
+        self.next_var = len(self.atom_ids) + 1
+        self.cache = {}
+        self.clauses = {}
+        self.true = None
+
+    def add(self, lits):
+        clause = frozenset(lits)
+        if not any(-l in clause for l in clause):
+            self.clauses.setdefault(clause)
+
+    def lit(self, f):
+        if f in self.cache:
+            return self.cache[f]
+        if isinstance(f, Atom):
+            out = self.atom_ids[f.name]
+        elif isinstance(f, Const):
+            if self.true is None:
+                self.true = self.fresh()
+                self.add((self.true,))
+            out = self.true if f.value else -self.true
+        elif isinstance(f, Not):
+            out = -self.lit(f.operand)
+        else:
+            a = self.lit(f.lhs)
+            b = self.lit(f.rhs)
+            out = self.fresh()
+            for clause in _DEFINITION[type(f)](out, a, b):
+                self.add(clause)
+        self.cache[f] = out
+        return out
+
+
+def assert_encodes_as_the_recursion(formulas):
+    # each formula asserted through a fresh selector, as the reasoner does,
+    # so fresh variables interleave with the walks
+    runs = []
+    for encoder in (_Encoder, RecursiveEncoder):
+        enc = encoder(formulas)
+        for f in formulas:
+            goal = enc.lit(f)
+            enc.add((-enc.fresh(), goal))
+        runs.append((list(enc.clauses), enc.next_var, enc.atom_ids, enc.true))
+    assert runs[0] == runs[1]
+
+
+@given(st.integers(0, 10_000))
+def test_encoder_walk_matches_the_recursion_on_random_formulas(seed):
+    # shared subformulas, constants, and double negations next to the
+    # formulas they negate twice: a variable per node, never per literal
+    rng = random.Random(seed)
+    atoms = ["a", "b", "c", "d"]
+    formulas = [random_formula(rng, atoms, depth=4) for _ in range(rng.randint(1, 4))]
+    f, g = formulas[0], random_formula(rng, atoms, depth=2)
+    formulas += [Or(Not(Not(f)), g), Or(f, g), And(Const(rng.random() < 0.5), Not(Not(g)))]
+    assert_encodes_as_the_recursion(formulas)
+
+
+def test_encoder_walk_matches_the_recursion_on_fixtures_and_adders(table1):
+    dpi, _ = table1
+    cases = [dpi] + [adder_dpi(bits) for bits in (1, 4, 8)]
+    for d in cases:
+        hard = sorted(d.background | d.positive, key=format_formula)
+        assert_encodes_as_the_recursion([*hard, *d.formulas, *sorted(d.negative, key=format_formula)])
 
 
 # --- satisfiability ----------------------------------------------------------
