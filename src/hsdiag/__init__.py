@@ -1,5 +1,7 @@
 """hsdiag: linear-space best-first diagnosis search over hitting-set trees."""
 
+from types import ModuleType as _ModuleType
+
 from .conflict import find_min_conflict, quickxplain
 from .dpi import (
     Diagnosis,
@@ -11,11 +13,10 @@ from .dpi import (
     brute_force_min_hitting_sets,
     cardinality_pr,
     cost_adjust,
-    gen_random_dpi,
     is_diagnosis,
     is_minimal_diagnosis,
     is_valid_set,
-    log_pr_of,
+    log_prs,
     normalized,
     normalized_logs,
     pr_of,
@@ -31,12 +32,8 @@ from .logic import (
     Not,
     Or,
     ParseError,
-    entails,
     format_formula,
-    is_consistent,
-    is_satisfiable,
     parse_formula,
-    to_clause_set,
 )
 from .reasoner import Reasoner
 from .search import (
@@ -50,17 +47,16 @@ from .search import (
 )
 from .sequential import (
     Query,
-    QueryPartition,
     SessionIteration,
     SessionTrace,
     carry_conflicts,
     ent_select,
     make_query,
     oracle_answer,
-    partition,
     run_session,
     update_dpi,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, less the submodules that importing them binds here
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))
 __version__ = "0.1.0"

@@ -61,17 +61,7 @@ class BenchRow:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    @classmethod
-    def from_csv(cls, line: str) -> "BenchRow":
-        parts = next(csv.reader(io.StringIO(line)))
-        columns = fields(cls)
-        if len(parts) != len(columns):
-            raise ValueError(f"expected {len(columns)} columns, got {len(parts)}")
-        return cls(**{f.name: _PARSE[f.type](part) for f, part in zip(columns, parts)})
 
-
-# Field annotations are strings under ``from __future__ import annotations``.
-_PARSE = {"str": str, "int": int, "float": float}
 CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
@@ -86,13 +76,6 @@ def csv_line(row) -> str:
 
 def write_rows(rows: Iterable[BenchRow]) -> str:
     return "\n".join([CSV_HEADER, *map(csv_line, rows)]) + "\n"
-
-
-def read_rows(text: str) -> list[BenchRow]:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or wrong CSV header")
-    return [BenchRow.from_csv(l) for l in lines[1:]]
 
 
 def stats_row(

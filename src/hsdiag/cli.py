@@ -19,7 +19,7 @@ from .dpi import (
     brute_force_min_hitting_sets,
     is_diagnosis,
     is_valid_set,
-    log_pr_of,
+    log_prs,
     normalized_logs,
     reasoner_for,
 )
@@ -121,7 +121,7 @@ def _print_diagnoses(result: SearchResult, dpi: Dpi, pr: FaultProbabilities) -> 
         print("no diagnosis exists")
         return
     # log_pr stays finite where pr underflows to 0 (thousands of axioms)
-    logs = [log_pr_of(pr, dpi.k_ids, d.ids) for d in result.diagnoses]
+    logs = log_prs(dpi, pr, [dpi.mask_of(d.ids) for d in result.diagnoses])
     for rank, (diag, log_pr, norm) in enumerate(zip(result.diagnoses, logs, normalized_logs(logs)), start=1):
         ids = ",".join(diag.ids) if diag.ids else "(empty)"
         print(f"{rank}. {ids} pr={diag.pr:.9g} log_pr={log_pr:.9g} norm={norm:.6g}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -76,36 +75,35 @@ def cardinality_pr(k_ids: Iterable[str], c: float = 1 / 3) -> FaultProbabilities
     return FaultProbabilities({a: c for a in k_ids})
 
 
-def _selection(k_ids: Iterable[str], x: Iterable[str]) -> tuple[set[str], list[str]]:
-    members = set(x)
-    k = list(k_ids)
-    unknown = members.difference(k)
-    if unknown:
-        raise ValueError(f"unknown axiom ids: {sorted(unknown)}")
-    return members, k
-
-
 def pr_of(pr: FaultProbabilities, k_ids: Iterable[str], x: Iterable[str]) -> float:
     """Probability that exactly the axioms in x are faulty.
 
     Computed in K order for determinism; search code keeps these values in
     log scale, this function reports the linear value.
     """
-    members, k = _selection(k_ids, x)
+    members, k = set(x), list(k_ids)
+    unknown = members.difference(k)
+    if unknown:
+        raise ValueError(f"unknown axiom ids: {sorted(unknown)}")
     p = 1.0
     for axiom in k:
         p *= pr[axiom] if axiom in members else 1.0 - pr[axiom]
     return p
 
 
-def log_pr_of(pr: FaultProbabilities, k_ids: Iterable[str], x: Iterable[str]) -> float:
-    """Natural log of ``pr_of``, summed in K order; finite where the linear
-    value underflows to zero (thousands of axioms)."""
-    members, k = _selection(k_ids, x)
-    total = 0.0
-    for axiom in k:
-        total += math.log(pr[axiom]) if axiom in members else math.log1p(-pr[axiom])
-    return total
+def log_prs(dpi: Dpi, pr: FaultProbabilities, masks: Iterable[int]) -> list[float]:
+    """The natural log of each K-mask's probability that exactly its axioms
+    are faulty: log p of each member and log(1 - p) of each other axiom,
+    summed in K order. Finite where ``pr_of`` underflows to zero
+    (thousands of axioms)."""
+    terms = [(bit, math.log(pr[axiom]), math.log1p(-pr[axiom])) for axiom, bit in dpi.bits.items()]
+    logs = []
+    for mask in masks:
+        total = 0.0
+        for bit, log_p, log_q in terms:
+            total += log_p if mask & bit else log_q
+        logs.append(total)
+    return logs
 
 
 def normalized_logs(log_values: Sequence[float]) -> list[float]:
@@ -432,19 +430,3 @@ def brute_force_min_hitting_sets(
     found = _minimal_sets(len(universe), lambda mask: all(m & mask for m in member_masks))
     return [tuple(universe[i] for i in combo) for combo in found]
 
-
-def gen_random_dpi(components: int, conflicts: int, max_size: int, seed: int) -> Dpi:
-    """Deterministic random abstract DPI; the sampled conflict family is
-    reduced to an antichain before construction."""
-    if components <= 0 or conflicts < 0 or max_size <= 0:
-        raise ValueError("counts must be positive")
-    if max_size > components:
-        raise ValueError("max_size cannot exceed the component count")
-    rng = random.Random(seed)
-    ids = [str(i + 1) for i in range(components)]
-    raw = []
-    for _ in range(conflicts):
-        size = rng.randint(1, max_size)
-        member = sorted(rng.sample(ids, size), key=ids.index)
-        raw.append(tuple(member))
-    return Dpi.abstract(ids, antichain_reduce(raw))

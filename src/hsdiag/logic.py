@@ -82,14 +82,18 @@ class Formula:
             if type(item) is str:
                 out.append(item)
                 continue
-            cls, args = item.__reduce__()
-            out.append(f"{cls.__name__}(")
+            out.append(f"{type(item).__name__}(")
             stack.append(")")
-            for i, arg in enumerate(reversed(args)):
+            for i, name in enumerate(reversed(item.__match_args__)):
                 if i:
                     stack.append(", ")
+                arg = getattr(item, name)
                 stack.append(arg if isinstance(arg, Formula) else repr(arg))
         return "".join(out)
+
+    def __reduce__(self):
+        # by text: both walks are iterative, and parsing returns this node
+        return parse_formula, (format_formula(self),)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -97,27 +101,18 @@ class Formula:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
-    def __copy__(self) -> Formula:
-        return self
-
-    def __deepcopy__(self, memo) -> Formula:
-        return self
-
 
 class Const(Formula):
-    __slots__ = ("value",)
+    __slots__ = __match_args__ = ("value",)
 
     def __new__(cls, value: bool):
         key = (cls, value)
         ref = _TABLE.get(key)
         return ref and ref() or _make(key, value=value)
 
-    def __reduce__(self):
-        return Const, (self.value,)
-
 
 class Atom(Formula):
-    __slots__ = ("name",)
+    __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str):
         key = (cls, name)
@@ -129,35 +124,26 @@ class Atom(Formula):
             node = _make(key, name=name)
         return node
 
-    def __reduce__(self):
-        return Atom, (self.name,)
-
 
 class Not(Formula):
-    __slots__ = ("operand",)
+    __slots__ = __match_args__ = ("operand",)
 
     def __new__(cls, operand: Formula):
         key = (cls, operand)
         ref = _TABLE.get(key)
         return ref and ref() or _make(key, operand=operand)
 
-    def __reduce__(self):
-        return Not, (self.operand,)
-
 
 class Binary(Formula):
     """A binary node; a subclass names the operator, and is part of the key
     a node is interned under."""
 
-    __slots__ = ("lhs", "rhs")
+    __slots__ = __match_args__ = ("lhs", "rhs")
 
     def __new__(cls, lhs: Formula, rhs: Formula):
         key = (cls, lhs, rhs)
         ref = _TABLE.get(key)
         return ref and ref() or _make(key, lhs=lhs, rhs=rhs)
-
-    def __reduce__(self):
-        return type(self), (self.lhs, self.rhs)
 
 
 class And(Binary):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from hsdiag import Dpi, cardinality_pr, load_dpi_file, parse_formula
+from hsdiag.dpi import antichain_reduce
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -63,6 +64,23 @@ def ex4():
 def table1_card(table1):
     dpi, _ = table1
     return cardinality_pr(dpi.k_ids, 1 / 3)
+
+
+def gen_random_dpi(components: int, conflicts: int, max_size: int, seed: int) -> Dpi:
+    """Deterministic random abstract DPI; the sampled conflict family is
+    reduced to an antichain before construction."""
+    if components <= 0 or conflicts < 0 or max_size <= 0:
+        raise ValueError("counts must be positive")
+    if max_size > components:
+        raise ValueError("max_size cannot exceed the component count")
+    rng = random.Random(seed)
+    ids = [str(i + 1) for i in range(components)]
+    raw = []
+    for _ in range(conflicts):
+        size = rng.randint(1, max_size)
+        member = sorted(rng.sample(ids, size), key=ids.index)
+        raw.append(tuple(member))
+    return Dpi.abstract(ids, antichain_reduce(raw))
 
 
 def random_formula(rng: random.Random, atoms, depth: int = 3):

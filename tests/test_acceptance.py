@@ -19,7 +19,6 @@ from hsdiag import (
     brute_force_min_diagnoses,
     cardinality_pr,
     dumps,
-    gen_random_dpi,
     hs_tree,
     is_valid_set,
     load_dpi_file,
@@ -33,7 +32,7 @@ from hsdiag.bench import run_bench, sample_actuals, summarize
 from hsdiag.cli import main
 from hsdiag.dpi import antichain_reduce
 
-from conftest import FIXTURES, random_propositional_dpi
+from conftest import FIXTURES, gen_random_dpi, random_propositional_dpi
 
 EX4_ORDER = [("1", "4"), ("1", "6"), ("4", "5"), ("2", "4", "6")]
 

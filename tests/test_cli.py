@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ from hsdiag import (
     DpiFileError,
     FaultProbabilities,
     dumps,
-    gen_random_dpi,
     load_dpi_file,
     loads,
     make_query,
@@ -25,7 +25,6 @@ from hsdiag.bench import (
     SUMMARY_HEADER,
     SummaryRow,
     csv_line,
-    read_rows,
     stats_row,
     write_rows,
     write_summary,
@@ -35,7 +34,7 @@ from hsdiag.dpifile import _valid_axiom_id
 from hsdiag.reasoner import Reasoner
 from hsdiag.search import COUNTERS, SEARCHES, SearchStats
 
-from conftest import FIXTURES
+from conftest import FIXTURES, gen_random_dpi
 
 
 # --- DPI file loading ---------------------------------------------------------
@@ -261,6 +260,26 @@ def test_dumps_writes_ids_with_inner_spaces_and_punctuation():
 
 
 # --- BenchRow CSV ----------------------------------------------------------------
+
+# Field annotations are strings under ``from __future__ import annotations``.
+_PARSE = {"str": str, "int": int, "float": float}
+
+
+def row_from_csv(line: str) -> BenchRow:
+    parts = next(csv.reader(io.StringIO(line)))
+    columns = fields(BenchRow)
+    if len(parts) != len(columns):
+        raise ValueError(f"expected {len(columns)} columns, got {len(parts)}")
+    return BenchRow(**{f.name: _PARSE[f.type](part) for f, part in zip(columns, parts)})
+
+
+def read_rows(text: str) -> list[BenchRow]:
+    """The rows of a ``write_rows`` text, or of a CSV file the CLI wrote."""
+    lines = [l for l in text.splitlines() if l.strip()]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("missing or wrong CSV header")
+    return [row_from_csv(l) for l in lines[1:]]
+
 
 def make_row(**kw):
     base = dict(

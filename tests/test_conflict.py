@@ -11,12 +11,11 @@ from hsdiag import (
     ValidityChecker,
     brute_force_min_conflicts,
     find_min_conflict,
-    gen_random_dpi,
     is_valid_set,
     parse_formula,
     quickxplain,
 )
-from conftest import adder_dpi, random_propositional_dpi
+from conftest import adder_dpi, gen_random_dpi, random_propositional_dpi
 
 
 def minimality_holds(dpi, conflict):

@@ -18,7 +18,6 @@ from hsdiag import (
     cardinality_pr,
     cost_adjust,
     find_min_conflict,
-    gen_random_dpi,
     is_diagnosis,
     is_minimal_diagnosis,
     is_valid_set,
@@ -27,8 +26,8 @@ from hsdiag import (
     pr_of,
     quickxplain,
 )
-from hsdiag.dpi import antichain_reduce
-from conftest import random_propositional_dpi
+from hsdiag.dpi import antichain_reduce, log_prs
+from conftest import gen_random_dpi, random_propositional_dpi
 
 TABLE1_DIAGNOSES = [
     frozenset({"ax1", "ax3"}),
@@ -122,6 +121,24 @@ def test_pr_of_sums_to_one():
         for combo in itertools.combinations(ids, size):
             total += pr_of(pr, ids, combo)
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@given(st.integers(0, 10_000), st.data())
+def test_log_prs_is_the_k_order_sum_of_logs(seed, data):
+    # the weights of ent_select and the CLI's log_pr= column: bit for bit
+    # the sum, in K order, of log p over a mask's axioms and log(1 - p) over
+    # the others, whatever the probabilities
+    n = data.draw(st.integers(1, 12))
+    dpi = gen_random_dpi(n, data.draw(st.integers(0, 5)), data.draw(st.integers(1, n)), seed)
+    probs = data.draw(st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), min_size=n, max_size=n))
+    masks = data.draw(st.lists(st.integers(0, dpi.full_mask), max_size=6))
+    expected = []
+    for mask in masks:
+        total = 0.0
+        for i, p in enumerate(probs):
+            total += math.log(p) if mask >> (n - 1 - i) & 1 else math.log1p(-p)
+        expected.append(total)
+    assert log_prs(dpi, FaultProbabilities(dict(zip(dpi.k_ids, probs))), masks) == expected
 
 
 def test_cost_adjust_scales_and_flags():
@@ -280,7 +297,7 @@ def test_monotone_fault_model():
                 assert is_diagnosis(dpi, d.id_set | {a})
 
 
-# --- random instance generator ----------------------------------------------------
+# --- random instance generator (conftest.gen_random_dpi) -------------------------
 
 def test_gen_random_dpi_deterministic():
     assert gen_random_dpi(5, 3, 3, 42) == gen_random_dpi(5, 3, 3, 42)

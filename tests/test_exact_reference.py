@@ -15,7 +15,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from hsdiag import FaultProbabilities, cardinality_pr, gen_random_dpi, hs_tree, rbf_hs
+from hsdiag import FaultProbabilities, cardinality_pr, hs_tree, rbf_hs
+from conftest import gen_random_dpi
 
 
 def exact_min_diagnoses(dpi, pr, ld: int) -> list[tuple[tuple[str, ...], float]]:

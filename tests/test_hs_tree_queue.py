@@ -8,9 +8,10 @@ from heapq import heappop, heappush
 
 from hypothesis import given, settings, strategies as st
 
-from hsdiag import FaultProbabilities, cardinality_pr, gen_random_dpi, hs_tree
+from hsdiag import FaultProbabilities, cardinality_pr, hs_tree
 from hsdiag.dpi import Dpi, antichain_reduce
 from hsdiag.search import _CLOSED, _PAD, _VALID, COUNTERS, HSTREE, _run
+from conftest import gen_random_dpi
 
 
 def _eager_hs_loop(core) -> None:

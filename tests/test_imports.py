@@ -8,9 +8,12 @@ expression (a quoted annotation such as ``"Dpi"``).
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import hsdiag
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hsdiag"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -51,3 +54,10 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse('import os\nimport time\nfrom typing import Any\nx: "Any" = os.sep  # time\n')
     names = read_names(tree)
     assert [n for n in imported_names(tree) if n not in names] == ["time"]
+
+
+def test_no_exported_name_is_a_module():
+    # importing a name from a submodule binds the submodule in the package
+    # too; ``from hsdiag import *`` must not bind it
+    modules = [name for name in hsdiag.__all__ if isinstance(getattr(hsdiag, name), types.ModuleType)]
+    assert modules == []

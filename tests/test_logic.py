@@ -19,16 +19,12 @@ from hsdiag import (
     ParseError,
     Reasoner,
     dumps,
-    entails,
     format_formula,
-    is_consistent,
-    is_satisfiable,
     loads,
     parse_formula,
-    to_clause_set,
 )
 from hsdiag import logic
-from hsdiag.logic import _DEFINITION, Binary, Solver, _Encoder
+from hsdiag.logic import _DEFINITION, Binary, Solver, _Encoder, entails, is_consistent, is_satisfiable, to_clause_set
 from conftest import adder_dpi, random_formula
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -278,6 +274,9 @@ def test_deep_input_parses_prints_compares_and_encodes(text, build, atom):
     dpi = Dpi.propositional([("ax1", f), ("ax2", Not(Atom(atom)))])
     reloaded, _ = loads(dumps(dpi))
     assert reloaded == dpi and reloaded.formulas[0] is f
+    assert pickle.loads(pickle.dumps(f)) is f and copy.deepcopy(f) is f
+    unpickled = pickle.loads(pickle.dumps(dpi))
+    assert unpickled == dpi and unpickled.formulas[0] is f
     assert is_satisfiable(to_clause_set([f])) and not is_consistent([f, Not(Atom(atom))])
     reasoner = Reasoner(dpi)
     assert reasoner.is_valid(["ax1"]) and not reasoner.is_valid(["ax1", "ax2"])

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsdiag import And, Atom, Const, Dpi, Implies, Not, Or, Reasoner, is_consistent, make_query, update_dpi
-from hsdiag.logic import Solver, format_formula
+from hsdiag import And, Atom, Const, Dpi, Implies, Not, Or, Reasoner, make_query, update_dpi
+from hsdiag.logic import Solver, format_formula, is_consistent
 from conftest import random_formula
 from test_logic import evaluate
 

@@ -15,7 +15,6 @@ from hsdiag import (
     brute_force_min_diagnoses,
     cardinality_pr,
     cost_adjust,
-    gen_random_dpi,
     hs_tree,
     is_minimal_diagnosis,
     parse_formula,
@@ -23,7 +22,7 @@ from hsdiag import (
     rbf_hs,
 )
 from hsdiag.dpi import antichain_reduce
-from conftest import random_propositional_dpi, time_limit
+from conftest import gen_random_dpi, random_propositional_dpi, time_limit
 from test_reasoner import counting_solves
 
 EX4_ORDER = [("1", "4"), ("1", "6"), ("4", "5"), ("2", "4", "6")]

@@ -48,7 +48,8 @@ from pathlib import Path
 
 import pytest
 
-from hsdiag import FaultProbabilities, cardinality_pr, gen_random_dpi, hs_tree, rbf_hs
+from conftest import gen_random_dpi
+from hsdiag import FaultProbabilities, cardinality_pr, hs_tree, rbf_hs
 
 HERE = Path(__file__).resolve().parent
 CORPORA = {

@@ -13,21 +13,19 @@ from hsdiag import (
     cardinality_pr,
     carry_conflicts,
     ent_select,
-    gen_random_dpi,
     is_diagnosis,
-    log_pr_of,
     make_query,
     normalized_logs,
     oracle_answer,
     parse_formula,
-    partition,
     rbf_hs,
     run_session,
     update_dpi,
 )
-from hsdiag.dpi import bits_of, reasoner_for
+from hsdiag.dpi import bits_of, log_prs, reasoner_for
 from hsdiag.search import SEARCHES
-from conftest import random_propositional_dpi
+from hsdiag.sequential import partition
+from conftest import gen_random_dpi, random_propositional_dpi
 
 
 def table1_diagnoses(dpi):
@@ -134,7 +132,7 @@ def partition_select(dpi, diagnoses, pr):
     mass plus half the unaffected mass, ties to the smaller unaffected cell,
     then the lowest axiom id; only axioms with both dplus and dminus
     nonempty qualify."""
-    weights = normalized_logs([log_pr_of(pr, dpi.k_ids, d.ids) for d in diagnoses])
+    weights = normalized_logs(log_prs(dpi, pr, [dpi.mask_of(d.ids) for d in diagnoses]))
     best = None
     for idx, axiom in enumerate(dpi.k_ids):
         cells = partition(dpi, diagnoses, make_query(dpi, axiom))
